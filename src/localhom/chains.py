@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .complexes import SimplicialComplex, SubcomplexPair, Simplex
 from .errors import ChainComplexError
-from .exact import IntegerMatrix
+from .exact import IntegerMatrix, sparse_columns
 
 
 class ChainComplex:
@@ -63,12 +63,26 @@ class ChainComplex:
         return IntegerMatrix.zeros(below, len(self.basis(degree)))
 
     def check_boundary_squared(self) -> None:
-        """Raise ``ChainComplexError`` unless consecutive boundaries compose to zero."""
-        for i in range(1, len(self.boundaries)):
-            if not (self.boundaries[i - 1] @ self.boundaries[i]).is_zero():
-                raise ChainComplexError(
-                    f"boundary squared is nonzero at degree {self.offset + i}"
-                )
+        """Raise ``ChainComplexError`` unless consecutive boundaries compose to zero.
+
+        Each sparse column of one boundary is pushed through the sparse
+        columns of the boundary below, so the cost is the number of
+        nonzeros times the column length below, not a dense product.
+        """
+        below = None
+        for i, mat in enumerate(self.boundaries):
+            cols = sparse_columns(mat)
+            if below is not None:
+                for col in cols:
+                    image: dict[int, int] = {}
+                    for r, x in col.items():
+                        for s, y in below[r].items():
+                            image[s] = image.get(s, 0) + x * y
+                    if any(image.values()):
+                        raise ChainComplexError(
+                            f"boundary squared is nonzero at degree {self.offset + i}"
+                        )
+            below = cols
 
 
 def _boundary_matrix(rows: tuple[Simplex, ...], cols: tuple[Simplex, ...]) -> IntegerMatrix:

@@ -27,6 +27,17 @@ class UnknownVertexError(LocalhomError):
         self.label = label
 
 
+class UnwritableLabelError(LocalhomError):
+    """A vertex label cannot be written to a facet-list file and read back."""
+
+    def __init__(self, label):
+        super().__init__(
+            f"vertex label {label!r} cannot be written as .scx: labels must be "
+            "nonempty and contain no '#' or whitespace"
+        )
+        self.label = label
+
+
 class LabelCollisionError(LocalhomError):
     """A construction would introduce a duplicate vertex label."""
 

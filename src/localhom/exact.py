@@ -1,19 +1,31 @@
-"""Exact integer matrices and Smith normal form.
+"""Exact integer matrices, Smith normal form and unit-pivot elimination.
 
 All arithmetic uses Python's arbitrary-precision integers, so there is no
 overflow at any size; intermediate entries in a Smith reduction can grow
 well past 64 bits even for small boundary matrices.  Rational computations
 (rank, kernels) use ``fractions.Fraction``.
 
-The Smith routine picks the nonzero entry of least absolute value as the
-pivot on every round (ties broken by row-major position), which keeps
-entry growth modest and makes the reduction fully deterministic.
+Homology needs only the rank and the invariant factors of each boundary
+matrix, and boundary matrices are sparse with mostly ``±1`` entries.
+``eliminate_unit_pivots`` works on sparse columns: it clears the row of a
+``±1`` pivot with unimodular column operations and deletes that pivot's
+row and column, choosing pivots by least Markowitz cost so that little
+fill appears.  What remains is a small residual core, and the Smith normal
+form of the whole matrix is ``1`` once per eliminated pivot followed by
+the Smith normal form of the core.
+
+``smith_normal_form`` is the dense reduction with both transforms.  It
+picks the nonzero entry of least absolute value as the pivot on every
+round (ties broken by row-major position), which keeps entry growth modest
+and makes the reduction fully deterministic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from itertools import compress
 from math import gcd
 
 from .errors import DimensionMismatchError
@@ -27,7 +39,7 @@ class IntegerMatrix:
     def __init__(self, rows: int, cols: int, entries) -> None:
         if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be non-negative")
-        data = tuple(tuple(int(x) for x in row) for row in entries)
+        data = tuple(tuple(map(int, row)) for row in entries)
         if len(data) != rows or any(len(row) != cols for row in data):
             raise ValueError(f"entries do not form a {rows}x{cols} grid")
         object.__setattr__(self, "rows", rows)
@@ -243,6 +255,90 @@ def smith_normal_form(a: IntegerMatrix) -> SnfResult:
     return SnfResult(
         IntegerMatrix(m, m, u), IntegerMatrix(m, n, d), IntegerMatrix(n, n, v)
     )
+
+
+def sparse_columns(a: IntegerMatrix) -> list[dict[int, int]]:
+    """The nonzero entries of each column of ``a`` as ``{row: value}``."""
+    if a.rows == 0:
+        return [{} for _ in range(a.cols)]
+    return [dict(compress(enumerate(col), col)) for col in zip(*a.entries)]
+
+
+def eliminate_unit_pivots(a: IntegerMatrix) -> tuple[int, IntegerMatrix]:
+    """Eliminate ``±1`` pivots; returns ``(units, core)``.
+
+    Each pivot's row is cleared with unimodular column operations, after
+    which its row and column split off as a ``1`` of the Smith normal
+    form.  So the nonzero invariant factors of ``a`` are ``units`` ones
+    followed by those of ``core``, which keeps the rows and columns of the
+    remainder that still hold a nonzero entry, in their original order.
+
+    The pivot with the least Markowitz cost ``(|column| - 1) * (|row| - 1)``
+    goes first, ties broken by column and then row index, so the result is
+    a deterministic function of ``a``.
+    """
+    cols = sparse_columns(a)
+    rows: list[set[int]] = [set() for _ in range(a.rows)]
+    for j, col in enumerate(cols):
+        for i in col:
+            rows[i].add(j)
+    # One heap key per live unit entry at its current cost; keys whose
+    # entry or cost has since changed are skipped when popped.
+    heap = [
+        ((len(col) - 1) * (len(rows[i]) - 1), j, i)
+        for j, col in enumerate(cols)
+        for i, x in col.items()
+        if x == 1 or x == -1
+    ]
+    heapify(heap)
+    units = 0
+    while heap:
+        cost, j, r = heappop(heap)
+        pivot = cols[j]
+        p = pivot.get(r)
+        if (p != 1 and p != -1) or cost != (len(pivot) - 1) * (len(rows[r]) - 1):
+            continue
+        units += 1
+        cols[j] = {}
+        for i in pivot:
+            rows[i].discard(j)
+        touched = rows[r]
+        rows[r] = set()
+        for j2 in touched:
+            col = cols[j2]
+            f = col.pop(r) * p
+            for i, y in pivot.items():
+                if i == r:
+                    continue
+                z = col.get(i)
+                if z is None:
+                    col[i] = -f * y
+                    rows[i].add(j2)
+                elif z == f * y:
+                    del col[i]
+                    rows[i].discard(j2)
+                else:
+                    col[i] = z - f * y
+        for j2 in touched:
+            col = cols[j2]
+            n = len(col) - 1
+            for i, x in col.items():
+                if x == 1 or x == -1:
+                    heappush(heap, (n * (len(rows[i]) - 1), j2, i))
+        for i in pivot:
+            n = len(rows[i]) - 1
+            for j2 in rows[i]:
+                x = cols[j2][i]
+                if x == 1 or x == -1:
+                    heappush(heap, ((len(cols[j2]) - 1) * n, j2, i))
+    live = [col for col in cols if col]
+    kept = sorted({i for col in live for i in col})
+    position = {i: k for k, i in enumerate(kept)}
+    entries = [[0] * len(live) for _ in kept]
+    for k, col in enumerate(live):
+        for i, x in col.items():
+            entries[position[i]][k] = x
+    return units, IntegerMatrix(len(kept), len(live), entries)
 
 
 def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:

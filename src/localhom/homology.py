@@ -1,10 +1,12 @@
 """Homology groups with integer coefficients.
 
 Each group is reported as a free rank plus invariant factors (torsion
-numbers, each dividing the next) read off the Smith normal forms of the
-boundary matrices: in degree k the free rank is
+numbers, each dividing the next): in degree k the free rank is
 ``dim ker(boundary_k) - rank(boundary_{k+1})`` and the torsion is the set
-of diagonal entries of ``boundary_{k+1}`` exceeding 1.
+of invariant factors of ``boundary_{k+1}`` exceeding 1.  Each boundary is
+first reduced on its ``±1`` pivots by sparse elimination; its rank is the
+number of pivots plus the rank of the residual core, and its torsion comes
+from the Smith normal form of that core alone.
 
 Alongside absolute and reduced homology this module computes relative
 homology of pairs, local homology at one or several vertices, the same
@@ -27,7 +29,7 @@ from .chains import (
 from .complexes import SimplicialComplex, SubcomplexPair
 from .constructions import deleted, full_subcomplex, link
 from .errors import AdjacentVerticesError, LocalhomError
-from .exact import smith_normal_form
+from .exact import eliminate_unit_pivots, smith_normal_form
 
 
 @dataclass(frozen=True, repr=False)
@@ -182,17 +184,19 @@ def homology(c: ChainComplex, reduced: bool = False) -> HomologySummary:
     c.check_boundary_squared()
     if not c.bases:
         return HomologySummary({}, (0, 0), reduced)
-    n = [len(b) for b in c.bases]
-    snfs = [smith_normal_form(m) for m in c.boundaries]
+    ranks, torsions = [], []
+    for m in c.boundaries:
+        units, core = eliminate_unit_pivots(m)
+        snf = smith_normal_form(core)
+        ranks.append(units + snf.rank)
+        torsions.append(snf.invariant_factors)
+    ranks.append(0)
+    torsions.append(())
     groups = {}
-    for i, size in enumerate(n):
-        rank_out = snfs[i].rank
-        if i + 1 < len(snfs):
-            rank_in = snfs[i + 1].rank
-            torsion = snfs[i + 1].invariant_factors
-        else:
-            rank_in, torsion = 0, ()
-        groups[c.offset + i] = HomologyGroup(size - rank_out - rank_in, torsion)
+    for i, basis in enumerate(c.bases):
+        groups[c.offset + i] = HomologyGroup(
+            len(basis) - ranks[i] - ranks[i + 1], torsions[i + 1]
+        )
     # Degree -1 only ever carries a class for the empty complex; keep the
     # rendered span at 0 otherwise.
     low = 0 if reduced else c.offset

@@ -2,14 +2,15 @@
 
 One facet per line as whitespace-separated vertex labels; ``#`` starts a
 comment that runs to the end of the line; blank lines are ignored.  Labels
-are arbitrary non-whitespace tokens and the order inside a line does not
-matter.  A document with no facets denotes the empty complex.
+are arbitrary non-whitespace tokens without ``#`` (writing refuses any
+other label) and the order inside a line does not matter.  A document
+with no facets denotes the empty complex.
 """
 
 from __future__ import annotations
 
 from .complexes import SimplicialComplex
-from .errors import MalformedFacetError
+from .errors import MalformedFacetError, UnwritableLabelError
 
 
 def parse_complex(text: str) -> SimplicialComplex:
@@ -33,17 +34,32 @@ def to_scx(k: SimplicialComplex) -> str:
     """Canonical serialization: facets sorted by their sorted label lists.
 
     The output is byte-stable for a given complex, so golden tests and
-    file-based construction pipelines can compare results exactly.
+    file-based construction pipelines can compare results exactly.  A label
+    that would not read back as itself (empty, or holding ``#`` or
+    whitespace) raises ``UnwritableLabelError``.
     """
+    for label in k.labels:
+        # Line breaks are whitespace to str.split(), so they fail here too.
+        if "#" in label or label.split() != [label]:
+            raise UnwritableLabelError(label)
     lines = sorted(tuple(sorted(f)) for f in k.label_facets())
     return "".join(" ".join(f) + "\n" for f in lines)
 
 
 def read_complex(path) -> SimplicialComplex:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_complex(fh.read())
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise MalformedFacetError(
+            f"byte 0x{data[exc.start]:02x} of {path} is not UTF-8 text",
+            line_number=data.count(b"\n", 0, exc.start) + 1,
+        ) from None
+    return parse_complex(text)
 
 
 def write_complex(path, k: SimplicialComplex) -> None:
+    text = to_scx(k)  # before opening, so a bad label leaves no file behind
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(to_scx(k))
+        fh.write(text)

@@ -69,6 +69,18 @@ def test_boundary_squared_is_zero_everywhere():
             relative_chain_complex(pair).check_boundary_squared()
 
 
+def test_boundary_squared_flags_one_flipped_sign():
+    c = chain_complex(builtin("sphere(2)"))
+    d2 = c.boundary(2)
+    entries = [list(row) for row in d2.entries]
+    row = next(i for i in range(d2.rows) if entries[i][0])
+    entries[row][0] = -entries[row][0]
+    broken = list(c.boundaries)
+    broken[2] = IntegerMatrix(d2.rows, d2.cols, entries)
+    with pytest.raises(ChainComplexError, match="nonzero at degree 2$"):
+        ChainComplex(c.offset, c.bases, broken).check_boundary_squared()
+
+
 def test_relative_complex_of_equal_pair_is_empty():
     k = builtin("sphere(1)")
     c = relative_chain_complex(SubcomplexPair(k, k))

@@ -70,6 +70,26 @@ def test_missing_file_is_a_domain_error(capsys, tmp_path):
     assert "nope.scx" in err
 
 
+def test_undecodable_file_is_a_domain_error(capsys, tmp_path):
+    path = tmp_path / "binary.scx"
+    path.write_bytes(b"a b c\n\xff\xfe d\n")
+    code, out, err = run(capsys, "homology", "--in", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: line 2: byte 0xff")
+    assert "binary.scx" in err and "Traceback" not in err
+
+
+def test_construct_refuses_unwritable_apex_label(capsys, tmp_path):
+    out_path = tmp_path / "cone.scx"
+    code, _, err = run(
+        capsys, "construct", "--kind", "cone", "--builtin", "sphere(1)",
+        "--apex", "x y", "--out", str(out_path),
+    )
+    assert code == 1
+    assert err.startswith("error: vertex label 'x y'")
+    assert not out_path.exists()
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["homology"])  # neither --builtin nor --in

@@ -29,6 +29,7 @@ from localhom.errors import (
     SubcomplexError,
     UnknownBuiltinError,
     UnknownVertexError,
+    UnwritableLabelError,
 )
 from localhom.complexes import SubcomplexPair
 
@@ -76,6 +77,29 @@ def test_serialization_round_trip_and_golden_form():
     assert to_scx(k) == "a b c\nb c d\n"
     assert parse_complex(to_scx(k)) == k
     assert to_scx(builtin("octahedron")) == OCTAHEDRON_TEXT
+
+
+def test_serialization_round_trips_every_label_it_accepts():
+    # Every label of up to two characters over an alphabet of ordinary,
+    # non-ASCII, comment, blank and line-break characters.
+    alphabet = ["a", "Z", "7", "-", "\u00e9", "#", " ", "\t", "\n", "\x0b", "\x85", "\u2028"]
+    labels = [""] + alphabet + [x + y for x in alphabet for y in alphabet]
+    accepted = 0
+    for label in labels:
+        k = SimplicialComplex.from_label_facets([(label, "v"), ("v", "w")])
+        unwritable = label == "" or "#" in label or any(ch.isspace() for ch in label)
+        if unwritable:
+            with pytest.raises(UnwritableLabelError) as exc:
+                to_scx(k)
+            assert exc.value.label == label
+        elif label not in ("v", "w"):
+            assert parse_complex(to_scx(k)) == k
+            accepted += 1
+    assert accepted == 30
+    # Written as is, this facet would read back as the single vertex "a".
+    k = SimplicialComplex.from_label_facets([("a#b", "c d", "e")])
+    with pytest.raises(UnwritableLabelError, match="'a#b'"):
+        to_scx(k)
 
 
 def test_face_closure_is_exhaustive():

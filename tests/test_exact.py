@@ -11,10 +11,12 @@ from localhom.exact import (
     IntegerMatrix,
     clear_denominators,
     determinant,
+    eliminate_unit_pivots,
     kernel_basis_over_rationals,
     multiply,
     rank_over_rationals,
     smith_normal_form,
+    sparse_columns,
 )
 
 # Boundary of the triangle a-b-c: rows a, b, c; columns ab, ac, bc.
@@ -153,6 +155,103 @@ def test_snf_random_properties():
         assert rank_over_rationals(a) == len(nonzero)
         t_nonzero = [x for x in smith_normal_form(a.transpose()).diagonal if x]
         assert t_nonzero == nonzero
+
+
+def _unit_matrix(rng, zeros, max_dim=12):
+    """Zeros and ``±1`` (``zeros`` to 2 odds), plus a few non-unit entries."""
+    rows = rng.randint(1, max_dim)
+    cols = rng.randint(1, max_dim)
+    choices = (0,) * zeros + (1, -1)
+    entries = [[rng.choice(choices) for _ in range(cols)] for _ in range(rows)]
+    for _ in range(rng.randint(0, 3)):
+        entries[rng.randrange(rows)][rng.randrange(cols)] = rng.choice((2, -2, 3, 4, -6))
+    return IntegerMatrix(rows, cols, entries)
+
+
+def _rank_and_factors(a):
+    res = smith_normal_form(a)
+    return res.rank, res.invariant_factors
+
+
+def _eliminated_rank_and_factors(a):
+    units, core = eliminate_unit_pivots(a)
+    res = smith_normal_form(core)
+    return units + res.rank, res.invariant_factors
+
+
+@pytest.mark.parametrize(
+    "make",
+    [_random_matrix, lambda rng: _unit_matrix(rng, 4), lambda rng: _unit_matrix(rng, 1)],
+    ids=["dense", "sparse-units", "dense-units"],
+)
+def test_unit_elimination_matches_whole_snf(make):
+    # Dense unit matrices are where fill turns a queued unit entry into a
+    # non-unit one, which must not be taken as a pivot.
+    rng = random.Random(2003)
+    for _ in range(400):
+        a = make(rng)
+        units, core = eliminate_unit_pivots(a)
+        assert _eliminated_rank_and_factors(a) == _rank_and_factors(a)
+        assert units <= min(a.rows, a.cols)
+        assert core.rows <= a.rows - units and core.cols <= a.cols - units
+        # The core keeps no all-zero row or column.
+        assert all(any(row) for row in core.entries)
+        assert all(any(core.column(j)) for j in range(core.cols))
+        assert eliminate_unit_pivots(a) == (units, core)
+
+
+def test_unit_elimination_core_without_units_still_counts_rank():
+    # No entry is a unit, yet the SNF is (1, 6): the 1 is rank, not torsion.
+    a = IntegerMatrix(2, 2, [[2, 0], [0, 3]])
+    units, core = eliminate_unit_pivots(a)
+    assert (units, core) == (0, a)
+    assert smith_normal_form(core).diagonal == (1, 6)
+    assert _eliminated_rank_and_factors(a) == (2, (6,))
+
+
+def test_unit_elimination_empty_core():
+    units, core = eliminate_unit_pivots(TRIANGLE_D1)
+    assert units == 2
+    assert (core.rows, core.cols) == (0, 0)
+    assert _eliminated_rank_and_factors(TRIANGLE_D1) == (2, ())
+
+
+def test_unit_elimination_leaves_torsion_in_core():
+    # Row 0 is cleared by the unit pivot; the 2 is what remains.
+    a = IntegerMatrix(2, 2, [[1, 1], [0, 2]])
+    units, core = eliminate_unit_pivots(a)
+    assert units == 1
+    assert core == IntegerMatrix(1, 1, [[2]])
+
+
+def test_unit_elimination_skips_entries_that_fill_made_non_unit():
+    # Fill turns a queued unit entry of this matrix into a 2 while its
+    # Markowitz cost stays the same; pivoting on it would give torsion Z/10.
+    a = IntegerMatrix.from_rows(
+        [
+            [0, -1, -1, 1, 1],
+            [-1, -1, 0, 0, -1],
+            [1, -1, 0, 1, 0],
+            [-1, 0, -1, -1, 1],
+            [0, 1, 1, 1, 1],
+        ]
+    )
+    assert determinant(a) in (4, -4)
+    assert _rank_and_factors(a) == (5, (4,))
+    assert _eliminated_rank_and_factors(a) == (5, (4,))
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (0, 4), (4, 0), (3, 2)])
+def test_unit_elimination_of_zero_and_empty_shapes(shape):
+    units, core = eliminate_unit_pivots(IntegerMatrix.zeros(*shape))
+    assert units == 0
+    assert (core.rows, core.cols) == (0, 0)
+
+
+def test_sparse_columns():
+    assert sparse_columns(TRIANGLE_D1) == [{0: -1, 1: 1}, {0: -1, 2: 1}, {1: -1, 2: 1}]
+    assert sparse_columns(IntegerMatrix.zeros(0, 2)) == [{}, {}]
+    assert sparse_columns(IntegerMatrix.zeros(2, 0)) == []
 
 
 def test_first_two_invariant_factors_match_minor_gcds():

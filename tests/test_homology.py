@@ -56,6 +56,15 @@ def test_frozen_values_match_independent_oracle(name):
     assert oracle.euler_characteristic(facets) == k.euler_characteristic()
 
 
+@pytest.mark.parametrize("name", ["torus7", "rp2_6", "klein8"])
+def test_double_prism_keeps_the_homology_of_its_base(name):
+    # K x I x I deformation retracts onto K, so it has the frozen homology
+    # of K (checked against the oracle above), torsion included.
+    once = prism_product(builtin(name)).ambient
+    twice = prism_product(once).ambient
+    assert homology_of_complex(twice).nonzero() == EXPECTED_HOMOLOGY[name]
+
+
 def test_euler_characteristic_two_ways():
     for _, k in excision_corpus():
         summary = homology_of_complex(k)
