@@ -7,7 +7,11 @@ indices are just the ranks of the sorted label list, so two complexes built
 from the same labelled facets are identical regardless of input order.
 
 Instances are immutable after construction and safe to share between
-threads; every operation on them returns a new complex.
+threads; every operation on them returns a new complex.  Derived views
+(sorted simplices, facets, and the index from each vertex to the facets
+containing it) are filled lazily on first use and never go stale.  The
+vertex→facet index lets links and stars be built from one vertex's
+facets instead of a scan over every simplex.
 """
 
 from __future__ import annotations
@@ -21,7 +25,9 @@ Simplex = tuple[int, ...]
 
 
 class SimplicialComplex:
-    __slots__ = ("labels", "_index", "_simplices", "_sorted", "_facets")
+    __slots__ = (
+        "labels", "_index", "_simplices", "_sorted", "_facets", "_vertex_facets"
+    )
 
     def __init__(self, labels: Iterable[str], closed_simplices: dict) -> None:
         """Build from already face-closed data; use the factories instead."""
@@ -37,6 +43,7 @@ class SimplicialComplex:
         )
         object.__setattr__(self, "_sorted", {})
         object.__setattr__(self, "_facets", None)
+        object.__setattr__(self, "_vertex_facets", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("SimplicialComplex is immutable")
@@ -158,6 +165,22 @@ class SimplicialComplex:
                         result.append(s)
             object.__setattr__(self, "_facets", tuple(result))
         return self._facets
+
+    def vertex_facets(self, i: int) -> tuple[Simplex, ...]:
+        """Facets containing vertex index ``i``, in ``facets()`` order.
+
+        The index is built from ``facets()`` on the first call; an index
+        that is not a vertex of the complex has no facets.
+        """
+        if self._vertex_facets is None:
+            index: dict[int, list] = {}
+            for f in self.facets():
+                for v in f:
+                    index.setdefault(v, []).append(f)
+            object.__setattr__(
+                self, "_vertex_facets", {v: tuple(fs) for v, fs in index.items()}
+            )
+        return self._vertex_facets.get(i, ())
 
     def label_facets(self) -> list[tuple[str, ...]]:
         return [self.simplex_labels(f) for f in self.facets()]

@@ -1,6 +1,7 @@
 """Constructions on simplicial complexes.
 
-Covers the local pieces (link, star, vertex deletion, full subcomplexes),
+Covers the local pieces (link and star, read from the vertex→facet index;
+vertex deletion and full subcomplexes, which scan every simplex),
 the gluing constructions (cone, wedge, disjoint union), the prism over a
 complex (a triangulation of the product with an interval), and relabelling.
 All functions are pure: inputs are never modified.
@@ -37,21 +38,24 @@ def deleted(k: SimplicialComplex, v: str) -> SimplicialComplex:
 
 
 def link(k: SimplicialComplex, v: str) -> SimplicialComplex:
-    """Simplices disjoint from ``v`` whose join with ``v`` lies in ``k``."""
+    """Simplices disjoint from ``v`` whose join with ``v`` lies in ``k``.
+
+    Every such simplex is a face of ``f - v`` for a facet ``f`` containing
+    ``v``, so the link is the face closure of those, read from the
+    vertex→facet index at a cost proportional to the star.
+    """
     vi = k.index_of(v)
     simplices = [
-        tuple(i for i in s if i != vi)
-        for s in k.all_simplices()
-        if vi in s and len(s) > 1
+        tuple(i for i in f if i != vi) for f in k.vertex_facets(vi) if len(f) > 1
     ]
     return SimplicialComplex.from_index_simplices(k.labels, simplices)
 
 
 def star(k: SimplicialComplex, v: str) -> SimplicialComplex:
     """Face closure of all simplices containing ``v`` (the closed star)."""
-    vi = k.index_of(v)
-    simplices = [s for s in k.all_simplices() if vi in s]
-    return SimplicialComplex.from_index_simplices(k.labels, simplices)
+    return SimplicialComplex.from_index_simplices(
+        k.labels, k.vertex_facets(k.index_of(v))
+    )
 
 
 def cone(k: SimplicialComplex, apex_label: str) -> SimplicialComplex:

@@ -9,9 +9,15 @@ number of pivots plus the rank of the residual core, and its torsion comes
 from the Smith normal form of that core alone.
 
 Alongside absolute and reduced homology this module computes relative
-homology of pairs, local homology at one or several vertices, the same
-local homology through the vertex link (an excision identity used as a
-cross-check), and the predicted local homology at a cone apex.
+homology of pairs and local homology at a vertex by two independent
+routes.  ``local_homology_via_link`` uses the excision identity
+``H_k(K, K - v) = H~_{k-1}(lk v)``; the link is read from the complex's
+vertex→facet index, so it costs work proportional to the star, and it is
+the route the probe and the CLI use.  ``local_homology`` is the
+definition, the pair ``(K, K - v)`` with ``v`` deleted, rebuilt from the
+whole complex; it is kept as the cross-check the link route is tested
+against.  Local homology at several non-adjacent vertices and the
+predicted local homology at a cone apex complete the module.
 """
 
 from __future__ import annotations
@@ -141,9 +147,6 @@ class HomologySummary:
             hi = max(hi, max(self._groups))
         return range(lo, hi + 1)
 
-    def max_nonzero_degree(self):
-        return max(self._groups, default=None)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, HomologySummary):
             return NotImplemented
@@ -223,7 +226,9 @@ def local_homology(k: SimplicialComplex, v: str) -> HomologySummary:
     """Homology of ``k`` relative to the complex with ``v`` deleted.
 
     Detects the local structure at ``v``: an interior point of an
-    n-manifold gives ``Z`` in degree n and nothing else.
+    n-manifold gives ``Z`` in degree n and nothing else.  This is the
+    definition, computed without the link, so that it can check
+    ``local_homology_via_link``.
     """
     k.index_of(v)
     return relative_homology(SubcomplexPair(k, deleted(k, v)))
@@ -255,7 +260,7 @@ def shifted_up(summary: HomologySummary, span: tuple[int, int]) -> HomologySumma
 
 
 def local_homology_via_link(k: SimplicialComplex, v: str) -> HomologySummary:
-    """Local homology computed from the vertex link.
+    """Local homology computed from the vertex link (the probe's route).
 
     Excision collapses the pair onto the closed star, which is the cone on
     the link, so the degree-k local group is the reduced degree-(k-1)

@@ -6,6 +6,13 @@ pattern certifies that no neighbourhood of the vertex is Euclidean, which
 is the computational content of the wedge and cone obstructions.  The
 probe is a necessary test only: a clean report says "consistent with", it
 never certifies an actual manifold.
+
+Each vertex's local groups come from its link (shifted reduced link
+homology, ``local_homology_via_link``) and its star dimension from the
+largest facet containing it, both read from the complex's vertex→facet
+index, so a report costs work proportional to the stars rather than one
+pass over the whole complex per vertex.  The deleted-vertex definition
+``local_homology`` stays in ``homology`` as the independent cross-check.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .complexes import SimplicialComplex
-from .homology import HomologyGroup, HomologySummary, local_homology
+from .homology import HomologyGroup, HomologySummary, local_homology_via_link
 
 INTERIOR_LIKE = "interior_like"
 BOUNDARY_LIKE = "boundary_like"
@@ -31,7 +38,7 @@ class VertexVerdict:
 
     vertex: str
     category: str
-    dimension: int | None = None  # interior dimension when interior_like
+    dimension: int | None = None  # star dimension unless not locally euclidean
     witness: tuple[int, HomologyGroup] | None = None
     local: HomologySummary | None = None
 
@@ -45,8 +52,7 @@ class VertexVerdict:
 
 
 def _star_dimension(k: SimplicialComplex, v: str) -> int:
-    vi = k.index_of(v)
-    return max(len(s) for s in k.all_simplices() if vi in s) - 1
+    return max(len(f) for f in k.vertex_facets(k.index_of(v))) - 1
 
 
 def vertex_verdict(k: SimplicialComplex, v: str) -> VertexVerdict:
@@ -56,13 +62,14 @@ def vertex_verdict(k: SimplicialComplex, v: str) -> VertexVerdict:
     when its local homology is ``Z`` exactly in degree n (so a cone point
     of two triangles, whose local homology sits in degree 1, fails even
     though the group itself is ``Z``).  The witness is the nonzero group
-    of highest degree that breaks the pattern.
+    of highest degree that breaks the pattern.  Interior-like and
+    boundary-like verdicts both record the star dimension.
     """
-    summary = local_homology(k, v)
+    summary = local_homology_via_link(k, v)
     nonzero = summary.nonzero()
-    if not nonzero:
-        return VertexVerdict(v, BOUNDARY_LIKE, local=summary)
     expected = _star_dimension(k, v)
+    if not nonzero:
+        return VertexVerdict(v, BOUNDARY_LIKE, dimension=expected, local=summary)
     if len(nonzero) == 1 and nonzero.get(expected) == HomologyGroup(1):
         return VertexVerdict(v, INTERIOR_LIKE, dimension=expected, local=summary)
     offending = [
@@ -159,8 +166,6 @@ class ObstructionReport:
             if self.inferred_dimension is None:
                 return "CONSISTENT WITH A CLOSED MANIFOLD (no vertices)"
             return f"CONSISTENT WITH A CLOSED {self.inferred_dimension}-MANIFOLD"
-        if self.inferred_dimension is None:
-            return "CONSISTENT WITH A MANIFOLD WITH BOUNDARY (no interior vertices)"
         return (
             f"CONSISTENT WITH A {self.inferred_dimension}-MANIFOLD WITH BOUNDARY"
         )
@@ -218,12 +223,14 @@ def obstruction_report(k: SimplicialComplex) -> ObstructionReport:
     """Classify every vertex and aggregate a manifold verdict.
 
     The witness vertex is the lexicographically least offender.  Mixed
-    interior dimensions also disqualify the complex even though each
-    single vertex looks Euclidean.
+    star dimensions among the other vertices, interior-like or
+    boundary-like, also disqualify the complex even though each single
+    vertex looks Euclidean.
     """
     verdicts = tuple(vertex_verdict(k, lab) for lab in sorted(k.labels))
     offenders = [v for v in verdicts if v.category == NOT_LOCALLY_EUCLIDEAN]
-    interior_dims = sorted({v.dimension for v in verdicts if v.category == INTERIOR_LIKE})
+    dims = sorted({v.dimension for v in verdicts if v.category != NOT_LOCALLY_EUCLIDEAN})
+    inferred = dims[0] if len(dims) == 1 else None
     has_boundary = any(v.category == BOUNDARY_LIKE for v in verdicts)
     flags = pseudomanifold_check(k, closed=not has_boundary)
 
@@ -232,19 +239,15 @@ def obstruction_report(k: SimplicialComplex) -> ObstructionReport:
         return ObstructionReport(
             NOT_A_MANIFOLD,
             verdicts,
-            interior_dims[0] if len(interior_dims) == 1 else None,
+            inferred,
             flags,
             witness_vertex=first.vertex,
             witness=first.witness,
             reason="vertex is not locally euclidean",
         )
-    if len(interior_dims) > 1:
-        expected = interior_dims[-1]
-        mismatch = next(
-            v
-            for v in verdicts
-            if v.category == INTERIOR_LIKE and v.dimension != expected
-        )
+    if len(dims) > 1:
+        expected = dims[-1]
+        mismatch = next(v for v in verdicts if v.dimension != expected)
         return ObstructionReport(
             NOT_A_MANIFOLD,
             verdicts,
@@ -252,10 +255,7 @@ def obstruction_report(k: SimplicialComplex) -> ObstructionReport:
             flags,
             witness_vertex=mismatch.vertex,
             witness=None,
-            reason=(
-                f"interior dimension {mismatch.dimension} conflicts with {expected}"
-            ),
+            reason=f"star dimension {mismatch.dimension} conflicts with {expected}",
         )
-    inferred = interior_dims[0] if interior_dims else None
     overall = CONSISTENT_WITH_BOUNDARY if has_boundary else CONSISTENT_CLOSED
     return ObstructionReport(overall, verdicts, inferred, flags)

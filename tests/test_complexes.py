@@ -13,6 +13,7 @@ from localhom import (
     disjoint_union,
     full_subcomplex,
     link,
+    local_homology_via_link,
     parse_complex,
     prism_product,
     relabel,
@@ -32,6 +33,7 @@ from localhom.errors import (
     UnwritableLabelError,
 )
 from localhom.complexes import SubcomplexPair
+from localhom.homology import HomologyGroup
 
 OCTAHEDRON_TEXT = """\
 1 2 3
@@ -179,6 +181,32 @@ def test_link_star_deleted_unknown_vertex():
     for op in (link, star, deleted):
         with pytest.raises(UnknownVertexError):
             op(k, "zz")
+
+
+def test_isolated_vertex_has_empty_link_and_local_z_in_degree_0():
+    k = parse_complex("a b\nz\n")
+    assert link(k, "z").is_empty()
+    assert star(k, "z") == parse_complex("z")
+    assert local_homology_via_link(k, "z").nonzero() == {0: HomologyGroup(1)}
+
+
+def test_vertex_facets_of_an_unknown_index_is_empty():
+    k = parse_complex("a b c\nc d")
+    assert k.vertex_facets(k.index_of("c")) == ((2, 3), (0, 1, 2))
+    for i in (-1, k.n_vertices, 99):
+        assert k.vertex_facets(i) == ()
+
+
+def test_complex_answers_the_same_after_the_index_is_filled():
+    k = parse_complex(OCTAHEDRON_TEXT)
+    before = (k.facets(), k.f_vector(), hash(k), to_scx(k))
+    first = link(k, "1")
+    assert (k.facets(), k.f_vector(), hash(k), to_scx(k)) == before
+    assert k == parse_complex(OCTAHEDRON_TEXT)
+    assert link(k, "1") == first
+    for lab in k.labels:
+        assert link(k, lab) == link(parse_complex(OCTAHEDRON_TEXT), lab)
+        assert star(k, lab) == star(parse_complex(OCTAHEDRON_TEXT), lab)
 
 
 def test_relabel_identity_and_swap():

@@ -116,6 +116,14 @@ def test_two_triangles_sharing_a_vertex():
     assert report.witness_vertex == "w"
 
 
+def test_triangle_with_a_dangling_edge():
+    # The star of c has facets of dimension 2 and 1; its link is an edge
+    # plus a point, so H_1 local = Z sits below the star dimension.
+    verdict = vertex_verdict(parse_complex("a b c\nc d"), "c")
+    assert verdict.category == NOT_LOCALLY_EUCLIDEAN
+    assert verdict.witness == (1, HomologyGroup(1))
+
+
 def test_single_edge_flags():
     flags = pseudomanifold_check(builtin("interval"), closed=False)
     assert flags.as_tuple() == (True, True, True)
@@ -128,12 +136,15 @@ def test_torus_flags():
 
 def test_prism_probes_as_manifold_with_boundary():
     # Every vertex of the product with an interval sits on the bottom or
-    # top copy, so all verdicts are boundary-like.
+    # top copy, so all verdicts are boundary-like; each records its star
+    # dimension, which infers the dimension of the product.
     pair = prism_product(builtin("octahedron"))
     report = obstruction_report(pair.ambient)
     assert report.overall == CONSISTENT_WITH_BOUNDARY
     assert all(v.category == BOUNDARY_LIKE for v in report.verdicts)
-    assert report.inferred_dimension is None
+    assert all(v.dimension == 3 for v in report.verdicts)
+    assert report.inferred_dimension == 3
+    assert report.headline() == "CONSISTENT WITH A 3-MANIFOLD WITH BOUNDARY"
 
 
 def test_mixed_dimensions_are_detected():
@@ -142,6 +153,22 @@ def test_mixed_dimensions_are_detected():
     assert report.overall == NOT_A_MANIFOLD
     assert "dimension" in report.reason
     assert report.witness_vertex == "L.0"
+
+
+def test_triangle_plus_point_is_not_a_manifold():
+    # The triangle's vertices are boundary-like with star dimension 2 and
+    # the point is interior-like with dimension 0.
+    k = disjoint_union(parse_complex("a b c"), parse_complex("p"))
+    report = obstruction_report(k)
+    assert [(v.category, v.dimension) for v in report.verdicts] == [
+        (BOUNDARY_LIKE, 2), (BOUNDARY_LIKE, 2), (BOUNDARY_LIKE, 2), (INTERIOR_LIKE, 0)
+    ]
+    assert report.overall == NOT_A_MANIFOLD
+    assert report.inferred_dimension is None
+    assert report.witness_vertex == "R.p"
+    assert report.headline() == (
+        "NOT A MANIFOLD: vertex 'R.p', star dimension 0 conflicts with 2"
+    )
 
 
 def test_sphere0_and_point_are_closed_zero_manifolds():
