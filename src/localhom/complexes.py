@@ -16,6 +16,7 @@ facets instead of a scan over every simplex.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator
 
@@ -212,6 +213,7 @@ class SimplicialComplex:
         )
 
 
+@dataclass(frozen=True, slots=True)
 class SubcomplexPair:
     """A complex together with a subcomplex of it, for relative homology.
 
@@ -219,18 +221,12 @@ class SubcomplexPair:
     (compared through vertex labels).
     """
 
-    __slots__ = ("ambient", "sub")
+    ambient: SimplicialComplex
+    sub: SimplicialComplex
 
-    def __init__(self, ambient: SimplicialComplex, sub: SimplicialComplex) -> None:
-        if not sub.is_subcomplex_of(ambient):
-            raise SubcomplexError(
-                "sub is not a subcomplex of the ambient complex"
-            )
-        object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "sub", sub)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SubcomplexPair is immutable")
+    def __post_init__(self) -> None:
+        if not self.sub.is_subcomplex_of(self.ambient):
+            raise SubcomplexError("sub is not a subcomplex of the ambient complex")
 
     def sub_simplices_in_ambient(self) -> set:
         """Simplices of the subcomplex in the ambient index convention."""
@@ -239,6 +235,3 @@ class SubcomplexPair:
             tuple(sorted(translate[i] for i in s))
             for s in self.sub.all_simplices()
         }
-
-    def __repr__(self) -> str:
-        return f"SubcomplexPair(ambient={self.ambient!r}, sub={self.sub!r})"

@@ -2,8 +2,13 @@
 
 All arithmetic uses Python's arbitrary-precision integers, so there is no
 overflow at any size; intermediate entries in a Smith reduction can grow
-well past 64 bits even for small boundary matrices.  Rational computations
-(rank, kernels) use ``fractions.Fraction``.
+well past 64 bits even for small boundary matrices.
+
+Every rational computation goes through one ``RationalEchelon``: sparse
+``{index: Fraction}`` vectors are reduced against the stored rows in the
+order they were added, and each row remembers its coordinates over the
+tagged vectors.  Rank counts the columns that enlarge the span, and each
+column that does not gives a kernel vector from its coordinates.
 
 Homology needs only the rank and the invariant factors of each boundary
 matrix, and boundary matrices are sparse with mostly ``±1`` entries.
@@ -26,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import compress
-from math import gcd
+from math import gcd, lcm
 
 from .errors import DimensionMismatchError
 
@@ -341,58 +346,88 @@ def eliminate_unit_pivots(a: IntegerMatrix) -> tuple[int, IntegerMatrix]:
     return units, IntegerMatrix(len(kept), len(live), entries)
 
 
-def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """In-place reduced row echelon form; returns (rows, pivot columns)."""
-    n_rows = len(rows)
-    n_cols = len(rows[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(n_cols):
-        pivot_row = next((i for i in range(r, n_rows) if rows[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(n_rows):
-            if i != r and rows[i][c] != 0:
-                factor = rows[i][c]
-                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == n_rows:
-            break
-    return rows, pivots
+class RationalEchelon:
+    """Incremental echelon form of a span of sparse ``{index: value}`` vectors.
+
+    A stored row is the residual of an added vector scaled to 1 at its
+    least index (its lead), so it is zero at the lead of every earlier
+    row, and reducing in insertion order clears every lead.  A row also
+    carries its coordinates over the tagged vectors, modulo the untagged.
+    """
+
+    def __init__(self) -> None:
+        self._rows: list[tuple[int, dict, dict]] = []  # (lead, row, coordinates)
+
+    def __len__(self) -> int:
+        """Dimension of the span."""
+        return len(self._rows)
+
+    def reduce(self, vec) -> tuple[dict, dict]:
+        """Returns ``(residual, coordinates)``.
+
+        ``vec`` equals ``residual`` plus the sum of ``coordinates[t]``
+        times the vector tagged ``t``, modulo the untagged vectors; the
+        residual is zero exactly when ``vec`` lies in the span.
+        """
+        residual = {i: Fraction(x) for i, x in vec.items() if x}
+        coordinates: dict = {}
+        for lead, row, row_coordinates in self._rows:
+            c = residual.get(lead)
+            if c:
+                _add_multiple(residual, -c, row)
+                _add_multiple(coordinates, c, row_coordinates)
+        return residual, coordinates
+
+    def add(self, vec, tag=None) -> bool:
+        """Add ``vec`` (tagged ``tag`` unless None); True when the span grows."""
+        return self._store(*self.reduce(vec), tag)
+
+    def _store(self, residual: dict, coordinates: dict, tag) -> bool:
+        if not residual:
+            return False
+        lead = min(residual)
+        inv = 1 / residual[lead]
+        row_coordinates = {t: -c * inv for t, c in coordinates.items()}
+        if tag is not None:
+            row_coordinates[tag] = inv
+        row = {i: x * inv for i, x in residual.items()}
+        self._rows.append((lead, row, row_coordinates))
+        return True
 
 
-def _fraction_rows(a: IntegerMatrix) -> list[list[Fraction]]:
-    return [[Fraction(x) for x in row] for row in a.entries]
+def _add_multiple(target: dict, c, source: dict) -> None:
+    """``target += c * source`` in place, dropping entries that cancel."""
+    for i, y in source.items():
+        z = target.get(i, 0) + c * y
+        if z:
+            target[i] = z
+        else:
+            del target[i]
 
 
 def rank_over_rationals(a: IntegerMatrix) -> int:
-    """Rank of ``a`` over the rationals (exact Gaussian elimination)."""
-    _, pivots = _rref(_fraction_rows(a))
-    return len(pivots)
+    """Rank of ``a`` over the rationals."""
+    echelon = RationalEchelon()
+    return sum(map(echelon.add, sparse_columns(a)))
 
 
 def kernel_basis_over_rationals(a: IntegerMatrix) -> list[tuple[int, ...]]:
     """Basis of the rational null space of ``a``.
 
-    Each basis vector is cleared to integer entries of content 1, one per
-    free column of the reduced echelon form, in column order; the entry at
-    the free column itself is positive.
+    The columns of ``a`` enter one echelon in order; each column that
+    depends on the earlier ones gives the relation ``e_j - sum of its
+    coordinates``, cleared to integer entries of content 1.  These are the
+    free-column vectors of the reduced row echelon form, in column order,
+    with a positive entry at the free column itself.
     """
-    rref, pivots = _rref(_fraction_rows(a))
-    pivot_set = set(pivots)
+    echelon = RationalEchelon()
     basis = []
-    for free in range(a.cols):
-        if free in pivot_set:
+    for j, col in enumerate(sparse_columns(a)):
+        residual, coordinates = echelon.reduce(col)
+        if echelon._store(residual, coordinates, j):
             continue
-        vec = [Fraction(0)] * a.cols
-        vec[free] = Fraction(1)
-        for r, c in enumerate(pivots):
-            if c < free:
-                vec[c] = -rref[r][free]
+        vec = [-coordinates.get(t, 0) for t in range(a.cols)]
+        vec[j] = 1
         basis.append(clear_denominators(vec))
     return basis
 
@@ -400,14 +435,7 @@ def kernel_basis_over_rationals(a: IntegerMatrix) -> list[tuple[int, ...]]:
 def clear_denominators(vec) -> tuple[int, ...]:
     """Scale a rational vector to primitive integer form (content 1)."""
     fracs = [Fraction(x) for x in vec]
-    lcm = 1
-    for x in fracs:
-        den = x.denominator
-        lcm = lcm * den // gcd(lcm, den)
-    ints = [int(x * lcm) for x in fracs]
-    content = 0
-    for x in ints:
-        content = gcd(content, x)
-    if content > 1:
-        ints = [x // content for x in ints]
-    return tuple(ints)
+    scale = lcm(*(x.denominator for x in fracs))
+    ints = [int(x * scale) for x in fracs]
+    content = gcd(*ints)
+    return tuple(x // content for x in ints) if content > 1 else tuple(ints)

@@ -13,6 +13,12 @@ take the boundary of the first piece, and correct it into the
 intersection pair).  Exactness is then pure rank arithmetic, verified at
 every node.
 
+All of it runs on ``exact.RationalEchelon``.  Each pair keeps one echelon
+per degree: the boundaries go in untagged and the chosen cycles tagged,
+so choosing the cycles and expressing a chain in them (the matrix columns
+of every arrow) share one elimination, and the rank of an arrow is the
+dimension of the span of its rows.
+
 Chains are indexed by label tuples.  Every complex sorts its labels the
 same way, so orientation signs agree across all the subcomplexes.
 """
@@ -26,34 +32,7 @@ from .chains import relative_chain_complex
 from .complexes import SimplicialComplex, SubcomplexPair
 from .constructions import complex_intersection, complex_union
 from .errors import DecompositionError, InclusionError
-from .exact import _rref, kernel_basis_over_rationals
-
-
-class _Span:
-    """Incremental rational span with exact rank bookkeeping."""
-
-    def __init__(self, dim: int):
-        self.dim = dim
-        self.rows = []  # (leading index, normalized vector)
-
-    def add(self, vec) -> bool:
-        """Add a vector; True when it enlarges the span."""
-        v = [Fraction(x) for x in vec]
-        for lead, row in self.rows:
-            if v[lead]:
-                coef = v[lead]
-                v = [x - coef * y for x, y in zip(v, row)]
-        lead = next((i for i, x in enumerate(v) if x), None)
-        if lead is None:
-            return False
-        inv = 1 / v[lead]
-        self.rows.append((lead, [x * inv for x in v]))
-        self.rows.sort(key=lambda item: item[0])
-        return True
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
+from .exact import RationalEchelon, kernel_basis_over_rationals, sparse_columns
 
 
 def _label_boundary(chain: dict) -> dict:
@@ -72,10 +51,12 @@ def _label_boundary(chain: dict) -> dict:
 class _PairHomology:
     """Rational homology bases of one relative chain complex.
 
-    The degree-n basis consists of kernel vectors of the boundary (in the
-    deterministic order produced by the exact kernel routine) that extend
-    the span of the degree-(n+1) boundary columns, so every computation
-    that starts from the same pair chooses the same cycles.
+    Each degree keeps one echelon: the degree-(n+1) boundary columns go in
+    untagged, then the kernel vectors of the degree-n boundary (in the
+    deterministic order of the exact kernel routine), each tagged by its
+    position among the chosen cycles when it enlarges the span.  So every
+    computation that starts from the same pair chooses the same cycles,
+    and expressing a cycle is one reduction against that echelon.
     """
 
     def __init__(self, pair: SubcomplexPair):
@@ -87,26 +68,23 @@ class _PairHomology:
             for n in self.cc.degrees()
         }
         self._cycles: dict = {}
+        self._echelons: dict = {}
 
     def basis_labels(self, n: int) -> list:
         return self._labels.get(n, [])
 
-    def dim_chains(self, n: int) -> int:
-        return len(self.basis_labels(n))
-
     def cycles(self, n: int) -> list:
         """Chosen homology basis at degree n, as integer chain vectors."""
         if n not in self._cycles:
-            boundary_out = self.cc.boundary(n)
-            boundary_in = self.cc.boundary(n + 1)
-            span = _Span(self.dim_chains(n))
-            for j in range(boundary_in.cols):
-                span.add(boundary_in.column(j))
+            echelon = RationalEchelon()
+            for col in sparse_columns(self.cc.boundary(n + 1)):
+                echelon.add(col)
             chosen = []
-            for vec in kernel_basis_over_rationals(boundary_out):
-                if span.add(vec):
+            for vec in kernel_basis_over_rationals(self.cc.boundary(n)):
+                if echelon.add(dict(enumerate(vec)), tag=len(chosen)):
                     chosen.append(vec)
             self._cycles[n] = chosen
+            self._echelons[n] = echelon
         return self._cycles[n]
 
     def rank(self, n: int) -> int:
@@ -117,10 +95,13 @@ class _PairHomology:
         return {labels[i]: c for i, c in enumerate(vec) if c}
 
     def express(self, n: int, chain: dict) -> list:
-        """Coordinates of a relative cycle in the degree-n homology basis."""
-        labels = self.basis_labels(n)
-        position = {s: i for i, s in enumerate(labels)}
-        target = [Fraction(0)] * len(labels)
+        """Coordinates of a relative cycle in the degree-n homology basis.
+
+        The chosen cycles are independent modulo boundaries, so the
+        coordinates are unique.
+        """
+        position = {s: i for i, s in enumerate(self.basis_labels(n))}
+        target = {}
         for simplex, coeff in chain.items():
             if coeff == 0:
                 continue
@@ -128,26 +109,15 @@ class _PairHomology:
                 raise InclusionError(
                     f"chain touches simplex {simplex} outside the relative basis"
                 )
-            target[position[simplex]] = Fraction(coeff)
-        boundary_in = self.cc.boundary(n + 1)
-        columns = [list(boundary_in.column(j)) for j in range(boundary_in.cols)]
-        cycles = self.cycles(n)
-        columns += [list(v) for v in cycles]
-        rows = [
-            [Fraction(col[i]) for col in columns] + [target[i]]
-            for i in range(len(labels))
-        ]
-        reduced, pivots = _rref(rows)
-        n_cols = len(columns)
-        if n_cols in pivots:
+            target[position[simplex]] = coeff
+        rank = self.rank(n)  # chooses the cycles, so builds the echelon
+        residual, coordinates = self._echelons[n].reduce(target)
+        if residual:
             raise InclusionError("chain is not a cycle in the span of the basis")
-        solution = [Fraction(0)] * n_cols
-        for r, c in enumerate(pivots):
-            solution[c] = reduced[r][n_cols]
-        return solution[boundary_in.cols :]
+        return [coordinates.get(t, Fraction(0)) for t in range(rank)]
 
 
-def _push_chain(chain: dict, target: _PairHomology, n: int) -> dict:
+def _push_chain(chain: dict, target: _PairHomology) -> dict:
     """Image of a chain under inclusion into another pair's quotient."""
     sub = target.pair.sub
     out = {}
@@ -177,11 +147,8 @@ class RationalMap:
         return cls(degree, entries, rows, len(columns))
 
     def rank(self) -> int:
-        if self.rows == 0 or self.cols == 0:
-            return 0
-        work = [list(row) for row in self.entries]
-        _, pivots = _rref(work)
-        return len(pivots)
+        echelon = RationalEchelon()
+        return sum(echelon.add(dict(enumerate(row))) for row in self.entries)
 
     def nullity(self) -> int:
         return self.cols - self.rank()
@@ -223,7 +190,7 @@ def induced_map(source: SubcomplexPair, target: SubcomplexPair, degree: int) -> 
     columns = []
     for vec in sp.cycles(degree):
         chain = sp.chain_dict(degree, vec)
-        columns.append(tp.express(degree, _push_chain(chain, tp, degree)))
+        columns.append(tp.express(degree, _push_chain(chain, tp)))
     return RationalMap.from_columns(degree, columns, tp.rank(degree))
 
 
@@ -378,8 +345,11 @@ def mv_exactness_check(decomposition: MvDecomposition, max_degree: int) -> MvRep
 
     At each node exactness means rank(incoming) == nullity(outgoing); the
     report lists the comparison for the intersection pair, the middle sum,
-    and the total pair in every degree.
+    and the total pair in every degree.  A negative ``max_degree`` would
+    check no node, so it raises ``DecompositionError``.
     """
+    if max_degree < 0:
+        raise DecompositionError(f"max degree must be at least 0, got {max_degree}")
     m = decomposition
     int_pair = _PairHomology(
         SubcomplexPair(m.intersection, m.sub_intersection)
@@ -392,8 +362,8 @@ def mv_exactness_check(decomposition: MvDecomposition, max_degree: int) -> MvRep
         columns = []
         for vec in int_pair.cycles(n):
             chain = int_pair.chain_dict(n, vec)
-            into_a = left.express(n, _push_chain(chain, left, n))
-            into_b = right.express(n, _push_chain(chain, right, n))
+            into_a = left.express(n, _push_chain(chain, left))
+            into_b = right.express(n, _push_chain(chain, right))
             columns.append(into_a + [-x for x in into_b])
         return RationalMap.from_columns(n, columns, left.rank(n) + right.rank(n))
 
@@ -402,7 +372,7 @@ def mv_exactness_check(decomposition: MvDecomposition, max_degree: int) -> MvRep
         for pair_hom in (left, right):
             for vec in pair_hom.cycles(n):
                 chain = pair_hom.chain_dict(n, vec)
-                columns.append(total.express(n, _push_chain(chain, total, n)))
+                columns.append(total.express(n, _push_chain(chain, total)))
         return RationalMap.from_columns(n, columns, total.rank(n))
 
     def delta(n: int) -> RationalMap:

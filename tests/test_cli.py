@@ -184,6 +184,18 @@ def test_mv_subcommand(capsys, tmp_path):
     assert out.splitlines()[-1].startswith("sequence exact")
 
 
+def test_mv_negative_max_degree_is_a_domain_error(capsys, tmp_path):
+    oct_ = builtin("octahedron")
+    write_complex(tmp_path / "k.scx", oct_)
+    code, out, err = run(
+        capsys,
+        "mv", "--in", str(tmp_path / "k.scx"), "--a", str(tmp_path / "k.scx"),
+        "--b", str(tmp_path / "k.scx"), "--max-degree", "-3",
+    )
+    assert code == 1 and out == ""
+    assert err == "error: max degree must be at least 0, got -3\n"
+
+
 def test_verify_paper_filter_and_exit(capsys):
     code, out, _ = run(capsys, "verify-paper", "--only", "thm3.1")
     assert code == 0

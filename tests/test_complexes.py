@@ -261,6 +261,20 @@ def test_subcomplex_pair_validation():
     SubcomplexPair(k, full_subcomplex(k, ["2", "3", "4", "5"]))
 
 
+def test_subcomplex_pair_is_frozen_with_structural_equality():
+    k = builtin("octahedron")
+    pair = SubcomplexPair(k, full_subcomplex(k, ["2", "3", "4", "5"]))
+    same = SubcomplexPair(builtin("octahedron"), full_subcomplex(k, ["2", "3", "4", "5"]))
+    assert pair == same and hash(pair) == hash(same)
+    assert pair != SubcomplexPair(k, SimplicialComplex.empty())
+    with pytest.raises(AttributeError):
+        pair.sub = SimplicialComplex.empty()
+    assert repr(pair) == (
+        "SubcomplexPair(ambient=SimplicialComplex(vertices=6, f_vector=(6, 12, 8)), "
+        "sub=SimplicialComplex(vertices=4, f_vector=(4, 4)))"
+    )
+
+
 @pytest.mark.parametrize("name", builtin_names())
 def test_builtins_load_and_self_check(name):
     k = builtin(name)

@@ -1,0 +1,47 @@
+"""The package imports nothing outside the standard library (``dependencies = []``)."""
+
+import ast
+import sys
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "localhom"
+
+
+def _outside_stdlib(source: str, filename: str) -> list[str]:
+    """``file:line: module`` for each absolute import of a non-stdlib module."""
+    found = []
+    for node in ast.walk(ast.parse(source, filename=filename)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        found += [
+            f"{filename}:{node.lineno}: {name}"
+            for name in names
+            if name.split(".")[0] not in sys.stdlib_module_names
+        ]
+    return found
+
+
+def test_package_imports_only_the_standard_library():
+    files = sorted(PACKAGE.glob("*.py"))
+    assert len(files) > 10
+    outside = [
+        line
+        for path in files
+        for line in _outside_stdlib(path.read_text(encoding="utf-8"), path.name)
+    ]
+    assert outside == []
+
+
+def test_guard_flags_third_party_and_passes_relative_imports():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path, numpy as np\n"
+        "from .exact import IntegerMatrix\n"
+        "def f():\n"
+        "    from scipy.sparse import csr_matrix\n"
+    )
+    assert _outside_stdlib(source, "m.py") == ["m.py:2: numpy", "m.py:5: scipy.sparse"]

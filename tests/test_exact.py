@@ -6,9 +6,11 @@ from itertools import combinations
 
 import pytest
 
+import oracle
 from localhom.errors import DimensionMismatchError
 from localhom.exact import (
     IntegerMatrix,
+    RationalEchelon,
     clear_denominators,
     determinant,
     eliminate_unit_pivots,
@@ -285,3 +287,124 @@ def test_matrix_immutability_and_validation():
         IntegerMatrix(2, 2, [[1, 2], [3]])
     with pytest.raises(DimensionMismatchError):
         determinant(IntegerMatrix.zeros(2, 3))
+
+
+def _rref_kernel_reference(a):
+    """Kernel basis from a dense ``Fraction`` reduced row echelon form.
+
+    One vector per free column, in column order: 1 at the free column and
+    minus the free column's entry in each pivot row at that row's pivot
+    column, cleared to integer entries of content 1.
+    """
+    rows = [[Fraction(x) for x in row] for row in a.entries]
+    pivots = []
+    for c in range(a.cols):
+        r = len(pivots)
+        pivot_row = next((i for i in range(r, a.rows) if rows[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        rows[r] = [x / rows[r][c] for x in rows[r]]
+        for i in range(a.rows):
+            if i != r and rows[i][c] != 0:
+                factor = rows[i][c]
+                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+    basis = []
+    for free in range(a.cols):
+        if free in pivots:
+            continue
+        vec = [Fraction(0)] * a.cols
+        vec[free] = Fraction(1)
+        for r, c in enumerate(pivots):
+            vec[c] = -rows[r][free]
+        basis.append(clear_denominators(vec))
+    return basis
+
+
+def _seeded_rational_cases(seed=11, count=300):
+    """Matrices of every shape up to 7x7, empty and all-zero ones included."""
+    rng = random.Random(seed)
+    cases = [IntegerMatrix.zeros(r, c) for r in range(4) for c in range(4)]
+    while len(cases) < count:
+        rows, cols = rng.randint(0, 7), rng.randint(0, 7)
+        density = rng.choice([0.0, 0.2, 0.5, 1.0])
+        cases.append(
+            IntegerMatrix(
+                rows,
+                cols,
+                [
+                    [rng.randint(-4, 4) if rng.random() < density else 0 for _ in range(cols)]
+                    for _ in range(rows)
+                ],
+            )
+        )
+    return cases
+
+
+def test_rank_matches_the_oracle_on_seeded_matrices():
+    for a in _seeded_rational_cases():
+        assert rank_over_rationals(a) == oracle.rank_q([list(row) for row in a.entries])
+
+
+def test_kernel_matches_the_dense_rref_reference_on_seeded_matrices():
+    for a in _seeded_rational_cases():
+        basis = kernel_basis_over_rationals(a)
+        assert basis == _rref_kernel_reference(a)
+        assert len(basis) == a.cols - rank_over_rationals(a)
+
+
+def test_rank_and_kernel_of_rank_deficient_products():
+    # Products of thin factors have rank at most the inner dimension, so
+    # most columns are dependent and their relations are non-trivial.
+    rng = random.Random(13)
+    for _ in range(100):
+        inner = rng.randint(0, 3)
+        left = IntegerMatrix.from_rows(
+            [[rng.randint(-3, 3) for _ in range(inner)] for _ in range(6)]
+        )
+        right = IntegerMatrix(
+            inner, 7, [[rng.randint(-3, 3) for _ in range(7)] for _ in range(inner)]
+        )
+        a = left @ right
+        rank = rank_over_rationals(a)
+        assert rank == oracle.rank_q([list(row) for row in a.entries]) <= inner
+        assert kernel_basis_over_rationals(a) == _rref_kernel_reference(a)
+
+
+def test_reduce_recovers_each_vector_from_its_coordinates():
+    rng = random.Random(17)
+    for _ in range(200):
+        dim = rng.randint(0, 6)
+        echelon = RationalEchelon()
+        tagged = {}
+        for t in range(rng.randint(0, 6)):
+            vec = {i: Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for i in range(dim)}
+            if echelon.add(vec, tag=t):
+                tagged[t] = vec
+        assert len(echelon) == len(tagged)
+        for _ in range(5):
+            vec = {i: Fraction(rng.randint(-3, 3)) for i in range(dim) if rng.random() < 0.6}
+            residual, coords = echelon.reduce(vec)
+            assert set(coords) <= set(tagged)
+            rebuilt = dict(residual)
+            for t, c in coords.items():
+                for i, x in tagged[t].items():
+                    rebuilt[i] = rebuilt.get(i, 0) + c * x
+            assert {i: x for i, x in rebuilt.items() if x} == {i: x for i, x in vec.items() if x}
+            dense = [[v.get(i, 0) for i in range(dim)] for v in [*tagged.values(), vec]]
+            assert bool(residual) == (oracle.rank_q(dense) > len(tagged))
+
+
+def test_reduce_coordinates_are_taken_modulo_untagged_vectors():
+    echelon = RationalEchelon()
+    assert echelon.add({0: 1, 1: -1})  # untagged, a boundary say
+    assert echelon.add({0: 1, 2: 2}, tag="z")
+    assert not echelon.add({1: 1, 2: 2}, tag="dependent")
+    residual, coords = echelon.reduce({0: 3, 1: -1, 2: 4})
+    # (3, -1, 4) = 2 * (1, 0, 2) + (1, -1, 0)
+    assert residual == {} and coords == {"z": Fraction(2)}
+    residual, coords = echelon.reduce({0: 2, 1: 1})
+    # (2, 1, 0) = (0, 0, -6) + 3 * (1, 0, 2) - (1, -1, 0)
+    assert residual == {2: Fraction(-6)} and coords == {"z": Fraction(3)}
+    assert len(echelon) == 2

@@ -1,5 +1,7 @@
 """Mayer-Vietoris exactness and inclusion-induced maps."""
 
+from fractions import Fraction as F
+
 import pytest
 
 from localhom import (
@@ -12,7 +14,7 @@ from localhom import (
     wedge,
 )
 from localhom.errors import DecompositionError, InclusionError
-from localhom.mayer_vietoris import MvDecomposition, mv_exactness_check
+from localhom.mayer_vietoris import MvDecomposition, _PairHomology, mv_exactness_check
 from localhom.verification import wedge_decomposition
 
 
@@ -149,3 +151,95 @@ def test_local_homology_agrees_with_wedge_mv_computation():
     node = [n for n in report.nodes if n.node == "H(K, Y)" and n.degree == 2][0]
     assert node.dim == 2
     assert report.exact
+
+
+def _pinned(maps) -> dict:
+    """Each map as ``(rows, cols, entries)``, its entries checked to be Fractions."""
+    for m in maps.values():
+        assert all(type(x) is F for row in m.entries for x in row)
+    return {n: (m.rows, m.cols, m.entries) for n, m in maps.items()}
+
+
+def test_pinned_maps_of_the_octahedron_hemispheres():
+    # Exact entries in the chosen bases; a change of cycle choice or of
+    # coordinates shows here even when every rank stays the same.
+    oct_ = builtin("octahedron")
+    upper = full_subcomplex(oct_, ["1", "2", "3", "4", "5"])
+    lower = full_subcomplex(oct_, ["2", "3", "4", "5", "6"])
+    report = mv_exactness_check(MvDecomposition(oct_, upper, lower), 3)
+    assert _pinned(report.phi) == {
+        0: (2, 1, ((F(1),), (F(-1),))),
+        1: (0, 1, ()),
+        2: (0, 0, ()),
+        3: (0, 0, ()),
+    }
+    assert _pinned(report.psi) == {
+        0: (1, 2, ((F(1), F(1)),)),
+        1: (0, 0, ()),
+        2: (1, 0, ((),)),
+        3: (0, 0, ()),
+    }
+    assert _pinned(report.delta) == {
+        0: (0, 1, ()),
+        1: (1, 0, ((),)),
+        2: (1, 1, ((F(-1),),)),
+        3: (0, 0, ()),
+        4: (0, 0, ()),
+    }
+
+
+def test_pinned_maps_of_the_wedge_cover():
+    report = mv_exactness_check(wedge_decomposition(builtin("octahedron"), "1"), 3)
+    assert _pinned(report.phi) == {
+        0: (0, 1, ()),
+        1: (0, 0, ()),
+        2: (2, 0, ((), ())),
+        3: (0, 0, ()),
+    }
+    assert _pinned(report.psi) == {
+        0: (0, 0, ()),
+        1: (1, 0, ((),)),
+        2: (2, 2, ((F(1), F(0)), (F(0), F(1)))),
+        3: (0, 0, ()),
+    }
+    assert _pinned(report.delta) == {
+        0: (0, 0, ()),
+        1: (1, 1, ((F(-1),),)),
+        2: (0, 2, ()),
+        3: (0, 0, ()),
+        4: (0, 0, ()),
+    }
+
+
+def test_pinned_maps_of_a_point_into_the_sphere():
+    s2 = builtin("sphere(2)")
+    point = SubcomplexPair(full_subcomplex(s2, ["0"]), SimplicialComplex.empty())
+    whole = SubcomplexPair(s2, SimplicialComplex.empty())
+    maps = {n: induced_map(point, whole, n) for n in range(3)}
+    assert _pinned(maps) == {
+        0: (1, 1, ((F(1),),)),
+        1: (0, 0, ()),
+        2: (1, 0, ((),)),
+    }
+
+
+def test_express_rejects_a_chain_that_is_not_a_cycle():
+    pair = _PairHomology(SubcomplexPair(builtin("sphere(2)"), SimplicialComplex.empty()))
+    with pytest.raises(InclusionError, match="chain is not a cycle"):
+        pair.express(1, {("0", "1"): 1})
+
+
+def test_express_rejects_a_simplex_outside_the_relative_basis():
+    s2 = builtin("sphere(2)")
+    pair = _PairHomology(SubcomplexPair(s2, full_subcomplex(s2, ["0", "1"])))
+    with pytest.raises(InclusionError, match="outside the relative basis"):
+        pair.express(1, {("0", "1"): 1, ("0", "2"): 1})
+
+
+def test_negative_max_degree_is_refused():
+    k = parse_complex("a b c\nb c d")
+    m = MvDecomposition(k, parse_complex("a b c"), parse_complex("b c d"))
+    with pytest.raises(DecompositionError, match="max degree must be at least 0, got -3"):
+        mv_exactness_check(m, -3)
+    report = mv_exactness_check(m, 0)
+    assert len(report.nodes) == 3 and report.exact
