@@ -1,45 +1,52 @@
-"""Chain complexes of oriented simplices with integer boundary matrices.
+"""Chain complexes of oriented simplices with sparse integer boundaries.
 
 Bases are the simplices of each degree in lexicographic order of their
 vertex index lists; orientation comes from the increasing vertex order, so
 the boundary of a simplex alternates signs over its vertex-deleted faces.
-A chain complex may start at degree -1 (the augmented complex used for
-reduced homology, whose extra basis element is the empty simplex).
+Each boundary is stored once, as sparse ``{row: ±1}`` columns built from
+the simplex index; a dense matrix is built only on request.  A chain
+complex may start at degree -1 (the augmented complex used for reduced
+homology, whose extra basis element is the empty simplex).
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from .complexes import SimplicialComplex, SubcomplexPair, Simplex
 from .errors import ChainComplexError
-from .exact import IntegerMatrix, sparse_columns
+from .exact import IntegerMatrix
 
 
+@dataclass(frozen=True)
 class ChainComplex:
-    """Graded bases plus boundary matrices, starting at ``offset``.
+    """Graded bases plus sparse boundary columns, starting at ``offset``.
 
     ``bases[i]`` holds the simplices of degree ``offset + i`` and
-    ``boundaries[i]`` maps degree ``offset + i`` to the degree below (the
-    bottom boundary goes to the zero group, so it has zero rows).
+    ``boundaries[i]`` maps degree ``offset + i`` to the degree below, one
+    ``{row: value}`` column per basis simplex (the bottom boundary goes
+    to the zero group, so its columns are empty).  The columns are shared,
+    not copied: nothing may edit them in place.
     """
 
-    __slots__ = ("offset", "bases", "boundaries")
+    offset: int
+    bases: tuple[tuple[Simplex, ...], ...]
+    boundaries: tuple[tuple[dict[int, int], ...], ...]
 
-    def __init__(self, offset, bases, boundaries) -> None:
-        object.__setattr__(self, "offset", offset)
-        object.__setattr__(self, "bases", tuple(tuple(b) for b in bases))
-        object.__setattr__(self, "boundaries", tuple(boundaries))
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "bases", tuple(map(tuple, self.bases)))
+        object.__setattr__(self, "boundaries", tuple(map(tuple, self.boundaries)))
         if len(self.boundaries) != len(self.bases):
-            raise ChainComplexError("one boundary matrix is required per degree")
-        for i, mat in enumerate(self.boundaries):
+            raise ChainComplexError("one boundary is required per degree")
+        for i, cols in enumerate(self.boundaries):
             below = len(self.bases[i - 1]) if i > 0 else 0
-            if mat.cols != len(self.bases[i]) or mat.rows != below:
+            if len(cols) != len(self.bases[i]) or any(
+                col and (min(col) < 0 or max(col) >= below) for col in cols
+            ):
                 raise ChainComplexError(
-                    f"boundary at degree {offset + i} has shape "
-                    f"{mat.rows}x{mat.cols}, expected {below}x{len(self.bases[i])}"
+                    f"boundary at degree {self.offset + i} needs "
+                    f"{len(self.bases[i])} columns with rows below {below}"
                 )
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ChainComplex is immutable")
 
     @property
     def top_degree(self) -> int:
@@ -54,60 +61,60 @@ class ChainComplex:
             return self.bases[i]
         return ()
 
-    def boundary(self, degree: int) -> IntegerMatrix:
-        """Boundary matrix out of ``degree`` (zero-shaped off the ends)."""
+    def columns(self, degree: int) -> tuple[dict[int, int], ...]:
+        """Sparse boundary columns out of ``degree`` (none off the ends)."""
         i = degree - self.offset
         if 0 <= i < len(self.boundaries):
             return self.boundaries[i]
-        below = len(self.basis(degree - 1))
-        return IntegerMatrix.zeros(below, len(self.basis(degree)))
+        return ()
+
+    def boundary(self, degree: int) -> IntegerMatrix:
+        """Dense boundary matrix out of ``degree`` (zero-shaped off the ends)."""
+        cols = self.columns(degree)
+        entries = [[0] * len(cols) for _ in self.basis(degree - 1)]
+        for j, col in enumerate(cols):
+            for i, x in col.items():
+                entries[i][j] = x
+        return IntegerMatrix(len(entries), len(cols), entries)
 
     def check_boundary_squared(self) -> None:
         """Raise ``ChainComplexError`` unless consecutive boundaries compose to zero.
 
-        Each sparse column of one boundary is pushed through the sparse
-        columns of the boundary below, so the cost is the number of
-        nonzeros times the column length below, not a dense product.
+        Each column of one boundary is pushed through the columns of the
+        boundary below, so the cost is the number of nonzeros times the
+        column length below, not a dense product.
         """
-        below = None
-        for i, mat in enumerate(self.boundaries):
-            cols = sparse_columns(mat)
-            if below is not None:
-                for col in cols:
-                    image: dict[int, int] = {}
-                    for r, x in col.items():
-                        for s, y in below[r].items():
-                            image[s] = image.get(s, 0) + x * y
-                    if any(image.values()):
-                        raise ChainComplexError(
-                            f"boundary squared is nonzero at degree {self.offset + i}"
-                        )
-            below = cols
+        for i in range(1, len(self.boundaries)):
+            below = self.boundaries[i - 1]
+            for col in self.boundaries[i]:
+                image: dict[int, int] = {}
+                for r, x in col.items():
+                    for s, y in below[r].items():
+                        image[s] = image.get(s, 0) + x * y
+                if any(image.values()):
+                    raise ChainComplexError(
+                        f"boundary squared is nonzero at degree {self.offset + i}"
+                    )
 
 
-def _boundary_matrix(rows: tuple[Simplex, ...], cols: tuple[Simplex, ...]) -> IntegerMatrix:
-    """Alternating-sign boundary; faces absent from ``rows`` contribute zero."""
+def _boundary_columns(rows: tuple[Simplex, ...], cols: tuple[Simplex, ...]) -> list[dict]:
+    """Alternating-sign boundary columns; faces absent from ``rows`` contribute zero."""
     row_pos = {s: i for i, s in enumerate(rows)}
-    entries = [[0] * len(cols) for _ in rows]
-    for j, s in enumerate(cols):
+    columns = []
+    for s in cols:
+        col = {}
         for drop in range(len(s)):
-            face = s[:drop] + s[drop + 1 :]
-            i = row_pos.get(face)
+            i = row_pos.get(s[:drop] + s[drop + 1 :])
             if i is not None:
-                entries[i][j] = -1 if drop % 2 else 1
-    return IntegerMatrix(len(rows), len(cols), entries)
+                col[i] = -1 if drop % 2 else 1
+        columns.append(col)
+    return columns
 
 
 def chain_complex(k: SimplicialComplex) -> ChainComplex:
     """The simplicial chain complex of a complex (degrees 0..dim)."""
-    if k.is_empty():
-        return ChainComplex(0, [], [])
     bases = [k.simplices(d) for d in range(k.dim + 1)]
-    boundaries = [IntegerMatrix.zeros(0, len(bases[0]))]
-    boundaries += [
-        _boundary_matrix(bases[d - 1], bases[d]) for d in range(1, k.dim + 1)
-    ]
-    return ChainComplex(0, bases, boundaries)
+    return ChainComplex(0, bases, map(_boundary_columns, [()] + bases, bases))
 
 
 def augment(c: ChainComplex) -> ChainComplex:
@@ -117,12 +124,10 @@ def augment(c: ChainComplex) -> ChainComplex:
     """
     if c.offset != 0:
         raise ChainComplexError("complex is already augmented")
-    bases = [((),)] + list(c.bases)
-    boundaries = [IntegerMatrix.zeros(0, 1)]
+    bases = [((),), *c.bases]
+    boundaries = [({},), *c.boundaries]
     if c.bases:
-        n0 = len(c.bases[0])
-        boundaries.append(IntegerMatrix(1, n0, [[1] * n0]))
-        boundaries += list(c.boundaries[1:])
+        boundaries[1] = [{0: 1} for _ in c.bases[0]]
     return ChainComplex(-1, bases, boundaries)
 
 
@@ -142,15 +147,9 @@ def relative_chain_complex(pair: SubcomplexPair) -> ChainComplex:
     that land in the subcomplex are dropped.
     """
     k = pair.ambient
-    if k.is_empty():
-        return ChainComplex(0, [], [])
     excluded = pair.sub_simplices_in_ambient()
     bases = [
         tuple(s for s in k.simplices(d) if s not in excluded)
         for d in range(k.dim + 1)
     ]
-    boundaries = [IntegerMatrix.zeros(0, len(bases[0]))]
-    boundaries += [
-        _boundary_matrix(bases[d - 1], bases[d]) for d in range(1, k.dim + 1)
-    ]
-    return ChainComplex(0, bases, boundaries)
+    return ChainComplex(0, bases, map(_boundary_columns, [()] + bases, bases))

@@ -10,14 +10,15 @@ order they were added, and each row remembers its coordinates over the
 tagged vectors.  Rank counts the columns that enlarge the span, and each
 column that does not gives a kernel vector from its coordinates.
 
-Homology needs only the rank and the invariant factors of each boundary
-matrix, and boundary matrices are sparse with mostly ``±1`` entries.
-``eliminate_unit_pivots`` works on sparse columns: it clears the row of a
-``±1`` pivot with unimodular column operations and deletes that pivot's
-row and column, choosing pivots by least Markowitz cost so that little
-fill appears.  What remains is a small residual core, and the Smith normal
-form of the whole matrix is ``1`` once per eliminated pivot followed by
-the Smith normal form of the core.
+Homology needs only the rank and the invariant factors of each boundary,
+and boundaries are sparse with mostly ``±1`` entries.
+``eliminate_unit_pivots`` reads the ``{row: value}`` columns a chain
+complex stores: it clears the row of a ``±1`` pivot with unimodular
+column operations and deletes that pivot's row and column, choosing
+pivots by least Markowitz cost so that little fill appears.  What remains
+is a small residual core, the one dense ``IntegerMatrix`` homology builds,
+and the Smith normal form of the whole boundary is ``1`` once per
+eliminated pivot followed by the Smith normal form of the core.
 
 ``smith_normal_form`` is the dense reduction with both transforms.  It
 picks the nonzero entry of least absolute value as the pivot on every
@@ -36,23 +37,21 @@ from math import gcd, lcm
 from .errors import DimensionMismatchError
 
 
+@dataclass(frozen=True, slots=True)
 class IntegerMatrix:
     """Immutable dense matrix over the integers."""
 
-    __slots__ = ("rows", "cols", "entries")
+    rows: int
+    cols: int
+    entries: tuple[tuple[int, ...], ...]
 
-    def __init__(self, rows: int, cols: int, entries) -> None:
-        if rows < 0 or cols < 0:
+    def __post_init__(self) -> None:
+        if self.rows < 0 or self.cols < 0:
             raise ValueError("matrix dimensions must be non-negative")
-        data = tuple(tuple(map(int, row)) for row in entries)
-        if len(data) != rows or any(len(row) != cols for row in data):
-            raise ValueError(f"entries do not form a {rows}x{cols} grid")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
+        data = tuple(tuple(map(int, row)) for row in self.entries)
+        if len(data) != self.rows or any(len(row) != self.cols for row in data):
+            raise ValueError(f"entries do not form a {self.rows}x{self.cols} grid")
         object.__setattr__(self, "entries", data)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("IntegerMatrix is immutable")
 
     @classmethod
     def from_rows(cls, rows) -> "IntegerMatrix":
@@ -71,18 +70,6 @@ class IntegerMatrix:
     def __getitem__(self, key) -> int:
         i, j = key
         return self.entries[i][j]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, IntegerMatrix):
-            return NotImplemented
-        return (self.rows, self.cols, self.entries) == (
-            other.rows,
-            other.cols,
-            other.entries,
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self.entries))
 
     def __repr__(self) -> str:
         if self.rows == 0 or self.cols == 0:
@@ -269,24 +256,25 @@ def sparse_columns(a: IntegerMatrix) -> list[dict[int, int]]:
     return [dict(compress(enumerate(col), col)) for col in zip(*a.entries)]
 
 
-def eliminate_unit_pivots(a: IntegerMatrix) -> tuple[int, IntegerMatrix]:
-    """Eliminate ``±1`` pivots; returns ``(units, core)``.
+def eliminate_unit_pivots(columns) -> tuple[int, IntegerMatrix]:
+    """Eliminate the ``±1`` pivots of sparse columns; returns ``(units, core)``.
 
     Each pivot's row is cleared with unimodular column operations, after
     which its row and column split off as a ``1`` of the Smith normal
-    form.  So the nonzero invariant factors of ``a`` are ``units`` ones
-    followed by those of ``core``, which keeps the rows and columns of the
-    remainder that still hold a nonzero entry, in their original order.
+    form.  So the nonzero invariant factors of the matrix are ``units``
+    ones followed by those of ``core``, which keeps the rows and columns
+    of the remainder that still hold a nonzero entry, in their original
+    order.  The input columns are left as they were.
 
     The pivot with the least Markowitz cost ``(|column| - 1) * (|row| - 1)``
     goes first, ties broken by column and then row index, so the result is
-    a deterministic function of ``a``.
+    a deterministic function of the columns.
     """
-    cols = sparse_columns(a)
-    rows: list[set[int]] = [set() for _ in range(a.rows)]
+    cols = [dict(col) for col in columns]
+    rows: dict[int, set[int]] = {}
     for j, col in enumerate(cols):
         for i in col:
-            rows[i].add(j)
+            rows.setdefault(i, set()).add(j)
     # One heap key per live unit entry at its current cost; keys whose
     # entry or cost has since changed are skipped when popped.
     heap = [

@@ -3,10 +3,10 @@
 Each group is reported as a free rank plus invariant factors (torsion
 numbers, each dividing the next): in degree k the free rank is
 ``dim ker(boundary_k) - rank(boundary_{k+1})`` and the torsion is the set
-of invariant factors of ``boundary_{k+1}`` exceeding 1.  Each boundary is
-first reduced on its ``±1`` pivots by sparse elimination; its rank is the
-number of pivots plus the rank of the residual core, and its torsion comes
-from the Smith normal form of that core alone.
+of invariant factors of ``boundary_{k+1}`` exceeding 1.  The stored sparse
+columns of each boundary go straight to the elimination of ``±1`` pivots;
+the rank is the number of pivots plus the rank of the residual core, and
+the torsion comes from the Smith normal form of that core alone.
 
 Alongside absolute and reduced homology this module computes relative
 homology of pairs and local homology at a vertex by two independent
@@ -16,8 +16,8 @@ vertex→facet index, so it costs work proportional to the star, and it is
 the route the probe and the CLI use.  ``local_homology`` is the
 definition, the pair ``(K, K - v)`` with ``v`` deleted, rebuilt from the
 whole complex; it is kept as the cross-check the link route is tested
-against.  Local homology at several non-adjacent vertices and the
-predicted local homology at a cone apex complete the module.
+against.  Local homology at several non-adjacent vertices (the sum of
+their link groups) and the apex formula for cones complete the module.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .chains import (
     relative_chain_complex,
 )
 from .complexes import SimplicialComplex, SubcomplexPair
-from .constructions import deleted, full_subcomplex, link
+from .constructions import deleted, link
 from .errors import AdjacentVerticesError, LocalhomError
 from .exact import eliminate_unit_pivots, smith_normal_form
 
@@ -127,7 +127,7 @@ class HomologySummary:
         object.__setattr__(
             self,
             "euler_characteristic",
-            sum((-1) ** d * g.free_rank for d, g in nonzero.items()),
+            sum(-g.free_rank if d % 2 else g.free_rank for d, g in nonzero.items()),
         )
         object.__setattr__(self, "reduced", reduced)
 
@@ -188,8 +188,8 @@ def homology(c: ChainComplex, reduced: bool = False) -> HomologySummary:
     if not c.bases:
         return HomologySummary({}, (0, 0), reduced)
     ranks, torsions = [], []
-    for m in c.boundaries:
-        units, core = eliminate_unit_pivots(m)
+    for columns in c.boundaries:
+        units, core = eliminate_unit_pivots(columns)
         snf = smith_normal_form(core)
         ranks.append(units + snf.rank)
         torsions.append(snf.invariant_factors)
@@ -238,7 +238,8 @@ def local_homology_multi(k: SimplicialComplex, vs) -> HomologySummary:
     """Homology of ``k`` relative to the full subcomplex off a vertex set.
 
     The vertices must be pairwise non-adjacent so their open stars are
-    disjoint; an offending pair is reported in the raised error.
+    disjoint; an offending pair is reported in the raised error.  So by
+    excision the result is the direct sum of the link groups of the vertices.
     """
     labels = list(vs)
     if not labels:
@@ -250,8 +251,10 @@ def local_homology_multi(k: SimplicialComplex, vs) -> HomologySummary:
     for a, b in combinations(sorted(labels), 2):
         if k.contains_labelled((a, b)):
             raise AdjacentVerticesError(a, b)
-    keep = [lab for lab in k.labels if lab not in set(labels)]
-    return relative_homology(SubcomplexPair(k, full_subcomplex(k, keep)))
+    singles = [local_homology_via_link(k, lab) for lab in labels]
+    degrees = {d for summary in singles for d in summary.nonzero()}
+    groups = {d: group_direct_sum(*(s.group(d) for s in singles)) for d in degrees}
+    return HomologySummary(groups, (0, max(k.dim, 0)))
 
 
 def shifted_up(summary: HomologySummary, span: tuple[int, int]) -> HomologySummary:

@@ -32,7 +32,7 @@ from .chains import relative_chain_complex
 from .complexes import SimplicialComplex, SubcomplexPair
 from .constructions import complex_intersection, complex_union
 from .errors import DecompositionError, InclusionError
-from .exact import RationalEchelon, kernel_basis_over_rationals, sparse_columns
+from .exact import RationalEchelon, kernel_basis_over_rationals
 
 
 def _label_boundary(chain: dict) -> dict:
@@ -77,7 +77,7 @@ class _PairHomology:
         """Chosen homology basis at degree n, as integer chain vectors."""
         if n not in self._cycles:
             echelon = RationalEchelon()
-            for col in sparse_columns(self.cc.boundary(n + 1)):
+            for col in self.cc.columns(n + 1):
                 echelon.add(col)
             chosen = []
             for vec in kernel_basis_over_rationals(self.cc.boundary(n)):

@@ -17,7 +17,7 @@ from localhom import (
 )
 from localhom.chains import ChainComplex
 from localhom.errors import ChainComplexError
-from localhom.exact import IntegerMatrix
+from localhom.exact import IntegerMatrix, sparse_columns
 from localhom.homology import homology
 
 
@@ -31,6 +31,13 @@ def test_single_vertex_complex():
 def test_single_edge_boundary_column():
     c = chain_complex(parse_complex("a b"))
     assert c.boundary(1).entries == ((-1,), (1,))
+
+
+def test_columns_are_the_sparse_boundary():
+    c = chain_complex(parse_complex("a b"))
+    assert c.columns(1) == ({0: -1, 1: 1},)
+    assert c.columns(0) == ({}, {})
+    assert c.columns(2) == () and c.columns(-1) == ()
 
 
 def test_octahedron_boundary_shapes_and_signs():
@@ -76,7 +83,7 @@ def test_boundary_squared_flags_one_flipped_sign():
     row = next(i for i in range(d2.rows) if entries[i][0])
     entries[row][0] = -entries[row][0]
     broken = list(c.boundaries)
-    broken[2] = IntegerMatrix(d2.rows, d2.cols, entries)
+    broken[2] = sparse_columns(IntegerMatrix(d2.rows, d2.cols, entries))
     with pytest.raises(ChainComplexError, match="nonzero at degree 2$"):
         ChainComplex(c.offset, c.bases, broken).check_boundary_squared()
 
@@ -106,23 +113,58 @@ def test_relative_disk_modulo_boundary():
 def test_inconsistent_boundaries_are_rejected():
     bases = [((0,), (1,)), ((0, 1),)]
     with pytest.raises(ChainComplexError):
-        ChainComplex(0, bases, [IntegerMatrix.zeros(0, 2)])  # missing one matrix
+        ChainComplex(0, bases, [sparse_columns(IntegerMatrix.zeros(0, 2))])  # one boundary short
     with pytest.raises(ChainComplexError):
-        ChainComplex(0, bases, [IntegerMatrix.zeros(0, 2), IntegerMatrix.zeros(1, 1)])
+        ChainComplex(
+            0,
+            bases,
+            [sparse_columns(IntegerMatrix.zeros(0, 2)), sparse_columns(IntegerMatrix.zeros(2, 2))],
+        )
     # Shape-valid but with nonzero boundary square.
     bad = ChainComplex(
         0,
         [((0,),), ((0, 1),), ((0, 1, 2),)],
         [
-            IntegerMatrix.zeros(0, 1),
-            IntegerMatrix(1, 1, [[1]]),
-            IntegerMatrix(1, 1, [[1]]),
+            sparse_columns(IntegerMatrix.zeros(0, 1)),
+            sparse_columns(IntegerMatrix(1, 1, [[1]])),
+            sparse_columns(IntegerMatrix(1, 1, [[1]])),
         ],
     )
     with pytest.raises(ChainComplexError):
         bad.check_boundary_squared()
     with pytest.raises(ChainComplexError):
         homology(bad)
+
+
+@pytest.mark.parametrize(
+    "boundaries,below",
+    [
+        ([[{}, {}], [{0: -1, -1: 1}]], 2),  # a negative row
+        ([[{}, {}], [{0: -1, 2: 1}]], 2),  # a row past the two vertices
+        ([[{0: 1}, {}], [{0: -1, 1: 1}]], 0),  # the bottom boundary has no rows
+    ],
+)
+def test_boundary_rows_must_lie_in_the_basis_below(boundaries, below):
+    with pytest.raises(ChainComplexError, match=f"rows below {below}$"):
+        ChainComplex(0, [((0,), (1,)), ((0, 1),)], boundaries)
+
+
+def test_chain_complex_fields_cannot_be_assigned():
+    c = chain_complex(builtin("sphere(1)"))
+    for name in ("offset", "bases", "boundaries"):
+        with pytest.raises(AttributeError):
+            setattr(c, name, getattr(c, name))
+
+
+def test_homology_twice_on_one_complex_is_equal():
+    # The complex shares its columns with the elimination, which must not
+    # edit them: a second call sees the same boundaries as the first.
+    for k in _corpus():
+        for c, reduced in ((chain_complex(k), False), (augmented_chain_complex(k), True)):
+            first = homology(c, reduced)
+            second = homology(c, reduced)
+            assert second == first
+            assert second.records() == first.records()
 
 
 def test_augmented_complex_shapes():

@@ -35,6 +35,18 @@ def test_homology_json_schema(capsys):
     assert {"degree": 1, "rank": 0, "torsion": [2]} in payload["groups"]
 
 
+def test_reduced_homology_of_empty_file_has_integer_euler_characteristic(tmp_path, capsys):
+    empty = tmp_path / "empty.scx"
+    empty.write_text("")
+    code, out, _ = run(capsys, "homology", "--in", str(empty), "--reduced", "--json")
+    assert code == 0
+    assert '"euler_characteristic": -1,' in out
+    payload = json.loads(out)
+    assert payload["euler_characteristic"] == -1
+    assert type(payload["euler_characteristic"]) is int
+    assert payload["groups"] == [{"degree": -1, "rank": 1, "torsion": []}]
+
+
 def test_local_vertex(capsys):
     code, out, _ = run(capsys, "local", "--builtin", "torus7", "--vertex", "1")
     assert code == 0

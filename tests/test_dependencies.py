@@ -4,7 +4,10 @@ import ast
 import sys
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "localhom"
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "localhom"
 
 
 def _outside_stdlib(source: str, filename: str) -> list[str]:
@@ -45,3 +48,12 @@ def test_guard_flags_third_party_and_passes_relative_imports():
         "    from scipy.sparse import csr_matrix\n"
     )
     assert _outside_stdlib(source, "m.py") == ["m.py:2: numpy", "m.py:5: scipy.sparse"]
+
+
+def test_runtime_dependencies_stay_empty():
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    assert project["dependencies"] == []
+    # Test-only tools live in the extra, never in the runtime list.
+    assert set(project["optional-dependencies"]["test"]) == {"pytest", "hypothesis"}

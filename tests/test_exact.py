@@ -1,5 +1,6 @@
 """Unit tests for the exact integer matrix kernel."""
 
+import copy
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -176,7 +177,7 @@ def _rank_and_factors(a):
 
 
 def _eliminated_rank_and_factors(a):
-    units, core = eliminate_unit_pivots(a)
+    units, core = eliminate_unit_pivots(sparse_columns(a))
     res = smith_normal_form(core)
     return units + res.rank, res.invariant_factors
 
@@ -192,27 +193,37 @@ def test_unit_elimination_matches_whole_snf(make):
     rng = random.Random(2003)
     for _ in range(400):
         a = make(rng)
-        units, core = eliminate_unit_pivots(a)
+        units, core = eliminate_unit_pivots(sparse_columns(a))
         assert _eliminated_rank_and_factors(a) == _rank_and_factors(a)
         assert units <= min(a.rows, a.cols)
         assert core.rows <= a.rows - units and core.cols <= a.cols - units
         # The core keeps no all-zero row or column.
         assert all(any(row) for row in core.entries)
         assert all(any(core.column(j)) for j in range(core.cols))
-        assert eliminate_unit_pivots(a) == (units, core)
+        assert eliminate_unit_pivots(sparse_columns(a)) == (units, core)
+
+
+def test_unit_elimination_leaves_its_input_columns_unchanged():
+    rng = random.Random(2011)
+    for make in (_random_matrix, lambda rng: _unit_matrix(rng, 4)):
+        for _ in range(100):
+            columns = sparse_columns(make(rng))
+            before = copy.deepcopy(columns)
+            eliminate_unit_pivots(columns)
+            assert columns == before
 
 
 def test_unit_elimination_core_without_units_still_counts_rank():
     # No entry is a unit, yet the SNF is (1, 6): the 1 is rank, not torsion.
     a = IntegerMatrix(2, 2, [[2, 0], [0, 3]])
-    units, core = eliminate_unit_pivots(a)
+    units, core = eliminate_unit_pivots(sparse_columns(a))
     assert (units, core) == (0, a)
     assert smith_normal_form(core).diagonal == (1, 6)
     assert _eliminated_rank_and_factors(a) == (2, (6,))
 
 
 def test_unit_elimination_empty_core():
-    units, core = eliminate_unit_pivots(TRIANGLE_D1)
+    units, core = eliminate_unit_pivots(sparse_columns(TRIANGLE_D1))
     assert units == 2
     assert (core.rows, core.cols) == (0, 0)
     assert _eliminated_rank_and_factors(TRIANGLE_D1) == (2, ())
@@ -221,7 +232,7 @@ def test_unit_elimination_empty_core():
 def test_unit_elimination_leaves_torsion_in_core():
     # Row 0 is cleared by the unit pivot; the 2 is what remains.
     a = IntegerMatrix(2, 2, [[1, 1], [0, 2]])
-    units, core = eliminate_unit_pivots(a)
+    units, core = eliminate_unit_pivots(sparse_columns(a))
     assert units == 1
     assert core == IntegerMatrix(1, 1, [[2]])
 
@@ -245,7 +256,7 @@ def test_unit_elimination_skips_entries_that_fill_made_non_unit():
 
 @pytest.mark.parametrize("shape", [(0, 0), (0, 4), (4, 0), (3, 2)])
 def test_unit_elimination_of_zero_and_empty_shapes(shape):
-    units, core = eliminate_unit_pivots(IntegerMatrix.zeros(*shape))
+    units, core = eliminate_unit_pivots(sparse_columns(IntegerMatrix.zeros(*shape)))
     assert units == 0
     assert (core.rows, core.cols) == (0, 0)
 

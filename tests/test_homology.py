@@ -209,6 +209,9 @@ def test_reduced_homology_of_point_and_cones():
 def test_reduced_homology_of_empty_complex():
     summary = reduced_homology(SimplicialComplex.empty())
     assert summary.nonzero() == {-1: Z}
+    # An integer sign in degree -1, not the float (-1) ** -1.
+    assert summary.euler_characteristic == -1
+    assert type(summary.euler_characteristic) is int
 
 
 def test_wedge_additivity_of_reduced_homology():
