@@ -4,9 +4,11 @@ Bases are the simplices of each degree in lexicographic order of their
 vertex index lists; orientation comes from the increasing vertex order, so
 the boundary of a simplex alternates signs over its vertex-deleted faces.
 Each boundary is stored once, as sparse ``{row: ±1}`` columns built from
-the simplex index; a dense matrix is built only on request.  A chain
-complex may start at degree -1 (the augmented complex used for reduced
-homology, whose extra basis element is the empty simplex).
+the simplex index; a dense matrix is built only on request.  The columns
+are shared, never edited: homology collapses and coreduces the complex by
+marking cells dead and restricts the columns to the survivors in copies.
+A chain complex may start at degree -1 (the augmented complex used for
+reduced homology, whose extra basis element is the empty simplex).
 """
 
 from __future__ import annotations

@@ -67,7 +67,7 @@ def cmd_homology(args) -> int:
         return 0
     for line in summary.lines():
         _emit(line)
-    _emit(f"chi = {k.euler_characteristic()}")
+    _emit(f"chi = {summary.euler_characteristic}")
     return 0
 
 

@@ -1,4 +1,4 @@
-"""Exact integer matrices, Smith normal form and unit-pivot elimination.
+"""Exact integer matrices, Smith normal form, chain-complex reduction and elimination.
 
 All arithmetic uses Python's arbitrary-precision integers, so there is no
 overflow at any size; intermediate entries in a Smith reduction can grow
@@ -11,14 +11,19 @@ tagged vectors.  Rank counts the columns that enlarge the span, and each
 column that does not gives a kernel vector from its coordinates.
 
 Homology needs only the rank and the invariant factors of each boundary,
-and boundaries are sparse with mostly ``±1`` entries.
-``eliminate_unit_pivots`` reads the ``{row: value}`` columns a chain
-complex stores: it clears the row of a ``±1`` pivot with unimodular
-column operations and deletes that pivot's row and column, choosing
-pivots by least Markowitz cost so that little fill appears.  What remains
-is a small residual core, the one dense ``IntegerMatrix`` homology builds,
-and the Smith normal form of the whole boundary is ``1`` once per
-eliminated pivot followed by the Smith normal form of the core.
+and boundaries are sparse with mostly ``±1`` entries.  Two passes read
+the ``{row: value}`` columns a chain complex stores.
+``reduce_chain_complex`` runs first, over every degree at once: it
+removes pairs of cells joined by a ``±1`` entry where one of them has no
+other live face or coface (coreductions and collapses).  Neither move
+creates fill, so what survives is the complex restricted to the surviving
+cells, with the same homology over Z.  ``eliminate_unit_pivots`` then
+takes each surviving boundary: it clears the row of a ``±1`` pivot with
+unimodular column operations and deletes that pivot's row and column,
+choosing pivots by least Markowitz cost so that little fill appears.
+What remains is a small residual core, the one dense ``IntegerMatrix``
+homology builds, and the Smith normal form of the boundary is ``1`` once
+per eliminated pivot followed by the Smith normal form of the core.
 
 ``smith_normal_form`` is the dense reduction with both transforms.  It
 picks the nonzero entry of least absolute value as the pivot on every
@@ -28,6 +33,7 @@ and makes the reduction fully deterministic.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
@@ -254,6 +260,84 @@ def sparse_columns(a: IntegerMatrix) -> list[dict[int, int]]:
     if a.rows == 0:
         return [{} for _ in range(a.cols)]
     return [dict(compress(enumerate(col), col)) for col in zip(*a.entries)]
+
+
+def reduce_chain_complex(boundaries) -> tuple[tuple[int, ...], ...]:
+    """Collapse and coreduce ``±1`` pairs over every degree; returns the survivors.
+
+    ``boundaries[i]`` holds the ``{row: value}`` columns out of degree
+    ``i``, with rows indexing the basis of degree ``i - 1``.  Two moves
+    remove a pair of cells joined by a ``±1`` entry:
+
+    - a coreduction removes a cell whose only live face is ``a``, together
+      with ``a``;
+    - a collapse removes a cell whose only live coface is ``b``, together
+      with ``b``.
+
+    In both, the other boundaries change only by dropping the pair, so the
+    complex left is the original one restricted to the survivors and has
+    the same homology over Z, torsion included.  One queue runs over every
+    degree, seeded with all cells in basis-index order; a cell goes back on
+    it when its live faces or live cofaces drop to one.  The result, the
+    sorted surviving indices of each degree, is a fixed function of the
+    columns, which are left as they were.
+    """
+    starts = [0]
+    for cols in boundaries:
+        starts.append(starts[-1] + len(cols))
+    total = starts[-1]
+    # Cells are numbered across degrees; a column's row r is cell below[x] + r.
+    columns: list[dict] = []
+    below: list[int] = []
+    cofaces: list[list[int]] = [[] for _ in range(total)]
+    for i, cols in enumerate(boundaries):
+        base = starts[i - 1] if i else 0
+        for x, col in enumerate(cols, starts[i]):
+            for r in col:
+                cofaces[base + r].append(x)
+        columns.extend(cols)
+        below.extend([base] * len(cols))
+    live_faces = [len(col) for col in columns]
+    live_cofaces = [len(cells) for cells in cofaces]
+    alive = bytearray(b"\x01") * total
+    queue = deque(range(total))
+
+    def remove(x: int) -> None:
+        alive[x] = 0
+        base = below[x]
+        for r in columns[x]:
+            f = base + r
+            if alive[f]:
+                live_cofaces[f] -= 1
+                if live_cofaces[f] == 1:
+                    queue.append(f)
+        for y in cofaces[x]:
+            if alive[y]:
+                live_faces[y] -= 1
+                if live_faces[y] == 1:
+                    queue.append(y)
+
+    while queue:
+        x = queue.popleft()
+        if not alive[x]:
+            continue
+        if live_faces[x] == 1:
+            base = below[x]
+            r, value = next((r, v) for r, v in columns[x].items() if alive[base + r])
+            if value == 1 or value == -1:
+                remove(x)
+                remove(base + r)
+                continue
+        if live_cofaces[x] == 1:
+            y = next(y for y in cofaces[x] if alive[y])
+            value = columns[y][x - below[y]]
+            if value == 1 or value == -1:
+                remove(x)
+                remove(y)
+    return tuple(
+        tuple(compress(range(len(cols)), alive[start : start + len(cols)]))
+        for start, cols in zip(starts, boundaries)
+    )
 
 
 def eliminate_unit_pivots(columns) -> tuple[int, IntegerMatrix]:

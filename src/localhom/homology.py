@@ -3,10 +3,13 @@
 Each group is reported as a free rank plus invariant factors (torsion
 numbers, each dividing the next): in degree k the free rank is
 ``dim ker(boundary_k) - rank(boundary_{k+1})`` and the torsion is the set
-of invariant factors of ``boundary_{k+1}`` exceeding 1.  The stored sparse
-columns of each boundary go straight to the elimination of ``±1`` pivots;
-the rank is the number of pivots plus the rank of the residual core, and
-the torsion comes from the Smith normal form of that core alone.
+of invariant factors of ``boundary_{k+1}`` exceeding 1.  The whole complex
+is first collapsed and coreduced on its ``±1`` face/coface pairs (from the
+augmented complex when the augmentation is a chain map, so that closed
+complexes have a cell to start from); each boundary restricted to the
+surviving cells then goes to the elimination of ``±1`` pivots.  The rank
+is the number of pivots plus the rank of the residual core, and the
+torsion comes from the Smith normal form of that core alone.
 
 Alongside absolute and reduced homology this module computes relative
 homology of pairs and local homology at a vertex by two independent
@@ -22,8 +25,10 @@ their link groups) and the apex formula for cones complete the module.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import combinations
+from types import MappingProxyType
 
 from .chains import (
     ChainComplex,
@@ -35,7 +40,7 @@ from .chains import (
 from .complexes import SimplicialComplex, SubcomplexPair
 from .constructions import deleted, link
 from .errors import AdjacentVerticesError, LocalhomError
-from .exact import eliminate_unit_pivots, smith_normal_form
+from .exact import eliminate_unit_pivots, reduce_chain_complex, smith_normal_form
 
 
 @dataclass(frozen=True, repr=False)
@@ -111,49 +116,47 @@ def group_direct_sum(*groups: HomologyGroup) -> HomologyGroup:
     return HomologyGroup(rank, tuple(sorted(invariant)))
 
 
+@dataclass(frozen=True, eq=False)
 class HomologySummary:
     """Per-degree homology groups of one computation.
 
-    Degrees outside the computed span are zero; two summaries compare
-    equal when they have the same nonzero groups degree by degree.
+    Only the nonzero groups are kept; degrees outside the computed span
+    are zero.  Two summaries compare equal when they have the same nonzero
+    groups degree by degree, whatever their spans.
     """
 
-    __slots__ = ("_groups", "span", "euler_characteristic", "reduced")
+    groups: Mapping[int, HomologyGroup]
+    span: tuple[int, int]
+    reduced: bool = False
 
-    def __init__(self, groups: dict, span: tuple[int, int], reduced: bool = False):
-        nonzero = {d: g for d, g in groups.items() if not g.is_zero()}
-        object.__setattr__(self, "_groups", nonzero)
-        object.__setattr__(self, "span", span)
-        object.__setattr__(
-            self,
-            "euler_characteristic",
-            sum(-g.free_rank if d % 2 else g.free_rank for d, g in nonzero.items()),
-        )
-        object.__setattr__(self, "reduced", reduced)
+    def __post_init__(self) -> None:
+        nonzero = {d: g for d, g in self.groups.items() if not g.is_zero()}
+        object.__setattr__(self, "groups", MappingProxyType(nonzero))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("HomologySummary is immutable")
+    @property
+    def euler_characteristic(self) -> int:
+        return sum(-g.free_rank if d % 2 else g.free_rank for d, g in self.groups.items())
 
     def group(self, degree: int) -> HomologyGroup:
-        return self._groups.get(degree, ZERO_GROUP)
+        return self.groups.get(degree, ZERO_GROUP)
 
     def nonzero(self) -> dict:
-        return dict(self._groups)
+        return dict(self.groups)
 
     def degrees(self) -> range:
         lo, hi = self.span
-        if self._groups:
-            lo = min(lo, min(self._groups))
-            hi = max(hi, max(self._groups))
+        if self.groups:
+            lo = min(lo, min(self.groups))
+            hi = max(hi, max(self.groups))
         return range(lo, hi + 1)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, HomologySummary):
             return NotImplemented
-        return self._groups == other._groups
+        return self.groups == other.groups
 
     def __hash__(self):
-        return hash(frozenset(self._groups.items()))
+        return hash(frozenset(self.groups.items()))
 
     def records(self) -> list[dict]:
         """JSON-ready rows ``{"degree": k, "rank": r, "torsion": [...]}``."""
@@ -171,7 +174,7 @@ class HomologySummary:
         return [f"H{tilde}_{d} = {self.group(d)}" for d in self.degrees()]
 
     def __repr__(self) -> str:
-        body = ", ".join(f"H_{d}={g}" for d, g in sorted(self._groups.items()))
+        body = ", ".join(f"H_{d}={g}" for d, g in sorted(self.groups.items()))
         return f"HomologySummary({body or '0'})"
 
 
@@ -181,25 +184,45 @@ def homology(c: ChainComplex, reduced: bool = False) -> HomologySummary:
     The augmentation sums the degree-0 coefficients, so the reduced flag
     is meaningful for the chain complex of a complex; on other complexes
     the boundary-squared check rejects it.
+
+    The ``±1`` pairs of every degree are collapsed and coreduced first,
+    and only the boundaries restricted to the surviving cells go to the
+    elimination.  When the complex starts at degree 0 and every degree-1
+    column sums to zero, the augmentation is a chain map: the augmented
+    complex is reduced instead, which gives a closed complex a free cell
+    to start from, and ``Z`` is added back in degree 0.
     """
     if reduced and c.offset == 0:
         c = augment(c)
     c.check_boundary_squared()
     if not c.bases:
         return HomologySummary({}, (0, 0), reduced)
+    augmented = (
+        c.offset == 0
+        and len(c.bases[0]) > 0
+        and all(sum(col.values()) == 0 for col in c.columns(1))
+    )
+    cells = augment(c) if augmented else c
+    survivors = reduce_chain_complex(cells.boundaries)
     ranks, torsions = [], []
-    for columns in c.boundaries:
-        units, core = eliminate_unit_pivots(columns)
+    live_below: set[int] = set()
+    for columns, live in zip(cells.boundaries, survivors):
+        units, core = eliminate_unit_pivots(
+            {r: x for r, x in columns[j].items() if r in live_below} for j in live
+        )
         snf = smith_normal_form(core)
         ranks.append(units + snf.rank)
         torsions.append(snf.invariant_factors)
+        live_below = set(live)
     ranks.append(0)
     torsions.append(())
-    groups = {}
-    for i, basis in enumerate(c.bases):
-        groups[c.offset + i] = HomologyGroup(
-            len(basis) - ranks[i] - ranks[i + 1], torsions[i + 1]
-        )
+    groups = {
+        cells.offset + i: HomologyGroup(len(live) - ranks[i] - ranks[i + 1], torsions[i + 1])
+        for i, live in enumerate(survivors)
+    }
+    if augmented:
+        h0 = groups.get(0, ZERO_GROUP)
+        groups[0] = HomologyGroup(h0.free_rank + 1, h0.torsion)
     # Degree -1 only ever carries a class for the empty complex; keep the
     # rendered span at 0 otherwise.
     low = 0 if reduced else c.offset

@@ -27,6 +27,17 @@ def test_homology_reduced(capsys):
     assert "H~_0 = 0" in out and "H~_2 = Z" in out
 
 
+def test_homology_reduced_text_prints_the_reduced_euler_characteristic(tmp_path, capsys):
+    code, out, _ = run(capsys, "homology", "--builtin", "sphere(2)", "--reduced")
+    assert code == 0
+    assert out == "H~_0 = 0\nH~_1 = 0\nH~_2 = Z\nchi = 1\n"
+    empty = tmp_path / "empty.scx"
+    empty.write_text("")
+    code, out, _ = run(capsys, "homology", "--in", str(empty), "--reduced")
+    assert code == 0
+    assert out == "H~_-1 = Z\nchi = -1\n"
+
+
 def test_homology_json_schema(capsys):
     code, out, _ = run(capsys, "homology", "--builtin", "rp2_6", "--json")
     assert code == 0

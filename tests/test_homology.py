@@ -26,7 +26,7 @@ from localhom import (
     wedge,
 )
 from localhom.errors import AdjacentVerticesError, LocalhomError, UnknownVertexError
-from localhom.homology import HomologyGroup, group_direct_sum
+from localhom.homology import HomologyGroup, HomologySummary, group_direct_sum
 from localhom.verification import EXPECTED_HOMOLOGY, excision_corpus
 
 Z = HomologyGroup(1)
@@ -306,3 +306,20 @@ def test_group_direct_sum_invariant_factors():
     assert group_direct_sum(HomologyGroup(1, (4,)), HomologyGroup(2, (6,))) == (
         HomologyGroup(3, (2, 12))
     )
+
+
+def test_summary_is_frozen_and_compares_only_nonzero_groups():
+    summary = homology_of_complex(builtin("torus7"))
+    with pytest.raises(AttributeError):
+        summary.span = (0, 5)
+    with pytest.raises(AttributeError):
+        summary.groups = {}
+    with pytest.raises(TypeError):
+        summary.groups[3] = Z
+    wide = HomologySummary({0: Z, 1: Z2, 2: Z, 5: HomologyGroup(0)}, (0, 5))
+    assert wide == summary and hash(wide) == hash(summary)
+    assert wide.span != summary.span
+    assert wide.nonzero() == summary.nonzero() == {0: Z, 1: Z2, 2: Z}
+    assert wide.euler_characteristic == summary.euler_characteristic == 0
+    assert repr(wide) == "HomologySummary(H_0=Z, H_1=Z^2, H_2=Z)"
+    assert wide.lines()[-1] == "H_5 = 0" and len(wide.records()) == 6
