@@ -5,10 +5,12 @@ overflow at any size; intermediate entries in a Smith reduction can grow
 well past 64 bits even for small boundary matrices.
 
 Every rational computation goes through one ``RationalEchelon``: sparse
-``{index: Fraction}`` vectors are reduced against the stored rows in the
+``{index: value}`` vectors are reduced against the stored rows in the
 order they were added, and each row remembers its coordinates over the
-tagged vectors.  Rank counts the columns that enlarge the span, and each
-column that does not gives a kernel vector from its coordinates.
+tagged vectors.  Rows are scaled at a ``±1`` entry where they have one,
+so ``±1`` boundaries mostly stay in ``int``; a ``Fraction`` scale is the
+fallback.  Rank counts the columns that enlarge the span, and each column
+that does not gives a kernel vector from its coordinates.
 
 Homology needs only the rank and the invariant factors of each boundary,
 and boundaries are sparse with mostly ``±1`` entries.  Two passes read
@@ -38,7 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import compress
-from math import gcd, lcm
+from math import lcm
 
 from .errors import DimensionMismatchError
 
@@ -422,9 +424,12 @@ class RationalEchelon:
     """Incremental echelon form of a span of sparse ``{index: value}`` vectors.
 
     A stored row is the residual of an added vector scaled to 1 at its
-    least index (its lead), so it is zero at the lead of every earlier
-    row, and reducing in insertion order clears every lead.  A row also
-    carries its coordinates over the tagged vectors, modulo the untagged.
+    lead, so it is zero at the lead of every earlier row, and reducing in
+    insertion order clears every lead.  The lead is the least index where
+    the residual is ``±1``, an entry that is its own inverse, so integer
+    rows, residuals and coordinates stay ``int``; with no unit entry it is
+    the least index, scaled by a ``Fraction``.  A row also carries its
+    coordinates over the tagged vectors, modulo the untagged.
     """
 
     def __init__(self) -> None:
@@ -441,7 +446,7 @@ class RationalEchelon:
         times the vector tagged ``t``, modulo the untagged vectors; the
         residual is zero exactly when ``vec`` lies in the span.
         """
-        residual = {i: Fraction(x) for i, x in vec.items() if x}
+        residual = {i: x for i, x in vec.items() if x}
         coordinates: dict = {}
         for lead, row, row_coordinates in self._rows:
             c = residual.get(lead)
@@ -457,12 +462,16 @@ class RationalEchelon:
     def _store(self, residual: dict, coordinates: dict, tag) -> bool:
         if not residual:
             return False
-        lead = min(residual)
-        inv = 1 / residual[lead]
-        row_coordinates = {t: -c * inv for t, c in coordinates.items()}
+        lead = min((i for i, x in residual.items() if x == 1 or x == -1), default=None)
+        if lead is None:
+            lead = min(residual)
+            scale = Fraction(1) / residual[lead]
+        else:
+            scale = residual[lead]
+        row_coordinates = {t: -c * scale for t, c in coordinates.items()}
         if tag is not None:
-            row_coordinates[tag] = inv
-        row = {i: x * inv for i, x in residual.items()}
+            row_coordinates[tag] = scale
+        row = {i: x * scale for i, x in residual.items()}
         self._rows.append((lead, row, row_coordinates))
         return True
 
@@ -488,9 +497,10 @@ def kernel_basis_over_rationals(a: IntegerMatrix) -> list[tuple[int, ...]]:
 
     The columns of ``a`` enter one echelon in order; each column that
     depends on the earlier ones gives the relation ``e_j - sum of its
-    coordinates``, cleared to integer entries of content 1.  These are the
-    free-column vectors of the reduced row echelon form, in column order,
-    with a positive entry at the free column itself.
+    coordinates`` times their least common denominator, which leaves
+    content 1.  These are the free-column vectors of the reduced row
+    echelon form, in column order, with a positive entry at the free
+    column itself.
     """
     echelon = RationalEchelon()
     basis = []
@@ -498,16 +508,10 @@ def kernel_basis_over_rationals(a: IntegerMatrix) -> list[tuple[int, ...]]:
         residual, coordinates = echelon.reduce(col)
         if echelon._store(residual, coordinates, j):
             continue
-        vec = [-coordinates.get(t, 0) for t in range(a.cols)]
-        vec[j] = 1
-        basis.append(clear_denominators(vec))
+        scale = lcm(*(c.denominator for c in coordinates.values()))
+        vec = [0] * a.cols
+        for t, c in coordinates.items():
+            vec[t] = -(c * scale).numerator
+        vec[j] = scale
+        basis.append(tuple(vec))
     return basis
-
-
-def clear_denominators(vec) -> tuple[int, ...]:
-    """Scale a rational vector to primitive integer form (content 1)."""
-    fracs = [Fraction(x) for x in vec]
-    scale = lcm(*(x.denominator for x in fracs))
-    ints = [int(x * scale) for x in fracs]
-    content = gcd(*ints)
-    return tuple(x // content for x in ints) if content > 1 else tuple(ints)

@@ -207,12 +207,16 @@ def homology(c: ChainComplex, reduced: bool = False) -> HomologySummary:
     ranks, torsions = [], []
     live_below: set[int] = set()
     for columns, live in zip(cells.boundaries, survivors):
-        units, core = eliminate_unit_pivots(
-            {r: x for r, x in columns[j].items() if r in live_below} for j in live
-        )
-        snf = smith_normal_form(core)
-        ranks.append(units + snf.rank)
-        torsions.append(snf.invariant_factors)
+        if live and live_below:
+            units, core = eliminate_unit_pivots(
+                {r: x for r, x in columns[j].items() if r in live_below} for j in live
+            )
+            snf = smith_normal_form(core)
+            ranks.append(units + snf.rank)
+            torsions.append(snf.invariant_factors)
+        else:  # a boundary with no cell on one side is zero
+            ranks.append(0)
+            torsions.append(())
         live_below = set(live)
     ranks.append(0)
     torsions.append(())

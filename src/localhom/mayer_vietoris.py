@@ -17,7 +17,8 @@ All of it runs on ``exact.RationalEchelon``.  Each pair keeps one echelon
 per degree: the boundaries go in untagged and the chosen cycles tagged,
 so choosing the cycles and expressing a chain in them (the matrix columns
 of every arrow) share one elimination, and the rank of an arrow is the
-dimension of the span of its rows.
+dimension of the span of its rows.  The echelon works in ``int`` on unit
+leads and in ``Fraction`` only without one; neither choice moves the maps.
 
 Chains are indexed by label tuples.  Every complex sorts its labels the
 same way, so orientation signs agree across all the subcomplexes.
@@ -25,7 +26,7 @@ same way, so orientation signs agree across all the subcomplexes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .chains import relative_chain_complex
@@ -194,21 +195,23 @@ def induced_map(source: SubcomplexPair, target: SubcomplexPair, degree: int) -> 
     return RationalMap.from_columns(degree, columns, tp.rank(degree))
 
 
+@dataclass(frozen=True, slots=True)
 class MvDecomposition:
     """Covering data ``k = a | b`` with subcomplexes ``c <= a``, ``d <= b``."""
 
-    __slots__ = ("k", "a", "b", "c", "d", "intersection", "sub_intersection", "y")
+    k: SimplicialComplex
+    a: SimplicialComplex
+    b: SimplicialComplex
+    c: SimplicialComplex | None = None
+    d: SimplicialComplex | None = None
+    intersection: SimplicialComplex = field(init=False)
+    sub_intersection: SimplicialComplex = field(init=False)
+    y: SimplicialComplex = field(init=False)
 
-    def __init__(
-        self,
-        k: SimplicialComplex,
-        a: SimplicialComplex,
-        b: SimplicialComplex,
-        c: SimplicialComplex | None = None,
-        d: SimplicialComplex | None = None,
-    ):
-        c = c if c is not None else SimplicialComplex.empty()
-        d = d if d is not None else SimplicialComplex.empty()
+    def __post_init__(self) -> None:
+        k, a, b = self.k, self.a, self.b
+        c = self.c if self.c is not None else SimplicialComplex.empty()
+        d = self.d if self.d is not None else SimplicialComplex.empty()
         for name, part, whole in (
             ("a", a, k),
             ("b", b, k),
@@ -223,17 +226,14 @@ class MvDecomposition:
                 raise DecompositionError(
                     f"simplex {labels} lies in neither covering piece"
                 )
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "intersection", complex_intersection(a, b))
-        object.__setattr__(self, "sub_intersection", complex_intersection(c, d))
-        object.__setattr__(self, "y", complex_union(c, d))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MvDecomposition is immutable")
+        for name, value in (
+            ("c", c),
+            ("d", d),
+            ("intersection", complex_intersection(a, b)),
+            ("sub_intersection", complex_intersection(c, d)),
+            ("y", complex_union(c, d)),
+        ):
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)

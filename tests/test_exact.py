@@ -4,15 +4,16 @@ import copy
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import gcd, lcm
 
 import pytest
 
 import oracle
+from localhom import builtin, chain_complex
 from localhom.errors import DimensionMismatchError
 from localhom.exact import (
     IntegerMatrix,
     RationalEchelon,
-    clear_denominators,
     determinant,
     eliminate_unit_pivots,
     kernel_basis_over_rationals,
@@ -87,9 +88,21 @@ def test_kernel_vectors_are_primitive_and_deterministic():
         assert all(x == 0 for x in (sum(r * x for r, x in zip(row, vec)) for row in a.entries))
 
 
-def test_clear_denominators():
-    assert clear_denominators([Fraction(1, 2), Fraction(1, 3)]) == (3, 2)
-    assert clear_denominators([Fraction(2), Fraction(4)]) == (1, 2)
+def test_kernel_vectors_clear_fractional_coordinates():
+    # Column 1 is 1/2 of column 0 and column 2 is 1/3 of it; the integer
+    # coordinates of a unit lead need no clearing.
+    assert kernel_basis_over_rationals(IntegerMatrix(1, 3, [[6, 3, 2]])) == [
+        (-1, 2, 0),
+        (-1, 0, 3),
+    ]
+    assert kernel_basis_over_rationals(IntegerMatrix(1, 3, [[1, 2, -4]])) == [
+        (-2, 1, 0),
+        (4, 0, 1),
+    ]
+    assert kernel_basis_over_rationals(IntegerMatrix(2, 3, [[4, 6, 0], [0, 0, 0]])) == [
+        (-3, 2, 0),
+        (0, 0, 1),
+    ]
 
 
 def test_empty_shapes():
@@ -300,6 +313,14 @@ def test_matrix_immutability_and_validation():
         determinant(IntegerMatrix.zeros(2, 3))
 
 
+def _clear_denominators(vec) -> tuple[int, ...]:
+    """Scale a rational vector to primitive integer form (content 1)."""
+    scale = lcm(*(x.denominator for x in vec))
+    ints = [int(x * scale) for x in vec]
+    content = gcd(*ints)
+    return tuple(x // content for x in ints)
+
+
 def _rref_kernel_reference(a):
     """Kernel basis from a dense ``Fraction`` reduced row echelon form.
 
@@ -329,7 +350,7 @@ def _rref_kernel_reference(a):
         vec[free] = Fraction(1)
         for r, c in enumerate(pivots):
             vec[c] = -rows[r][free]
-        basis.append(clear_denominators(vec))
+        basis.append(_clear_denominators(vec))
     return basis
 
 
@@ -419,3 +440,60 @@ def test_reduce_coordinates_are_taken_modulo_untagged_vectors():
     # (2, 1, 0) = (0, 0, -6) + 3 * (1, 0, 2) - (1, -1, 0)
     assert residual == {2: Fraction(-6)} and coords == {"z": Fraction(3)}
     assert len(echelon) == 2
+
+
+def _seeded_non_unit_cases(seed=19, count=200):
+    """Matrices with entries from ``{±2, ±3, ±6}`` only, then mixed with ``±1``."""
+    rng = random.Random(seed)
+    cases = []
+    for values in ([2, -2, 3, -3, 6, -6], [1, -1, 2, -2, 3, -3, 6, -6]):
+        for _ in range(count // 2):
+            rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+            density = rng.choice([0.3, 0.6, 1.0])
+            cases.append(
+                IntegerMatrix(
+                    rows,
+                    cols,
+                    [
+                        [rng.choice(values) if rng.random() < density else 0 for _ in range(cols)]
+                        for _ in range(rows)
+                    ],
+                )
+            )
+    return cases
+
+
+def test_non_unit_leads_fall_back_to_fractions():
+    echelon = RationalEchelon()
+    assert echelon.add({0: 2, 1: 3}, tag="x")
+    # No entry is a unit, so the lead is the least index, scaled by 1/2.
+    residual, coords = echelon.reduce({0: 1})
+    assert residual == {1: Fraction(-3, 2)} and coords == {"x": Fraction(1, 2)}
+    for a in _seeded_non_unit_cases():
+        dense = [list(row) for row in a.entries]
+        assert rank_over_rationals(a) == oracle.rank_q(dense)
+        assert kernel_basis_over_rationals(a) == _rref_kernel_reference(a)
+
+
+def test_unit_leads_keep_integer_rows_residuals_and_coordinates():
+    # The torus's boundaries go in untagged and its cycles tagged, as in a
+    # Mayer-Vietoris pair; a residual has a unit entry at every step, so no
+    # row, residual or coordinate may become a Fraction.
+    cc = chain_complex(builtin("torus7"))
+    echelon = RationalEchelon()
+    for col in cc.columns(2):
+        echelon.add(col)
+    chosen = 0
+    for vec in kernel_basis_over_rationals(cc.boundary(1)):
+        chosen += echelon.add(dict(enumerate(vec)), tag=chosen)
+    assert (len(echelon), chosen) == (15, 2)
+    rng = random.Random(23)
+    edges = len(cc.basis(1))
+    seen_coordinates = 0
+    for vec in [*cc.columns(2), *({i: rng.choice([1, -1]) for i in range(edges)
+                                    if rng.random() < 0.5} for _ in range(50))]:
+        residual, coords = echelon.reduce(vec)
+        assert all(type(x) is int for x in residual.values())
+        assert all(type(x) is int for x in coords.values())
+        seen_coordinates += bool(coords)
+    assert seen_coordinates > 0

@@ -8,6 +8,7 @@ unreduced boundary instead; random complexes, random relative pairs and
 """
 
 import copy
+import sys
 
 from hypothesis import given, strategies as st
 
@@ -218,3 +219,27 @@ def test_an_entry_of_two_is_not_paired_and_keeps_its_torsion():
     augmented = (({},), ({0: 1},), ({},), ({0: 2},))
     assert reduce_chain_complex(augmented) == ((), (), (0,), (0,))
     assert homology(c).nonzero() == {0: Z, 1: HomologyGroup(0, (2,))}
+
+
+def test_degrees_without_surviving_cells_skip_the_elimination(monkeypatch):
+    # A hexagon reduces to one edge: every boundary has no surviving cell
+    # on one side, so no Smith normal form runs at all.
+    calls = []
+
+    def counting(a):
+        calls.append((a.rows, a.cols))
+        return smith_normal_form(a)
+
+    monkeypatch.setattr(sys.modules["localhom.homology"], "smith_normal_form", counting)
+    hexagon = SimplicialComplex.from_label_facets(
+        [(str(i), str((i + 1) % 6)) for i in range(6)]
+    )
+    c = augmented_chain_complex(hexagon)
+    assert reduce_chain_complex(c.boundaries) == ((), (), (5,))
+    assert homology(c, reduced=True).nonzero() == {1: Z}
+    assert calls == []
+    # The projective plane keeps a cell in every degree, so its torsion
+    # still comes from the Smith normal form of the 2-cell's boundary.
+    rp2 = ChainComplex(0, [((0,),), ((0, 1),), ((0, 1, 2),)], [({},), ({},), ({0: 2},)])
+    assert homology(rp2).nonzero() == {0: Z, 1: HomologyGroup(0, (2,))}
+    assert calls == [(1, 1)]
