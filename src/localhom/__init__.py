@@ -35,6 +35,7 @@ from .homology import (
     apex_local_homology_formula,
     homology,
     homology_of_complex,
+    local_homologies,
     local_homology,
     local_homology_multi,
     local_homology_via_link,
@@ -76,6 +77,7 @@ __all__ = [
     "induced_map",
     "kernel_basis_over_rationals",
     "link",
+    "local_homologies",
     "local_homology",
     "local_homology_multi",
     "local_homology_via_link",

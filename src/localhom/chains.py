@@ -8,12 +8,15 @@ the simplex index; a dense matrix is built only on request.  The columns
 are shared, never edited: homology collapses and coreduces the complex by
 marking cells dead and restricts the columns to the survivors in copies.
 A chain complex may start at degree -1 (the augmented complex used for
-reduced homology, whose extra basis element is the empty simplex).
+reduced homology, whose extra basis element is the empty simplex).  The
+open-star complex is the quotient by the simplices that miss a vertex
+set, the one complex local homology is read from.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .complexes import SimplicialComplex, SubcomplexPair, Simplex
 from .errors import ChainComplexError
@@ -119,27 +122,16 @@ def chain_complex(k: SimplicialComplex) -> ChainComplex:
     return ChainComplex(0, bases, map(_boundary_columns, [()] + bases, bases))
 
 
-def augment(c: ChainComplex) -> ChainComplex:
-    """Adjoin the empty simplex in degree -1 with the all-ones boundary.
-
-    Only meaningful for complexes starting at degree 0.
-    """
-    if c.offset != 0:
-        raise ChainComplexError("complex is already augmented")
-    bases = [((),), *c.bases]
-    boundaries = [({},), *c.boundaries]
-    if c.bases:
-        boundaries[1] = [{0: 1} for _ in c.bases[0]]
-    return ChainComplex(-1, bases, boundaries)
-
-
 def augmented_chain_complex(k: SimplicialComplex) -> ChainComplex:
     """Chain complex of ``k`` with the augmentation in degree -1.
 
+    The empty simplex spans degree -1 and every vertex's boundary is it.
     Its homology is the reduced homology of ``k``; the empty complex keeps
     a single class in degree -1.
     """
-    return augment(chain_complex(k))
+    bases = [((),), *(k.simplices(d) for d in range(k.dim + 1))]
+    boundaries = [({},), *map(_boundary_columns, bases[:-1], bases[1:])]
+    return ChainComplex(-1, bases, boundaries)
 
 
 def relative_chain_complex(pair: SubcomplexPair) -> ChainComplex:
@@ -154,4 +146,29 @@ def relative_chain_complex(pair: SubcomplexPair) -> ChainComplex:
         tuple(s for s in k.simplices(d) if s not in excluded)
         for d in range(k.dim + 1)
     ]
+    return ChainComplex(0, bases, map(_boundary_columns, [()] + bases, bases))
+
+
+def open_star_chain_complex(k: SimplicialComplex, vertices) -> ChainComplex:
+    """Quotient of the chain complex of ``k`` by the simplices missing ``vertices``.
+
+    ``vertices`` are vertex indices.  The simplices that miss all of them
+    form a subcomplex, so the quotient's basis is the union of their open
+    stars (the simplices containing at least one).  The stars are read
+    from the vertex→facet index, so the cost follows the stars rather than
+    the whole complex; when every vertex is given, the basis is all of
+    ``k``.  For a single vertex ``v`` this is the complex of the pair
+    ``(K, K - v)``, whose homology is the local homology at ``v``.
+    """
+    wanted = set(vertices)
+    if len(wanted) == k.n_vertices:
+        bases = [k.simplices(d) for d in range(k.dim + 1)]
+    else:
+        found: list[set] = [set() for _ in range(k.dim + 1)]
+        for f in dict.fromkeys(f for v in wanted for f in k.vertex_facets(v)):
+            for size in range(1, len(f) + 1):
+                found[size - 1].update(
+                    s for s in combinations(f, size) if not wanted.isdisjoint(s)
+                )
+        bases = [tuple(sorted(cells)) for cells in found]
     return ChainComplex(0, bases, map(_boundary_columns, [()] + bases, bases))

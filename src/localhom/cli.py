@@ -21,8 +21,8 @@ from .errors import LocalhomError
 from .homology import (
     HomologySummary,
     homology_of_complex,
+    local_homology,
     local_homology_multi,
-    local_homology_via_link,
 )
 from .mayer_vietoris import MvDecomposition, mv_exactness_check
 from .probe import obstruction_report
@@ -74,7 +74,7 @@ def cmd_homology(args) -> int:
 def cmd_local(args) -> int:
     source, k = _load_input(args)
     if args.vertex is not None:
-        summary = local_homology_via_link(k, args.vertex)
+        summary = local_homology(k, args.vertex)
         subject = {"vertex": args.vertex}
     else:
         labels = [tok for tok in args.vertices.split(",") if tok]

@@ -15,7 +15,9 @@ that does not gives a kernel vector from its coordinates.
 Homology needs only the rank and the invariant factors of each boundary,
 and boundaries are sparse with mostly ``±1`` entries.  Two passes read
 the ``{row: value}`` columns a chain complex stores.
-``reduce_chain_complex`` runs first, over every degree at once: it
+``chain_reducer`` numbers the cells of a complex across degrees once
+and reduces any set of them, over every degree at once (the whole
+complex through ``reduce_chain_complex``, or one open star of it): it
 removes pairs of cells joined by a ``±1`` entry where one of them has no
 other live face or coface (coreductions and collapses).  Neither move
 creates fill, so what survives is the complex restricted to the surviving
@@ -35,6 +37,7 @@ and makes the reduction fully deterministic.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -264,12 +267,18 @@ def sparse_columns(a: IntegerMatrix) -> list[dict[int, int]]:
     return [dict(compress(enumerate(col), col)) for col in zip(*a.entries)]
 
 
-def reduce_chain_complex(boundaries) -> tuple[tuple[int, ...], ...]:
-    """Collapse and coreduce ``±1`` pairs over every degree; returns the survivors.
+def chain_reducer(boundaries):
+    """Number a chain complex's cells once; returns ``reduce(cells=None)``.
 
     ``boundaries[i]`` holds the ``{row: value}`` columns out of degree
-    ``i``, with rows indexing the basis of degree ``i - 1``.  Two moves
-    remove a pair of cells joined by a ``±1`` entry:
+    ``i``, with rows indexing the basis of degree ``i - 1``.  Cells are
+    numbered through the bases bottom degree first, and their coface lists
+    are built here, once, so many cell sets of one complex can be reduced.
+    ``reduce(cells)`` collapses and coreduces ``±1`` pairs among ``cells``
+    (ascending cell numbers, every cell when omitted); faces and cofaces
+    outside them count as absent, so a set whose complement is a
+    subcomplex is reduced as the quotient complex.  Two moves remove a
+    pair of cells joined by a ``±1`` entry:
 
     - a coreduction removes a cell whose only live face is ``a``, together
       with ``a``;
@@ -279,16 +288,16 @@ def reduce_chain_complex(boundaries) -> tuple[tuple[int, ...], ...]:
     In both, the other boundaries change only by dropping the pair, so the
     complex left is the original one restricted to the survivors and has
     the same homology over Z, torsion included.  One queue runs over every
-    degree, seeded with all cells in basis-index order; a cell goes back on
-    it when its live faces or live cofaces drop to one.  The result, the
-    sorted surviving indices of each degree, is a fixed function of the
-    columns, which are left as they were.
+    degree, seeded with ``cells`` in order; a cell goes back on it when its
+    live faces or live cofaces drop to one.  The result, the sorted
+    surviving basis indices of each degree, is a fixed function of the
+    columns and ``cells``; the columns are left as they were.
     """
     starts = [0]
     for cols in boundaries:
         starts.append(starts[-1] + len(cols))
     total = starts[-1]
-    # Cells are numbered across degrees; a column's row r is cell below[x] + r.
+    # A column's row r is cell below[x] + r.
     columns: list[dict] = []
     below: list[int] = []
     cofaces: list[list[int]] = [[] for _ in range(total)]
@@ -299,47 +308,71 @@ def reduce_chain_complex(boundaries) -> tuple[tuple[int, ...], ...]:
                 cofaces[base + r].append(x)
         columns.extend(cols)
         below.extend([base] * len(cols))
-    live_faces = [len(col) for col in columns]
-    live_cofaces = [len(cells) for cells in cofaces]
-    alive = bytearray(b"\x01") * total
-    queue = deque(range(total))
 
-    def remove(x: int) -> None:
-        alive[x] = 0
-        base = below[x]
-        for r in columns[x]:
-            f = base + r
-            if alive[f]:
-                live_cofaces[f] -= 1
-                if live_cofaces[f] == 1:
-                    queue.append(f)
-        for y in cofaces[x]:
-            if alive[y]:
-                live_faces[y] -= 1
-                if live_faces[y] == 1:
-                    queue.append(y)
+    def reduce(cells=None) -> tuple[tuple[int, ...], ...]:
+        if cells is None:
+            cells = range(total)
+            alive = bytearray(b"\x01") * total
+            live_faces = [len(col) for col in columns]
+            live_cofaces = [len(ys) for ys in cofaces]
+        else:
+            alive = bytearray(total)
+            for x in cells:
+                alive[x] = 1
+            live_faces = dict.fromkeys(cells, 0)
+            live_cofaces = dict.fromkeys(cells, 0)
+            for x in cells:
+                base = below[x]
+                for r in columns[x]:
+                    if alive[base + r]:
+                        live_faces[x] += 1
+                        live_cofaces[base + r] += 1
+        queue = deque(cells)
 
-    while queue:
-        x = queue.popleft()
-        if not alive[x]:
-            continue
-        if live_faces[x] == 1:
+        def remove(x: int) -> None:
+            alive[x] = 0
             base = below[x]
-            r, value = next((r, v) for r, v in columns[x].items() if alive[base + r])
-            if value == 1 or value == -1:
-                remove(x)
-                remove(base + r)
+            for r in columns[x]:
+                f = base + r
+                if alive[f]:
+                    live_cofaces[f] -= 1
+                    if live_cofaces[f] == 1:
+                        queue.append(f)
+            for y in cofaces[x]:
+                if alive[y]:
+                    live_faces[y] -= 1
+                    if live_faces[y] == 1:
+                        queue.append(y)
+
+        while queue:
+            x = queue.popleft()
+            if not alive[x]:
                 continue
-        if live_cofaces[x] == 1:
-            y = next(y for y in cofaces[x] if alive[y])
-            value = columns[y][x - below[y]]
-            if value == 1 or value == -1:
-                remove(x)
-                remove(y)
-    return tuple(
-        tuple(compress(range(len(cols)), alive[start : start + len(cols)]))
-        for start, cols in zip(starts, boundaries)
-    )
+            if live_faces[x] == 1:
+                base = below[x]
+                r, value = next((r, v) for r, v in columns[x].items() if alive[base + r])
+                if value == 1 or value == -1:
+                    remove(x)
+                    remove(base + r)
+                    continue
+            if live_cofaces[x] == 1:
+                y = next(y for y in cofaces[x] if alive[y])
+                value = columns[y][x - below[y]]
+                if value == 1 or value == -1:
+                    remove(x)
+                    remove(y)
+        survivors: list[list[int]] = [[] for _ in boundaries]
+        for x in compress(cells, map(alive.__getitem__, cells)):
+            i = bisect_right(starts, x) - 1
+            survivors[i].append(x - starts[i])
+        return tuple(map(tuple, survivors))
+
+    return reduce
+
+
+def reduce_chain_complex(boundaries) -> tuple[tuple[int, ...], ...]:
+    """The survivors of every cell of a chain complex, by ``chain_reducer``."""
+    return chain_reducer(boundaries)()
 
 
 def eliminate_unit_pivots(columns) -> tuple[int, IntegerMatrix]:

@@ -13,34 +13,41 @@ torsion comes from the Smith normal form of that core alone.
 
 Alongside absolute and reduced homology this module computes relative
 homology of pairs and local homology at a vertex by two independent
-routes.  ``local_homology_via_link`` uses the excision identity
-``H_k(K, K - v) = H~_{k-1}(lk v)``; the link is read from the complex's
-vertex→facet index, so it costs work proportional to the star, and it is
-the route the probe and the CLI use.  ``local_homology`` is the
-definition, the pair ``(K, K - v)`` with ``v`` deleted, rebuilt from the
-whole complex; it is kept as the cross-check the link route is tested
-against.  Local homology at several non-adjacent vertices (the sum of
-their link groups) and the apex formula for cones complete the module.
+routes.  ``local_homologies`` reads ``H_k(K, K - v)`` as the homology of
+the quotient ``C(K)/C(K - v)``, whose basis is the open star of ``v``:
+one chain complex holds the open stars of all the requested vertices,
+built and checked once, and the shared reduction kernel runs on each
+vertex's open star in place.  It is the route the probe and the CLI use,
+and ``local_homology`` is its single-vertex case.  ``local_homology_via_link``
+uses the excision identity ``H_k(K, K - v) = H~_{k-1}(lk v)`` on a link
+rebuilt as a new complex; it is kept as the cross-check the quotient
+route is tested against.  Local homology at several non-adjacent vertices
+(the sum of their local groups) and the apex formula for cones complete
+the module.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from types import MappingProxyType
 
 from .chains import (
     ChainComplex,
-    augment,
-    augmented_chain_complex,
     chain_complex,
+    open_star_chain_complex,
     relative_chain_complex,
 )
 from .complexes import SimplicialComplex, SubcomplexPair
-from .constructions import deleted, link
-from .errors import AdjacentVerticesError, LocalhomError
-from .exact import eliminate_unit_pivots, reduce_chain_complex, smith_normal_form
+from .constructions import link
+from .errors import AdjacentVerticesError, ChainComplexError, LocalhomError
+from .exact import (
+    chain_reducer,
+    eliminate_unit_pivots,
+    reduce_chain_complex,
+    smith_normal_form,
+)
 
 
 @dataclass(frozen=True, repr=False)
@@ -183,30 +190,42 @@ def homology(c: ChainComplex, reduced: bool = False) -> HomologySummary:
 
     The augmentation sums the degree-0 coefficients, so the reduced flag
     is meaningful for the chain complex of a complex; on other complexes
-    the boundary-squared check rejects it.
+    it is not a chain map, and the boundary-squared error says so.
 
     The ``±1`` pairs of every degree are collapsed and coreduced first,
     and only the boundaries restricted to the surviving cells go to the
     elimination.  When the complex starts at degree 0 and every degree-1
-    column sums to zero, the augmentation is a chain map: the augmented
-    complex is reduced instead, which gives a closed complex a free cell
-    to start from, and ``Z`` is added back in degree 0.
+    column sums to zero, the augmentation is a chain map: its cell is
+    reduced with the others, which gives a closed complex a free cell to
+    start from, and ``Z`` is added back in degree 0 unless ``reduced``.
     """
-    if reduced and c.offset == 0:
-        c = augment(c)
     c.check_boundary_squared()
-    if not c.bases:
+    chain_map = c.offset == 0 and all(sum(col.values()) == 0 for col in c.columns(1))
+    if reduced and c.offset == 0 and not chain_map:
+        raise ChainComplexError("boundary squared is nonzero at degree 0")
+    if not c.bases and not reduced:
         return HomologySummary({}, (0, 0), reduced)
-    augmented = (
-        c.offset == 0
-        and len(c.bases[0]) > 0
-        and all(sum(col.values()) == 0 for col in c.columns(1))
-    )
-    cells = augment(c) if augmented else c
-    survivors = reduce_chain_complex(cells.boundaries)
+    augmented = chain_map and (reduced or len(c.bases[0]) > 0)
+    boundaries = c.boundaries
+    if augmented:
+        vertices = (({0: 1},) * len(c.bases[0]),) if c.bases else ()
+        boundaries = (({},), *vertices, *boundaries[1:])
+    offset = c.offset - 1 if augmented else c.offset
+    groups = _groups(boundaries, reduce_chain_complex(boundaries), offset)
+    if augmented and not reduced:
+        h0 = groups.get(0, ZERO_GROUP)
+        groups[0] = HomologyGroup(h0.free_rank + 1, h0.torsion)
+    # Degree -1 only ever carries a class for the empty complex; keep the
+    # rendered span at 0 otherwise.
+    low = 0 if reduced else c.offset
+    return HomologySummary(groups, (low, c.top_degree), reduced)
+
+
+def _groups(boundaries, survivors, offset: int) -> dict[int, HomologyGroup]:
+    """Groups of the boundaries restricted to ``survivors`` (degree ``offset`` first)."""
     ranks, torsions = [], []
     live_below: set[int] = set()
-    for columns, live in zip(cells.boundaries, survivors):
+    for columns, live in zip(boundaries, survivors):
         if live and live_below:
             units, core = eliminate_unit_pivots(
                 {r: x for r, x in columns[j].items() if r in live_below} for j in live
@@ -220,24 +239,15 @@ def homology(c: ChainComplex, reduced: bool = False) -> HomologySummary:
         live_below = set(live)
     ranks.append(0)
     torsions.append(())
-    groups = {
-        cells.offset + i: HomologyGroup(len(live) - ranks[i] - ranks[i + 1], torsions[i + 1])
+    return {
+        offset + i: HomologyGroup(len(live) - ranks[i] - ranks[i + 1], torsions[i + 1])
         for i, live in enumerate(survivors)
     }
-    if augmented:
-        h0 = groups.get(0, ZERO_GROUP)
-        groups[0] = HomologyGroup(h0.free_rank + 1, h0.torsion)
-    # Degree -1 only ever carries a class for the empty complex; keep the
-    # rendered span at 0 otherwise.
-    low = 0 if reduced else c.offset
-    return HomologySummary(groups, (low, c.top_degree), reduced)
 
 
 def homology_of_complex(k: SimplicialComplex, reduced: bool = False) -> HomologySummary:
     """Absolute (or reduced) homology of a complex."""
-    if reduced:
-        return homology(augmented_chain_complex(k), reduced=True)
-    return homology(chain_complex(k))
+    return homology(chain_complex(k), reduced)
 
 
 def reduced_homology(k: SimplicialComplex) -> HomologySummary:
@@ -249,24 +259,52 @@ def relative_homology(pair: SubcomplexPair) -> HomologySummary:
     return homology(relative_chain_complex(pair))
 
 
+def local_homologies(k: SimplicialComplex, labels) -> dict[str, HomologySummary]:
+    """Local homology ``H_*(K, K - v)`` at each vertex, from one chain complex.
+
+    The quotient ``C(K)/C(K - v)`` has the open star of ``v`` (the
+    simplices containing it) as its basis.  So one chain complex holds
+    the open stars of all the vertices, built and checked once, and each
+    vertex's groups come from reducing its own open star in it: the cells
+    without ``v`` form a subcomplex, so ``∂∘∂ = 0`` holds on every
+    quotient.  The whole complex costs work proportional to its size, a
+    single vertex work proportional to its star.
+    """
+    labels = list(labels)
+    indices = [k.index_of(lab) for lab in labels]
+    c = open_star_chain_complex(k, indices)
+    c.check_boundary_squared()
+    stars: dict[int, list[int]] = {i: [] for i in indices}
+    for x, s in enumerate(chain.from_iterable(c.bases)):
+        for i in s:
+            if i in stars:
+                stars[i].append(x)
+    reduce = chain_reducer(c.boundaries)
+    span = (0, max(k.dim, 0))
+    return {
+        lab: HomologySummary(_groups(c.boundaries, reduce(stars[i]), 0), span)
+        for lab, i in zip(labels, indices)
+    }
+
+
 def local_homology(k: SimplicialComplex, v: str) -> HomologySummary:
     """Homology of ``k`` relative to the complex with ``v`` deleted.
 
     Detects the local structure at ``v``: an interior point of an
     n-manifold gives ``Z`` in degree n and nothing else.  This is the
-    definition, computed without the link, so that it can check
-    ``local_homology_via_link``.
+    definition, the quotient by the simplices missing ``v``, computed
+    without the link, so that ``local_homology_via_link`` can check it.
     """
-    k.index_of(v)
-    return relative_homology(SubcomplexPair(k, deleted(k, v)))
+    return local_homologies(k, [v])[v]
 
 
 def local_homology_multi(k: SimplicialComplex, vs) -> HomologySummary:
     """Homology of ``k`` relative to the full subcomplex off a vertex set.
 
     The vertices must be pairwise non-adjacent so their open stars are
-    disjoint; an offending pair is reported in the raised error.  So by
-    excision the result is the direct sum of the link groups of the vertices.
+    disjoint; an offending pair is reported in the raised error.  So the
+    quotient splits into their open stars, and the result is the direct
+    sum of their local groups.
     """
     labels = list(vs)
     if not labels:
@@ -278,7 +316,7 @@ def local_homology_multi(k: SimplicialComplex, vs) -> HomologySummary:
     for a, b in combinations(sorted(labels), 2):
         if k.contains_labelled((a, b)):
             raise AdjacentVerticesError(a, b)
-    singles = [local_homology_via_link(k, lab) for lab in labels]
+    singles = local_homologies(k, labels).values()
     degrees = {d for summary in singles for d in summary.nonzero()}
     groups = {d: group_direct_sum(*(s.group(d) for s in singles)) for d in degrees}
     return HomologySummary(groups, (0, max(k.dim, 0)))
@@ -290,7 +328,7 @@ def shifted_up(summary: HomologySummary, span: tuple[int, int]) -> HomologySumma
 
 
 def local_homology_via_link(k: SimplicialComplex, v: str) -> HomologySummary:
-    """Local homology computed from the vertex link (the probe's route).
+    """Local homology computed from the vertex link (the cross-check).
 
     Excision collapses the pair onto the closed star, which is the cone on
     the link, so the degree-k local group is the reduced degree-(k-1)

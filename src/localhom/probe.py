@@ -7,12 +7,13 @@ is the computational content of the wedge and cone obstructions.  The
 probe is a necessary test only: a clean report says "consistent with", it
 never certifies an actual manifold.
 
-Each vertex's local groups come from its link (shifted reduced link
-homology, ``local_homology_via_link``) and its star dimension from the
-largest facet containing it, both read from the complex's vertex→facet
-index, so a report costs work proportional to the stars rather than one
-pass over the whole complex per vertex.  The deleted-vertex definition
-``local_homology`` stays in ``homology`` as the independent cross-check.
+A report reads every vertex's local groups from one chain complex: the
+quotient ``C(K)/C(K - v)`` has the open star of ``v`` as its basis, so
+``local_homologies`` builds and checks the complex once and reduces each
+open star in it.  The star dimension is the largest facet containing the
+vertex, read from the complex's vertex→facet index.  The link route
+``local_homology_via_link`` stays in ``homology`` as the independent
+cross-check.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .complexes import SimplicialComplex
-from .homology import HomologyGroup, HomologySummary, local_homology_via_link
+from .homology import HomologyGroup, HomologySummary, local_homologies, local_homology
 
 INTERIOR_LIKE = "interior_like"
 BOUNDARY_LIKE = "boundary_like"
@@ -55,7 +56,9 @@ def _star_dimension(k: SimplicialComplex, v: str) -> int:
     return max(len(f) for f in k.vertex_facets(k.index_of(v))) - 1
 
 
-def vertex_verdict(k: SimplicialComplex, v: str) -> VertexVerdict:
+def vertex_verdict(
+    k: SimplicialComplex, v: str, local: HomologySummary | None = None
+) -> VertexVerdict:
     """Classify ``v`` against the expected pattern of its star dimension.
 
     A vertex whose incident facets have dimension n is interior-like only
@@ -63,9 +66,10 @@ def vertex_verdict(k: SimplicialComplex, v: str) -> VertexVerdict:
     of two triangles, whose local homology sits in degree 1, fails even
     though the group itself is ``Z``).  The witness is the nonzero group
     of highest degree that breaks the pattern.  Interior-like and
-    boundary-like verdicts both record the star dimension.
+    boundary-like verdicts both record the star dimension.  ``local`` is
+    the local homology at ``v`` when the caller has it already.
     """
-    summary = local_homology_via_link(k, v)
+    summary = local_homology(k, v) if local is None else local
     nonzero = summary.nonzero()
     expected = _star_dimension(k, v)
     if not nonzero:
@@ -110,18 +114,14 @@ def pseudomanifold_check(
     top = k.simplices(n)
     if n == 0:
         return PseudomanifoldFlags(pure, True, len(top) <= 1, closed)
-    ridge_count = {r: 0 for r in k.simplices(n - 1)}
-    for f in top:
+    by_ridge: dict = {r: [] for r in k.simplices(n - 1)}
+    for i, f in enumerate(top):
         for r in combinations(f, n):
-            ridge_count[r] += 1
-    counts = ridge_count.values()
+            by_ridge[r].append(i)
+    counts = [len(facets) for facets in by_ridge.values()]
     ridge_condition = (
         all(c == 2 for c in counts) if closed else all(c <= 2 for c in counts)
     )
-    by_ridge: dict = {}
-    for i, f in enumerate(top):
-        for r in combinations(f, n):
-            by_ridge.setdefault(r, []).append(i)
     seen = {0} if top else set()
     queue = [0] if top else []
     while queue:
@@ -227,7 +227,9 @@ def obstruction_report(k: SimplicialComplex) -> ObstructionReport:
     boundary-like, also disqualify the complex even though each single
     vertex looks Euclidean.
     """
-    verdicts = tuple(vertex_verdict(k, lab) for lab in sorted(k.labels))
+    labels = sorted(k.labels)
+    local = local_homologies(k, labels)
+    verdicts = tuple(vertex_verdict(k, lab, local[lab]) for lab in labels)
     offenders = [v for v in verdicts if v.category == NOT_LOCALLY_EUCLIDEAN]
     dims = sorted({v.dimension for v in verdicts if v.category != NOT_LOCALLY_EUCLIDEAN})
     inferred = dims[0] if len(dims) == 1 else None

@@ -4,7 +4,7 @@ Each check recomputes one of the headline facts the engine exists to
 demonstrate: homology of the named complexes, the wedge-point and
 cone-apex obstructions (with torsion), the multi-point rank claim (link
 sums against the relative pair), the prism-pair comparison, the excision
-identity between deleted-vertex and link computations, Mayer-Vietoris
+identity between the open-star quotient and the link, Mayer-Vietoris
 exactness, the random-matrix Smith properties, and the boundary controls.
 The suite is deterministic; run it from the command line with
 ``localhom verify-paper``.
@@ -99,6 +99,8 @@ def check_wedge_point() -> CheckResult:
         base = sorted(m.labels)[0]
         w = wedge(m, base, m, base)
         local = local_homology(w, "w")
+        if local.group(1) != HomologyGroup(1):
+            failures.append(f"{name}: H_1 at wedge point is {local.group(1)}, not Z")
         if local.group(2) != HomologyGroup(2):
             failures.append(f"{name}: H_2 at wedge point is {local.group(2)}, not Z^2")
         report = obstruction_report(w)
@@ -107,8 +109,8 @@ def check_wedge_point() -> CheckResult:
     return _result(
         "wedge-point",
         ("thm3.1", "wedge"),
-        "wedge of a closed surface with itself: rank-2 local H_2 at the "
-        "wedge point and a non-manifold verdict",
+        "wedge of a closed surface with itself: local H_1 = Z and H_2 = Z^2 "
+        "at the wedge point and a non-manifold verdict",
         failures,
         f"{len(WEDGE_SURFACES)} wedges verified",
     )
@@ -251,7 +253,7 @@ def check_excision() -> CheckResult:
             via_link = local_homology_via_link(k, lab)
             if direct != via_link:
                 failures.append(
-                    f"{name} at {lab}: deleted-star {direct.nonzero()} != "
+                    f"{name} at {lab}: open-star {direct.nonzero()} != "
                     f"link {via_link.nonzero()}"
                 )
     if total_vertices < 50:

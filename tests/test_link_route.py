@@ -1,23 +1,33 @@
-"""Property tests of the probe's link route on random small complexes.
+"""Property tests of the two local-homology routes on random small complexes.
 
-The probe reads every local group from the vertex link, and the link and
-star from the vertex→facet index.  These properties tie that route to
-independent definitions: the deleted-vertex pair ``(K, K - v)`` for local
-homology, and scans over every simplex for the link and the star.
+The probe reads every vertex's local groups from the open stars of one
+chain complex, and the link and star from the vertex→facet index.  These
+properties tie those to independent definitions: the deleted-vertex pair
+``(K, K - v)`` and the link route ``H~_{k-1}(lk v)`` for local homology,
+and scans over every simplex for the link and the star.
 """
 
 from hypothesis import given, settings, strategies as st
 
 from localhom import (
     SimplicialComplex,
+    SubcomplexPair,
+    builtin,
+    cone,
+    deleted,
     link,
     local_homology,
     local_homology_via_link,
     obstruction_report,
+    prism_product,
     relabel,
+    relative_chain_complex,
+    relative_homology,
     star,
     vertex_verdict,
 )
+from localhom.chains import ChainComplex, open_star_chain_complex
+from localhom.homology import HomologyGroup
 
 LABELS = "abcdefgh"
 
@@ -52,6 +62,81 @@ def test_link_route_equals_deleted_vertex_route(k):
         direct = local_homology(k, lab)
         assert via_link == direct
         assert via_link.records() == direct.records()
+
+
+def open_star_of(c: ChainComplex, vi: int) -> ChainComplex:
+    """``c`` on the cells containing vertex index ``vi``, rows renumbered."""
+    bases, boundaries, position = [], [], {}
+    for basis, columns in zip(c.bases, c.boundaries):
+        kept = [j for j, s in enumerate(basis) if vi in s]
+        boundaries.append(
+            [{position[r]: x for r, x in columns[j].items() if r in position} for j in kept]
+        )
+        position = {j: p for p, j in enumerate(kept)}
+        bases.append([basis[j] for j in kept])
+    return ChainComplex(c.offset, bases, boundaries)
+
+
+@few
+@given(complexes)
+def test_open_star_quotient_is_the_deleted_vertex_pair(k):
+    whole = open_star_chain_complex(k, range(k.n_vertices))
+    for lab in k.labels:
+        vi = k.index_of(lab)
+        pair = SubcomplexPair(k, deleted(k, lab))
+        expected = relative_chain_complex(pair)
+        for c in (open_star_chain_complex(k, [vi]), open_star_of(whole, vi)):
+            assert (c.offset, c.bases, c.boundaries) == (
+                expected.offset,
+                expected.bases,
+                expected.boundaries,
+            )
+        assert local_homology(k, lab).records() == relative_homology(pair).records()
+
+
+@few
+@given(complexes)
+def test_report_reads_the_link_groups_at_every_vertex(k):
+    report = obstruction_report(k)
+    assert [v.vertex for v in report.verdicts] == sorted(k.labels)
+    for verdict in report.verdicts:
+        via_link = local_homology_via_link(k, verdict.vertex)
+        assert verdict.local == via_link
+        assert verdict.local.records() == via_link.records()
+        assert verdict == vertex_verdict(k, verdict.vertex)
+
+
+def test_torsion_survives_the_open_star_route():
+    c = cone(builtin("rp2_6"), "apex")
+    apex = obstruction_report(c).verdict_for("apex")
+    assert apex.local.nonzero() == {2: HomologyGroup(0, (2,))}
+    assert apex.witness == (2, HomologyGroup(0, (2,)))
+    prism = prism_product(builtin("rp2_6")).ambient
+    report = obstruction_report(prism)
+    assert len(report.verdicts) == 12
+    for verdict in report.verdicts:
+        via_link = local_homology_via_link(prism, verdict.vertex)
+        assert verdict.local.records() == via_link.records()
+        assert verdict.local.nonzero() == {}  # every vertex lies on an end
+
+
+def test_report_builds_one_chain_complex(monkeypatch):
+    built = []
+    post_init = ChainComplex.__post_init__
+
+    def counting(self):
+        built.append(self.offset)
+        post_init(self)
+
+    monkeypatch.setattr(ChainComplex, "__post_init__", counting)
+    for k in (
+        builtin("torus7"),
+        cone(builtin("rp2_6"), "apex"),
+        prism_product(builtin("klein8")).ambient,
+    ):
+        built.clear()
+        obstruction_report(k)
+        assert built == [0]
 
 
 @few
