@@ -16,7 +16,8 @@ facets instead of a scan over every simplex.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Iterator
 
@@ -25,35 +26,34 @@ from .errors import SubcomplexError, UnknownVertexError
 Simplex = tuple[int, ...]
 
 
+@dataclass(frozen=True, eq=False, repr=False)
 class SimplicialComplex:
-    __slots__ = (
-        "labels", "_index", "_simplices", "_sorted", "_facets", "_vertex_facets"
+    """Vertex labels plus the face-closed simplices of each dimension.
+
+    ``_simplices`` maps each dimension to the frozenset of its simplices
+    (empty dimensions are left out); build instances with the factories.
+    """
+
+    labels: tuple[str, ...]
+    _simplices: dict[int, frozenset[Simplex]]
+    _sorted: dict[int, tuple[Simplex, ...]] = field(
+        default_factory=dict, init=False, repr=False
     )
-
-    def __init__(self, labels: Iterable[str], closed_simplices: dict) -> None:
-        """Build from already face-closed data; use the factories instead."""
-        label_tuple = tuple(labels)
-        object.__setattr__(self, "labels", label_tuple)
-        object.__setattr__(
-            self, "_index", {lab: i for i, lab in enumerate(label_tuple)}
-        )
-        object.__setattr__(
-            self,
-            "_simplices",
-            {d: frozenset(s) for d, s in closed_simplices.items() if s},
-        )
-        object.__setattr__(self, "_sorted", {})
-        object.__setattr__(self, "_facets", None)
-        object.__setattr__(self, "_vertex_facets", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SimplicialComplex is immutable")
 
     # -- factories ---------------------------------------------------------
 
     @classmethod
     def empty(cls) -> "SimplicialComplex":
         return cls((), {})
+
+    @classmethod
+    def _closure(cls, labels, simplices: Iterable[Simplex]) -> "SimplicialComplex":
+        """The faces of sorted index simplices, over the final label list."""
+        by_dim: dict[int, set] = {}
+        for idx in simplices:
+            for r in range(1, len(idx) + 1):
+                by_dim.setdefault(r - 1, set()).update(combinations(idx, r))
+        return cls(tuple(labels), {d: frozenset(s) for d, s in by_dim.items()})
 
     @classmethod
     def from_label_facets(cls, facets: Iterable[Iterable[str]]) -> "SimplicialComplex":
@@ -65,13 +65,10 @@ class SimplicialComplex:
         facet_list = [tuple(f) for f in facets]
         label_set = sorted({lab for f in facet_list for lab in f})
         index = {lab: i for i, lab in enumerate(label_set)}
-        by_dim: dict[int, set] = {}
-        for f in facet_list:
-            idx = tuple(sorted(index[lab] for lab in set(f)))
-            for r in range(1, len(idx) + 1):
-                bucket = by_dim.setdefault(r - 1, set())
-                bucket.update(combinations(idx, r))
-        return cls(label_set, by_dim)
+        return cls._closure(
+            label_set,
+            (tuple(sorted(index[lab] for lab in set(f))) for f in facet_list),
+        )
 
     @classmethod
     def from_index_simplices(
@@ -85,14 +82,10 @@ class SimplicialComplex:
         simplex_list = [tuple(s) for s in simplices]
         used = sorted({i for s in simplex_list for i in s})
         rename = {old: new for new, old in enumerate(used)}
-        kept = [label_tuple[i] for i in used]
-        by_dim: dict[int, set] = {}
-        for s in simplex_list:
-            idx = tuple(sorted(rename[i] for i in s))
-            for r in range(1, len(idx) + 1):
-                bucket = by_dim.setdefault(r - 1, set())
-                bucket.update(combinations(idx, r))
-        return cls(kept, by_dim)
+        return cls._closure(
+            [label_tuple[i] for i in used],
+            (tuple(sorted(rename[i] for i in s)) for s in simplex_list),
+        )
 
     # -- basic queries -----------------------------------------------------
 
@@ -132,6 +125,10 @@ class SimplicialComplex:
     def has_simplex(self, s: Simplex) -> bool:
         return s in self._simplices.get(len(s) - 1, ())
 
+    @cached_property
+    def _index(self) -> dict[str, int]:
+        return {lab: i for i, lab in enumerate(self.labels)}
+
     def index_of(self, label: str) -> int:
         try:
             return self._index[label]
@@ -152,20 +149,25 @@ class SimplicialComplex:
             return False
         return self.has_simplex(idx)
 
+    @cached_property
+    def _facets(self) -> tuple[Simplex, ...]:
+        non_maximal: set = set()
+        for d in range(1, self.dim + 1):
+            for s in self._simplices.get(d, ()):
+                non_maximal.update(combinations(s, len(s) - 1))
+        return tuple(s for s in self.all_simplices() if s not in non_maximal)
+
     def facets(self) -> tuple[Simplex, ...]:
         """Maximal simplices, sorted by (dimension, lexicographic order)."""
-        if self._facets is None:
-            non_maximal: set = set()
-            for d in range(1, self.dim + 1):
-                for s in self._simplices.get(d, ()):
-                    non_maximal.update(combinations(s, len(s) - 1))
-            result = []
-            for d in range(self.dim + 1):
-                for s in self.simplices(d):
-                    if s not in non_maximal:
-                        result.append(s)
-            object.__setattr__(self, "_facets", tuple(result))
         return self._facets
+
+    @cached_property
+    def _vertex_facets(self) -> dict[int, tuple[Simplex, ...]]:
+        index: dict[int, list] = {}
+        for f in self._facets:
+            for v in f:
+                index.setdefault(v, []).append(f)
+        return {v: tuple(fs) for v, fs in index.items()}
 
     def vertex_facets(self, i: int) -> tuple[Simplex, ...]:
         """Facets containing vertex index ``i``, in ``facets()`` order.
@@ -173,14 +175,6 @@ class SimplicialComplex:
         The index is built from ``facets()`` on the first call; an index
         that is not a vertex of the complex has no facets.
         """
-        if self._vertex_facets is None:
-            index: dict[int, list] = {}
-            for f in self.facets():
-                for v in f:
-                    index.setdefault(v, []).append(f)
-            object.__setattr__(
-                self, "_vertex_facets", {v: tuple(fs) for v, fs in index.items()}
-            )
         return self._vertex_facets.get(i, ())
 
     def label_facets(self) -> list[tuple[str, ...]]:

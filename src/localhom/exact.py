@@ -4,7 +4,7 @@ All arithmetic uses Python's arbitrary-precision integers, so there is no
 overflow at any size; intermediate entries in a Smith reduction can grow
 well past 64 bits even for small boundary matrices.
 
-Every rational computation goes through one ``RationalEchelon``: sparse
+Every sparse elimination goes through one ``RationalEchelon``: sparse
 ``{index: value}`` vectors are reduced against the stored rows in the
 order they were added, and each row remembers its coordinates over the
 tagged vectors.  Rows are scaled at a ``±1`` entry where they have one,
@@ -22,17 +22,17 @@ removes pairs of cells joined by a ``±1`` entry where one of them has no
 other live face or coface (coreductions and collapses).  Neither move
 creates fill, so what survives is the complex restricted to the surviving
 cells, with the same homology over Z.  ``eliminate_unit_pivots`` then
-takes each surviving boundary: it clears the row of a ``±1`` pivot with
-unimodular column operations and deletes that pivot's row and column,
-choosing pivots by least Markowitz cost so that little fill appears.
-What remains is a small residual core, the one dense ``IntegerMatrix``
-homology builds, and the Smith normal form of the boundary is ``1`` once
-per eliminated pivot followed by the Smith normal form of the core.
+feeds each surviving boundary to the echelon, storing only residuals
+with a ``±1`` entry, so every stored row is an integer column operation
+with lead 1.  The residuals without one form a small core, the one dense
+``IntegerMatrix`` homology builds, and the Smith normal form of the
+boundary is ``1`` once per stored row followed by that of the core.
 
 ``smith_normal_form`` is the dense reduction with both transforms.  It
 picks the nonzero entry of least absolute value as the pivot on every
 round (ties broken by row-major position), which keeps entry growth modest
-and makes the reduction fully deterministic.
+and makes the reduction fully deterministic.  ``determinant`` is the only
+other dense routine.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from heapq import heapify, heappop, heappush
 from itertools import compress
 from math import lcm
 
@@ -376,81 +375,36 @@ def reduce_chain_complex(boundaries) -> tuple[tuple[int, ...], ...]:
 
 
 def eliminate_unit_pivots(columns) -> tuple[int, IntegerMatrix]:
-    """Eliminate the ``±1`` pivots of sparse columns; returns ``(units, core)``.
+    """Split the ``±1`` pivots off sparse columns; returns ``(units, core)``.
 
-    Each pivot's row is cleared with unimodular column operations, after
-    which its row and column split off as a ``1`` of the Smith normal
-    form.  So the nonzero invariant factors of the matrix are ``units``
-    ones followed by those of ``core``, which keeps the rows and columns
-    of the remainder that still hold a nonzero entry, in their original
-    order.  The input columns are left as they were.
-
-    The pivot with the least Markowitz cost ``(|column| - 1) * (|row| - 1)``
-    goes first, ties broken by column and then row index, so the result is
-    a deterministic function of the columns.
+    The columns enter one ``RationalEchelon`` in order.  A residual with a
+    ``±1`` entry is stored, scaled to 1 at its lead, so every stored row
+    is an integer column operation away from its column; a residual with
+    no unit entry is set aside.  Once every column is in, the set-aside
+    residuals are reduced again, which clears them at every lead.  The
+    stored rows restricted to their leads form a unit-triangular, hence
+    unimodular, block, and the residuals are zero on those rows; so the
+    nonzero invariant factors of the matrix are ``units`` ones followed by
+    those of ``core``, the nonzero residuals on the rows that still hold
+    an entry, both in their original order.  The input columns are left
+    as they were, and the result is a fixed function of them.
     """
-    cols = [dict(col) for col in columns]
-    rows: dict[int, set[int]] = {}
-    for j, col in enumerate(cols):
-        for i in col:
-            rows.setdefault(i, set()).add(j)
-    # One heap key per live unit entry at its current cost; keys whose
-    # entry or cost has since changed are skipped when popped.
-    heap = [
-        ((len(col) - 1) * (len(rows[i]) - 1), j, i)
-        for j, col in enumerate(cols)
-        for i, x in col.items()
-        if x == 1 or x == -1
-    ]
-    heapify(heap)
-    units = 0
-    while heap:
-        cost, j, r = heappop(heap)
-        pivot = cols[j]
-        p = pivot.get(r)
-        if (p != 1 and p != -1) or cost != (len(pivot) - 1) * (len(rows[r]) - 1):
-            continue
-        units += 1
-        cols[j] = {}
-        for i in pivot:
-            rows[i].discard(j)
-        touched = rows[r]
-        rows[r] = set()
-        for j2 in touched:
-            col = cols[j2]
-            f = col.pop(r) * p
-            for i, y in pivot.items():
-                if i == r:
-                    continue
-                z = col.get(i)
-                if z is None:
-                    col[i] = -f * y
-                    rows[i].add(j2)
-                elif z == f * y:
-                    del col[i]
-                    rows[i].discard(j2)
-                else:
-                    col[i] = z - f * y
-        for j2 in touched:
-            col = cols[j2]
-            n = len(col) - 1
-            for i, x in col.items():
-                if x == 1 or x == -1:
-                    heappush(heap, (n * (len(rows[i]) - 1), j2, i))
-        for i in pivot:
-            n = len(rows[i]) - 1
-            for j2 in rows[i]:
-                x = cols[j2][i]
-                if x == 1 or x == -1:
-                    heappush(heap, ((len(cols[j2]) - 1) * n, j2, i))
-    live = [col for col in cols if col]
+    echelon = RationalEchelon()
+    aside = []
+    for col in columns:
+        residual, _ = echelon.reduce(col)
+        if any(x == 1 or x == -1 for x in residual.values()):
+            echelon._store(residual, {}, None)
+        elif residual:
+            aside.append(residual)
+    live = [col for col in (echelon.reduce(r)[0] for r in aside) if col]
     kept = sorted({i for col in live for i in col})
     position = {i: k for k, i in enumerate(kept)}
     entries = [[0] * len(live) for _ in kept]
     for k, col in enumerate(live):
         for i, x in col.items():
             entries[position[i]][k] = x
-    return units, IntegerMatrix(len(kept), len(live), entries)
+    return len(echelon), IntegerMatrix(len(kept), len(live), entries)
 
 
 class RationalEchelon:
@@ -462,7 +416,9 @@ class RationalEchelon:
     the residual is ``±1``, an entry that is its own inverse, so integer
     rows, residuals and coordinates stay ``int``; with no unit entry it is
     the least index, scaled by a ``Fraction``.  A row also carries its
-    coordinates over the tagged vectors, modulo the untagged.
+    coordinates over the tagged vectors, modulo the untagged.  The rank
+    and kernel routines add every vector; ``eliminate_unit_pivots`` stores
+    only the unit-lead residuals, so its rows stay integer.
     """
 
     def __init__(self) -> None:

@@ -7,9 +7,10 @@ of invariant factors of ``boundary_{k+1}`` exceeding 1.  The whole complex
 is first collapsed and coreduced on its ``±1`` face/coface pairs (from the
 augmented complex when the augmentation is a chain map, so that closed
 complexes have a cell to start from); each boundary restricted to the
-surviving cells then goes to the elimination of ``±1`` pivots.  The rank
-is the number of pivots plus the rank of the residual core, and the
-torsion comes from the Smith normal form of that core alone.
+surviving cells then goes through the rational echelon, which splits off
+its ``±1`` pivots as integer column operations.  The rank is the number
+of pivots plus the rank of the residual core, and the torsion comes from
+the Smith normal form of that core alone.
 
 Alongside absolute and reduced homology this module computes relative
 homology of pairs and local homology at a vertex by two independent
@@ -21,9 +22,9 @@ vertex's open star in place.  It is the route the probe and the CLI use,
 and ``local_homology`` is its single-vertex case.  ``local_homology_via_link``
 uses the excision identity ``H_k(K, K - v) = H~_{k-1}(lk v)`` on a link
 rebuilt as a new complex; it is kept as the cross-check the quotient
-route is tested against.  Local homology at several non-adjacent vertices
-(the sum of their local groups) and the apex formula for cones complete
-the module.
+route is tested against.  Local homology at a set of non-adjacent
+vertices (one quotient by the simplices missing all of them) and the
+apex formula for cones complete the module.
 """
 
 from __future__ import annotations
@@ -91,36 +92,6 @@ class HomologyGroup:
 
 
 ZERO_GROUP = HomologyGroup(0, ())
-
-
-def group_direct_sum(*groups: HomologyGroup) -> HomologyGroup:
-    """Direct sum, renormalized to invariant-factor form."""
-    rank = sum(g.free_rank for g in groups)
-    primary: dict[int, list[int]] = {}
-    for g in groups:
-        for t in g.torsion:
-            n = t
-            p = 2
-            while p * p <= n:
-                if n % p == 0:
-                    e = 0
-                    while n % p == 0:
-                        n //= p
-                        e += 1
-                    primary.setdefault(p, []).append(p**e)
-                p += 1
-            if n > 1:
-                primary.setdefault(n, []).append(n)
-    for factors in primary.values():
-        factors.sort(reverse=True)
-    invariant = []
-    while any(primary.values()):
-        layer = 1
-        for p in sorted(primary):
-            if primary[p]:
-                layer *= primary[p].pop(0)
-        invariant.append(layer)
-    return HomologyGroup(rank, tuple(sorted(invariant)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -301,25 +272,21 @@ def local_homology(k: SimplicialComplex, v: str) -> HomologySummary:
 def local_homology_multi(k: SimplicialComplex, vs) -> HomologySummary:
     """Homology of ``k`` relative to the full subcomplex off a vertex set.
 
-    The vertices must be pairwise non-adjacent so their open stars are
-    disjoint; an offending pair is reported in the raised error.  So the
-    quotient splits into their open stars, and the result is the direct
-    sum of their local groups.
+    The vertices must be pairwise non-adjacent; an offending pair is
+    reported in the raised error.  The simplices missing every one of
+    them form that full subcomplex, so the quotient's basis is the union
+    of their open stars, and its homology is the sum of their local groups.
     """
     labels = list(vs)
     if not labels:
         raise LocalhomError("vertex set must be nonempty")
     if len(set(labels)) != len(labels):
         raise LocalhomError("vertex set has repeats")
-    for lab in labels:
-        k.index_of(lab)
+    indices = [k.index_of(lab) for lab in labels]
     for a, b in combinations(sorted(labels), 2):
         if k.contains_labelled((a, b)):
             raise AdjacentVerticesError(a, b)
-    singles = local_homologies(k, labels).values()
-    degrees = {d for summary in singles for d in summary.nonzero()}
-    groups = {d: group_direct_sum(*(s.group(d) for s in singles)) for d in degrees}
-    return HomologySummary(groups, (0, max(k.dim, 0)))
+    return homology(open_star_chain_complex(k, indices))
 
 
 def shifted_up(summary: HomologySummary, span: tuple[int, int]) -> HomologySummary:

@@ -71,28 +71,16 @@ class CheckResult:
     details: str
 
 
-def _result(check_id, aliases, description, failures, detail_ok):
-    if failures:
-        return CheckResult(check_id, aliases, description, False, "; ".join(failures))
-    return CheckResult(check_id, aliases, description, True, detail_ok)
-
-
-def check_builtin_homology() -> CheckResult:
+def check_builtin_homology() -> tuple[list[str], str]:
     failures = []
     for name, expected in EXPECTED_HOMOLOGY.items():
         got = homology_of_complex(builtin(name)).nonzero()
         if got != expected:
             failures.append(f"{name}: computed {got}, expected {expected}")
-    return _result(
-        "builtin-homology",
-        ("builtins",),
-        "homology of the named complexes matches the classical values",
-        failures,
-        f"{len(EXPECTED_HOMOLOGY)} complexes verified",
-    )
+    return failures, f"{len(EXPECTED_HOMOLOGY)} complexes verified"
 
 
-def check_wedge_point() -> CheckResult:
+def check_wedge_point() -> tuple[list[str], str]:
     failures = []
     for name in WEDGE_SURFACES:
         m = builtin(name)
@@ -106,14 +94,7 @@ def check_wedge_point() -> CheckResult:
         report = obstruction_report(w)
         if report.overall != NOT_A_MANIFOLD or report.witness_vertex != "w":
             failures.append(f"{name}: report did not single out the wedge point")
-    return _result(
-        "wedge-point",
-        ("thm3.1", "wedge"),
-        "wedge of a closed surface with itself: local H_1 = Z and H_2 = Z^2 "
-        "at the wedge point and a non-manifold verdict",
-        failures,
-        f"{len(WEDGE_SURFACES)} wedges verified",
-    )
+    return failures, f"{len(WEDGE_SURFACES)} wedges verified"
 
 
 def _independent_sets(k: SimplicialComplex, size: int) -> list:
@@ -125,7 +106,7 @@ def _independent_sets(k: SimplicialComplex, size: int) -> list:
     return out
 
 
-def check_multi_point() -> CheckResult:
+def check_multi_point() -> tuple[list[str], str]:
     failures = []
     tested = 0
     for name in ("octahedron", "sphere(3)"):
@@ -143,17 +124,10 @@ def check_multi_point() -> CheckResult:
                     failures.append(
                         f"{name} {combo}: {summary.nonzero()} != Z^{size} in degree {top}"
                     )
-    return _result(
-        "multi-point",
-        ("thm3.1-claim", "multipoint"),
-        "local homology relative to m pairwise non-adjacent punctures has "
-        "free rank m in the top degree",
-        failures,
-        f"{tested} vertex sets verified",
-    )
+    return failures, f"{tested} vertex sets verified"
 
 
-def check_cone_torsion() -> CheckResult:
+def check_cone_torsion() -> tuple[list[str], str]:
     failures = []
     c = cone(builtin("rp2_6"), "apex")
     local = local_homology(c, "apex")
@@ -166,17 +140,10 @@ def check_cone_torsion() -> CheckResult:
         failures.append("report did not blame the apex")
     elif report.witness != (2, HomologyGroup(0, (2,))):
         failures.append(f"witness is {report.witness}, expected (2, Z/2)")
-    return _result(
-        "cone-torsion",
-        ("ex3.5",),
-        "cone over the 6-vertex projective plane has torsion Z/2 local "
-        "homology at the apex and fails the manifold probe",
-        failures,
-        "apex witness (2, Z/2) confirmed",
-    )
+    return failures, "apex witness (2, Z/2) confirmed"
 
 
-def check_prism_pairs() -> CheckResult:
+def check_prism_pairs() -> tuple[list[str], str]:
     failures = []
     tested = 0
     for name in CLOSED_SURFACES:
@@ -192,17 +159,10 @@ def check_prism_pairs() -> CheckResult:
                     f"{name} at {lab}: prism pair gives {punctured.nonzero()}, "
                     f"base gives {base.nonzero()}"
                 )
-    return _result(
-        "prism-pairs",
-        ("thm3.6", "prism"),
-        "puncturing the prism pair at a bottom vertex reproduces the local "
-        "homology of the base, torsion included",
-        failures,
-        f"{tested} bottom vertices verified",
-    )
+    return failures, f"{tested} bottom vertices verified"
 
 
-def check_apex_formula() -> CheckResult:
+def check_apex_formula() -> tuple[list[str], str]:
     failures = []
     names = list(EXPECTED_HOMOLOGY) + ["sphere(0)", "interval"]
     for name in names:
@@ -215,14 +175,7 @@ def check_apex_formula() -> CheckResult:
                 f"{name}: apex local {computed.nonzero()} != predicted "
                 f"{predicted.nonzero()}"
             )
-    return _result(
-        "apex-formula",
-        ("thm3.3", "apex"),
-        "cone apexes carry the reduced homology of the base, shifted up "
-        "one degree",
-        failures,
-        f"{len(names)} cones verified",
-    )
+    return failures, f"{len(names)} cones verified"
 
 
 def excision_corpus() -> list[tuple[str, SimplicialComplex]]:
@@ -241,7 +194,7 @@ def excision_corpus() -> list[tuple[str, SimplicialComplex]]:
     return corpus
 
 
-def check_excision() -> CheckResult:
+def check_excision() -> tuple[list[str], str]:
     failures = []
     tested = 0
     total_vertices = 0
@@ -258,14 +211,7 @@ def check_excision() -> CheckResult:
                 )
     if total_vertices < 50:
         failures.append(f"corpus too small: {total_vertices} vertices")
-    return _result(
-        "excision-links",
-        ("thm2.5", "excision"),
-        "local homology equals shifted reduced link homology at every "
-        "vertex of the corpus",
-        failures,
-        f"{tested} vertices over {total_vertices} corpus vertices verified",
-    )
+    return failures, f"{tested} vertices over {total_vertices} corpus vertices verified"
 
 
 def wedge_decomposition(m: SimplicialComplex, base: str) -> MvDecomposition:
@@ -280,7 +226,7 @@ def wedge_decomposition(m: SimplicialComplex, base: str) -> MvDecomposition:
     return MvDecomposition(w, left, right, deleted(left, "w"), deleted(right, "w"))
 
 
-def check_mayer_vietoris() -> CheckResult:
+def check_mayer_vietoris() -> tuple[list[str], str]:
     failures = []
     glued = parse_complex("a b c\nb c d")
     report = mv_exactness_check(
@@ -305,14 +251,7 @@ def check_mayer_vietoris() -> CheckResult:
             f"wedge middle map in degree 2 is {middle.rows}x{middle.cols} "
             f"of rank {middle.rank()}, expected a rank-2 isomorphism"
         )
-    return _result(
-        "mayer-vietoris",
-        ("thm2.9", "mv"),
-        "rank-exactness at every node for the three covering setups; the "
-        "wedge's middle degree-2 map is a rank-2 isomorphism",
-        failures,
-        "3 decompositions verified",
-    )
+    return failures, "3 decompositions verified"
 
 
 def random_matrix(rng: random.Random) -> IntegerMatrix:
@@ -350,7 +289,7 @@ def snf_invariants_hold(a: IntegerMatrix) -> str | None:
     return None
 
 
-def check_snf_properties() -> CheckResult:
+def check_snf_properties() -> tuple[list[str], str]:
     rng = random.Random(20260810)
     failures = []
     for trial in range(1000):
@@ -360,17 +299,10 @@ def check_snf_properties() -> CheckResult:
             failures.append(f"trial {trial}: {problem} for {a!r}")
             if len(failures) >= 3:
                 break
-    return _result(
-        "snf-properties",
-        ("snf",),
-        "1000 random integer matrices: d = u a v, unimodularity, "
-        "divisibility chain, transpose invariance",
-        failures,
-        "1000 matrices verified",
-    )
+    return failures, "1000 matrices verified"
 
 
-def check_boundary_controls() -> CheckResult:
+def check_boundary_controls() -> tuple[list[str], str]:
     failures = []
     disk3 = cone(builtin("sphere(2)"), "apex")
     report = obstruction_report(disk3)
@@ -391,42 +323,101 @@ def check_boundary_controls() -> CheckResult:
     for lab in interval.labels:
         if vertex_verdict(interval, lab).category != BOUNDARY_LIKE:
             failures.append(f"interval endpoint {lab} is not boundary-like")
-    return _result(
+    return failures, "boundary cases verified"
+
+
+# One entry per check, in report order: (id, aliases, description, function).
+# Each function returns its failures and the detail shown when there are none.
+ALL_CHECKS = (
+    (
+        "builtin-homology",
+        ("builtins",),
+        "homology of the named complexes matches the classical values",
+        check_builtin_homology,
+    ),
+    (
+        "wedge-point",
+        ("thm3.1", "wedge"),
+        "wedge of a closed surface with itself: local H_1 = Z and H_2 = Z^2 "
+        "at the wedge point and a non-manifold verdict",
+        check_wedge_point,
+    ),
+    (
+        "multi-point",
+        ("thm3.1-claim", "multipoint"),
+        "local homology relative to m pairwise non-adjacent punctures has "
+        "free rank m in the top degree",
+        check_multi_point,
+    ),
+    (
+        "cone-torsion",
+        ("ex3.5",),
+        "cone over the 6-vertex projective plane has torsion Z/2 local "
+        "homology at the apex and fails the manifold probe",
+        check_cone_torsion,
+    ),
+    (
+        "prism-pairs",
+        ("thm3.6", "prism"),
+        "puncturing the prism pair at a bottom vertex reproduces the local "
+        "homology of the base, torsion included",
+        check_prism_pairs,
+    ),
+    (
+        "apex-formula",
+        ("thm3.3", "apex"),
+        "cone apexes carry the reduced homology of the base, shifted up "
+        "one degree",
+        check_apex_formula,
+    ),
+    (
+        "excision-links",
+        ("thm2.5", "excision"),
+        "local homology equals shifted reduced link homology at every "
+        "vertex of the corpus",
+        check_excision,
+    ),
+    (
+        "mayer-vietoris",
+        ("thm2.9", "mv"),
+        "rank-exactness at every node for the three covering setups; the "
+        "wedge's middle degree-2 map is a rank-2 isomorphism",
+        check_mayer_vietoris,
+    ),
+    (
+        "snf-properties",
+        ("snf",),
+        "1000 random integer matrices: d = u a v, unimodularity, "
+        "divisibility chain, transpose invariance",
+        check_snf_properties,
+    ),
+    (
         "boundary-controls",
         ("controls",),
         "cone over a sphere probes as a manifold with boundary; interval "
         "endpoints probe boundary-like",
-        failures,
-        "boundary cases verified",
-    )
-
-
-ALL_CHECKS = (
-    ("builtin-homology", ("builtins",), check_builtin_homology),
-    ("wedge-point", ("thm3.1", "wedge"), check_wedge_point),
-    ("multi-point", ("thm3.1-claim", "multipoint"), check_multi_point),
-    ("cone-torsion", ("ex3.5",), check_cone_torsion),
-    ("prism-pairs", ("thm3.6", "prism"), check_prism_pairs),
-    ("apex-formula", ("thm3.3", "apex"), check_apex_formula),
-    ("excision-links", ("thm2.5", "excision"), check_excision),
-    ("mayer-vietoris", ("thm2.9", "mv"), check_mayer_vietoris),
-    ("snf-properties", ("snf",), check_snf_properties),
-    ("boundary-controls", ("controls",), check_boundary_controls),
+        check_boundary_controls,
+    ),
 )
 
 
 def check_ids() -> list[str]:
-    return [check_id for check_id, _, _ in ALL_CHECKS]
+    return [check_id for check_id, *_ in ALL_CHECKS]
 
 
 def run_checks(only: str | None = None) -> list[CheckResult]:
     """Run the suite, or just the checks matching ``only`` by id or alias."""
     selected = [
-        func
-        for check_id, aliases, func in ALL_CHECKS
-        if only is None or only == check_id or only in aliases
+        check
+        for check in ALL_CHECKS
+        if only is None or only == check[0] or only in check[1]
     ]
     if not selected:
         known = ", ".join(check_ids())
         raise LocalhomError(f"unknown check id {only!r}; available: {known}")
-    return [func() for func in selected]
+    results = []
+    for check_id, aliases, description, func in selected:
+        failures, detail = func()
+        details = "; ".join(failures) if failures else detail
+        results.append(CheckResult(check_id, aliases, description, not failures, details))
+    return results

@@ -6,12 +6,16 @@ the rationals and over GF(2).  Free ranks come from rational Betti
 numbers; the count of even torsion coefficients comes from the GF(2)
 Betti numbers through the universal-coefficient bookkeeping
 ``b_k(F2) = b_k(Q) + t_k + t_{k-1}`` with ``t_k`` the number of even
-invariant factors in degree k.  None of it touches the package's Smith
-normal form path.
+invariant factors in degree k.  ``group_direct_sum`` renormalizes a sum of
+groups to invariant factors through their prime-power parts, for the
+additivity checks.  None of it touches the package's Smith normal form
+path; only the ``HomologyGroup`` value type is shared.
 """
 
 from fractions import Fraction
 from itertools import combinations
+
+from localhom.homology import HomologyGroup
 
 
 def closure(facets):
@@ -105,3 +109,33 @@ def torsion_parity(facets):
         t.append(current)
         prev = current
     return t
+
+
+def group_direct_sum(*groups: HomologyGroup) -> HomologyGroup:
+    """Direct sum, renormalized to invariant-factor form."""
+    rank = sum(g.free_rank for g in groups)
+    primary: dict[int, list[int]] = {}
+    for g in groups:
+        for t in g.torsion:
+            n = t
+            p = 2
+            while p * p <= n:
+                if n % p == 0:
+                    e = 0
+                    while n % p == 0:
+                        n //= p
+                        e += 1
+                    primary.setdefault(p, []).append(p**e)
+                p += 1
+            if n > 1:
+                primary.setdefault(n, []).append(n)
+    for factors in primary.values():
+        factors.sort(reverse=True)
+    invariant = []
+    while any(primary.values()):
+        layer = 1
+        for p in sorted(primary):
+            if primary[p]:
+                layer *= primary[p].pop(0)
+        invariant.append(layer)
+    return HomologyGroup(rank, tuple(sorted(invariant)))

@@ -1,24 +1,40 @@
-"""Byte-exact CLI output for the local-homology commands.
+"""Byte-exact CLI output for the commands whose answers must not move.
 
 ``tests/data/local_cli_golden.json`` holds the output of ``check --json``,
 ``local --vertex --json`` and ``local --vertices --json`` on a fixed set
 of complexes, recorded before the probe and ``local`` moved to the
 open-star route.  Every vertex is queried, and ``--vertices`` takes each
 single vertex and every non-adjacent pair, so a changed route shows up
-as a changed byte.  Constructed complexes are written to ``.scx`` files
-under relative names, so the ``complex`` field does not depend on where
-the test runs.
+as a changed byte.  ``tests/data/homology_cli_golden.json`` holds
+``homology --json``, plain and ``--reduced``, on a small corpus whose
+groups carry torsion (plus the empty complex), and
+``tests/data/verify_paper_golden.json`` the whole ``verify-paper --json``
+document; both were recorded before the unit-pivot elimination moved
+onto the rational echelon.  Constructed complexes are written to
+``.scx`` files under relative names, so the ``complex`` field does not
+depend on where the test runs.
 """
 
 import json
 from itertools import combinations
 from pathlib import Path
 
-from localhom import builtin, cone, disjoint_union, parse_complex, prism_product, wedge
+from localhom import (
+    SimplicialComplex,
+    builtin,
+    cone,
+    disjoint_union,
+    parse_complex,
+    prism_product,
+    wedge,
+)
 from localhom.cli import main
 from localhom.scx import write_complex
 
-GOLDEN = Path(__file__).parent / "data" / "local_cli_golden.json"
+DATA = Path(__file__).parent / "data"
+GOLDEN = DATA / "local_cli_golden.json"
+HOMOLOGY_GOLDEN = DATA / "homology_cli_golden.json"
+VERIFY_GOLDEN = DATA / "verify_paper_golden.json"
 
 
 def corpus() -> dict:
@@ -29,6 +45,17 @@ def corpus() -> dict:
         "cone-rp2_6": cone(builtin("rp2_6"), "apex"),
         "prism-torus7": prism_product(t).ambient,
         "triangle-plus-point": disjoint_union(parse_complex("a b c"), parse_complex("p")),
+    }
+
+
+def torsion_corpus() -> dict:
+    rp2 = builtin("rp2_6")
+    return {
+        "rp2_6": rp2,
+        "klein8": builtin("klein8"),
+        "cone-rp2_6": cone(rp2, "apex"),
+        "prism-rp2_6": prism_product(rp2).ambient,
+        "empty": SimplicialComplex.empty(),
     }
 
 
@@ -46,24 +73,43 @@ def commands(name, k) -> list[list[str]]:
     return out
 
 
-def outputs(capsys) -> dict[str, str]:
+def homology_commands(name, k) -> list[list[str]]:
+    source = ["--in", f"{name}.scx"]
+    return [["homology", *source, "--json"], ["homology", *source, "--reduced", "--json"]]
+
+
+def outputs(capsys, complexes=corpus, argv_lists=commands) -> dict[str, str]:
     """Every command's stdout, keyed by its argument line; run in the cwd."""
     found = {}
-    for name, k in corpus().items():
+    for name, k in complexes().items():
         write_complex(f"{name}.scx", k)
-        for argv in commands(name, k):
+        for argv in argv_lists(name, k):
             assert main(argv) == 0, argv
             found[" ".join(argv)] = capsys.readouterr().out
     return found
+
+
+def assert_matches(found: dict, golden_path: Path) -> None:
+    golden = json.loads(golden_path.read_text(encoding="utf-8"))
+    assert sorted(found) == sorted(golden)
+    for key, text in golden.items():
+        assert found[key] == text, key
 
 
 def test_local_commands_are_byte_identical_to_the_recorded_output(
     tmp_path, monkeypatch, capsys
 ):
     monkeypatch.chdir(tmp_path)
-    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
-    found = outputs(capsys)
-    assert sorted(found) == sorted(golden)
-    for key, text in golden.items():
-        assert found[key] == text, key
+    assert_matches(outputs(capsys), GOLDEN)
 
+
+def test_homology_json_is_byte_identical_to_the_recorded_output(
+    tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    assert_matches(outputs(capsys, torsion_corpus, homology_commands), HOMOLOGY_GOLDEN)
+
+
+def test_verify_paper_json_is_byte_identical_to_the_recorded_output(capsys):
+    assert main(["verify-paper", "--json"]) == 0
+    assert capsys.readouterr().out == VERIFY_GOLDEN.read_text(encoding="utf-8")

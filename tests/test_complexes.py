@@ -209,6 +209,18 @@ def test_complex_answers_the_same_after_the_index_is_filled():
         assert star(k, lab) == star(parse_complex(OCTAHEDRON_TEXT), lab)
 
 
+def test_complex_is_frozen_after_its_derived_views_are_filled():
+    k = builtin("octahedron")
+    labels = k.labels
+    k.facets(), k.vertex_facets(0), k.index_of("1"), k.simplices(1)
+    with pytest.raises(AttributeError):
+        k.labels = ("x",)
+    with pytest.raises(AttributeError):
+        k._simplices = {}
+    assert k.labels == labels and k == builtin("octahedron")
+    assert hash(k) == hash(builtin("octahedron"))
+
+
 def test_relabel_identity_and_swap():
     k = parse_complex("a b c")
     assert relabel(k, {"a": "a", "b": "b", "c": "c"}) == k

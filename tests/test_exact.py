@@ -251,8 +251,9 @@ def test_unit_elimination_leaves_torsion_in_core():
 
 
 def test_unit_elimination_skips_entries_that_fill_made_non_unit():
-    # Fill turns a queued unit entry of this matrix into a 2 while its
-    # Markowitz cost stays the same; pivoting on it would give torsion Z/10.
+    # Fill turns a unit entry of this matrix into a 2.  A pivot must be
+    # ±1 in the current residual; pivoting on the stale entry would give
+    # torsion Z/10.
     a = IntegerMatrix.from_rows(
         [
             [0, -1, -1, 1, 1],
