@@ -5,8 +5,9 @@ vertex index lists; orientation comes from the increasing vertex order, so
 the boundary of a simplex alternates signs over its vertex-deleted faces.
 Each boundary is stored once, as sparse ``{row: ±1}`` columns built from
 the simplex index; a dense matrix is built only on request.  The columns
-are shared, never edited: homology collapses and coreduces the complex by
-marking cells dead and restricts the columns to the survivors in copies.
+are shared, never edited: homology reduces the complex to its discrete
+Morse complex by marking cells dead and writes the critical cells' Morse
+boundaries as new columns.
 A chain complex may start at degree -1 (the augmented complex used for
 reduced homology, whose extra basis element is the empty simplex).  The
 open-star complex is the quotient by the simplices that miss a vertex

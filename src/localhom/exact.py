@@ -1,32 +1,27 @@
-"""Exact integer matrices, Smith normal form, chain-complex reduction and elimination.
+"""Exact integer matrices, Smith normal form, the Morse reduction and rational echelons.
 
 All arithmetic uses Python's arbitrary-precision integers, so there is no
 overflow at any size; intermediate entries in a Smith reduction can grow
 well past 64 bits even for small boundary matrices.
 
-Every sparse elimination goes through one ``RationalEchelon``: sparse
-``{index: value}`` vectors are reduced against the stored rows in the
-order they were added, and each row remembers its coordinates over the
-tagged vectors.  Rows are scaled at a ``±1`` entry where they have one,
-so ``±1`` boundaries mostly stay in ``int``; a ``Fraction`` scale is the
-fallback.  Rank counts the columns that enlarge the span, and each column
-that does not gives a kernel vector from its coordinates.
+Every rational elimination (ranks, kernels and the Mayer-Vietoris maps)
+goes through one ``RationalEchelon``: sparse ``{index: value}`` vectors
+are reduced against the stored rows in the order they were added, and
+each row remembers its coordinates over the tagged vectors.  Rows are
+scaled at a ``±1`` entry where they have one, so ``±1`` boundaries mostly
+stay in ``int``; a ``Fraction`` scale is the fallback.  Rank counts the
+columns that enlarge the span, and each column that does not gives a
+kernel vector from its coordinates.
 
 Homology needs only the rank and the invariant factors of each boundary,
-and boundaries are sparse with mostly ``±1`` entries.  Two passes read
-the ``{row: value}`` columns a chain complex stores.
-``chain_reducer`` numbers the cells of a complex across degrees once
-and reduces any set of them, over every degree at once (the whole
-complex through ``reduce_chain_complex``, or one open star of it): it
-removes pairs of cells joined by a ``±1`` entry where one of them has no
-other live face or coface (coreductions and collapses).  Neither move
-creates fill, so what survives is the complex restricted to the surviving
-cells, with the same homology over Z.  ``eliminate_unit_pivots`` then
-feeds each surviving boundary to the echelon, storing only residuals
-with a ``±1`` entry, so every stored row is an integer column operation
-with lead 1.  The residuals without one form a small core, the one dense
-``IntegerMatrix`` homology builds, and the Smith normal form of the
-boundary is ``1`` once per stored row followed by that of the core.
+and boundaries are sparse with mostly ``±1`` entries.  ``chain_reducer``
+numbers the cells of a complex across degrees once and reduces any set of
+them (the whole complex, or one open star of it) to a discrete Morse
+complex: coreductions and collapses remove pairs of cells joined by a
+``±1`` entry, and when no pair is left the least live cell is made
+critical.  The boundaries of the few critical cells, pushed through the
+images of the paired cells, form a complex with the same homology over
+Z, and their Smith normal form is the whole integer elimination.
 
 ``smith_normal_form`` is the dense reduction with both transforms.  It
 picks the nonzero entry of least absolute value as the pivot on every
@@ -273,24 +268,33 @@ def chain_reducer(boundaries):
     ``i``, with rows indexing the basis of degree ``i - 1``.  Cells are
     numbered through the bases bottom degree first, and their coface lists
     are built here, once, so many cell sets of one complex can be reduced.
-    ``reduce(cells)`` collapses and coreduces ``±1`` pairs among ``cells``
-    (ascending cell numbers, every cell when omitted); faces and cofaces
+    ``reduce(cells)`` reduces ``cells`` (ascending cell numbers, every
+    cell when omitted) to a discrete Morse complex; faces and cofaces
     outside them count as absent, so a set whose complement is a
-    subcomplex is reduced as the quotient complex.  Two moves remove a
+    subcomplex is reduced as the quotient complex.  One queue runs over
+    every degree, seeded with ``cells`` in order; a cell goes back on it
+    when its live faces or live cofaces drop to one.  Two moves remove a
     pair of cells joined by a ``±1`` entry:
 
-    - a coreduction removes a cell whose only live face is ``a``, together
-      with ``a``;
+    - a coreduction removes a cell ``b`` whose only live face is ``a``,
+      together with ``a``.  The flow replaces ``a`` by ``a - <∂b, a> ∂b``,
+      and the other faces of ``b`` are removed already, so the image of
+      ``a`` is recorded once, over the critical cells found so far;
     - a collapse removes a cell whose only live coface is ``b``, together
-      with ``b``.
+      with ``b``.  No later face lookup meets the lower cell.
 
-    In both, the other boundaries change only by dropping the pair, so the
-    complex left is the original one restricted to the survivors and has
-    the same homology over Z, torsion included.  One queue runs over every
-    degree, seeded with ``cells`` in order; a cell goes back on it when its
-    live faces or live cofaces drop to one.  The result, the sorted
-    surviving basis indices of each degree, is a fixed function of the
-    columns and ``cells``; the columns are left as they were.
+    Upper cells of pairs flow to zero.  When the queue empties, the least
+    live cell has no live face, as its faces are numbered below it: it is
+    made critical, with the image of its boundary as its Morse boundary,
+    and removed, and the queue runs on.  The critical cells with their
+    Morse boundaries form a complex chain-equivalent to the original over
+    Z, torsion included.
+
+    Returns ``(critical, columns)``: the basis indices of the critical
+    cells of each degree, ascending, and their Morse boundary columns,
+    ``{row: value}`` with rows indexing the critical cells one degree
+    below.  Both are a fixed function of the input columns and ``cells``;
+    the columns are left as they were.
     """
     starts = [0]
     for cols in boundaries:
@@ -308,7 +312,7 @@ def chain_reducer(boundaries):
         columns.extend(cols)
         below.extend([base] * len(cols))
 
-    def reduce(cells=None) -> tuple[tuple[int, ...], ...]:
+    def reduce(cells=None) -> tuple[tuple, tuple]:
         if cells is None:
             cells = range(total)
             alive = bytearray(b"\x01") * total
@@ -327,6 +331,11 @@ def chain_reducer(boundaries):
                         live_faces[x] += 1
                         live_cofaces[base + r] += 1
         queue = deque(cells)
+        critical: list[list[int]] = [[] for _ in boundaries]
+        morse: list[list[dict]] = [[] for _ in boundaries]
+        # Image of a dead cell over the critical cells of its degree, keyed
+        # by their positions there; a cell without an entry flows to zero.
+        flow: dict[int, dict] = {}
 
         def remove(x: int) -> None:
             alive[x] = 0
@@ -343,68 +352,52 @@ def chain_reducer(boundaries):
                     if live_faces[y] == 1:
                         queue.append(y)
 
-        while queue:
-            x = queue.popleft()
-            if not alive[x]:
-                continue
-            if live_faces[x] == 1:
-                base = below[x]
-                r, value = next((r, v) for r, v in columns[x].items() if alive[base + r])
-                if value == 1 or value == -1:
-                    remove(x)
-                    remove(base + r)
+        def image(x: int, c: int) -> dict:
+            """``c`` times the flow of ``∂x``."""
+            out: dict = {}
+            base = below[x]
+            for r, value in columns[x].items():
+                target = flow.get(base + r)
+                if target:
+                    _add_multiple(out, c * value, target)
+            return out
+
+        unseen = iter(cells)
+        while True:
+            while queue:
+                x = queue.popleft()
+                if not alive[x]:
                     continue
-            if live_cofaces[x] == 1:
-                y = next(y for y in cofaces[x] if alive[y])
-                value = columns[y][x - below[y]]
-                if value == 1 or value == -1:
-                    remove(x)
-                    remove(y)
-        survivors: list[list[int]] = [[] for _ in boundaries]
-        for x in compress(cells, map(alive.__getitem__, cells)):
+                if live_faces[x] == 1:
+                    base = below[x]
+                    r, value = next((r, v) for r, v in columns[x].items() if alive[base + r])
+                    if value == 1 or value == -1:
+                        remove(x)
+                        remove(base + r)
+                        # a flows to -<∂b, a> times the flow of ∂b's other
+                        # faces; before the first critical cell, that is zero.
+                        if flow:
+                            target = image(x, -value)
+                            if target:
+                                flow[base + r] = target
+                        continue
+                if live_cofaces[x] == 1:
+                    y = next(y for y in cofaces[x] if alive[y])
+                    value = columns[y][x - below[y]]
+                    if value == 1 or value == -1:
+                        remove(x)
+                        remove(y)
+            x = next((x for x in unseen if alive[x]), None)
+            if x is None:
+                break
             i = bisect_right(starts, x) - 1
-            survivors[i].append(x - starts[i])
-        return tuple(map(tuple, survivors))
+            morse[i].append(image(x, 1))
+            flow[x] = {len(critical[i]): 1}
+            critical[i].append(x - starts[i])
+            remove(x)
+        return tuple(map(tuple, critical)), tuple(map(tuple, morse))
 
     return reduce
-
-
-def reduce_chain_complex(boundaries) -> tuple[tuple[int, ...], ...]:
-    """The survivors of every cell of a chain complex, by ``chain_reducer``."""
-    return chain_reducer(boundaries)()
-
-
-def eliminate_unit_pivots(columns) -> tuple[int, IntegerMatrix]:
-    """Split the ``±1`` pivots off sparse columns; returns ``(units, core)``.
-
-    The columns enter one ``RationalEchelon`` in order.  A residual with a
-    ``±1`` entry is stored, scaled to 1 at its lead, so every stored row
-    is an integer column operation away from its column; a residual with
-    no unit entry is set aside.  Once every column is in, the set-aside
-    residuals are reduced again, which clears them at every lead.  The
-    stored rows restricted to their leads form a unit-triangular, hence
-    unimodular, block, and the residuals are zero on those rows; so the
-    nonzero invariant factors of the matrix are ``units`` ones followed by
-    those of ``core``, the nonzero residuals on the rows that still hold
-    an entry, both in their original order.  The input columns are left
-    as they were, and the result is a fixed function of them.
-    """
-    echelon = RationalEchelon()
-    aside = []
-    for col in columns:
-        residual, _ = echelon.reduce(col)
-        if any(x == 1 or x == -1 for x in residual.values()):
-            echelon._store(residual, {}, None)
-        elif residual:
-            aside.append(residual)
-    live = [col for col in (echelon.reduce(r)[0] for r in aside) if col]
-    kept = sorted({i for col in live for i in col})
-    position = {i: k for k, i in enumerate(kept)}
-    entries = [[0] * len(live) for _ in kept]
-    for k, col in enumerate(live):
-        for i, x in col.items():
-            entries[position[i]][k] = x
-    return len(echelon), IntegerMatrix(len(kept), len(live), entries)
 
 
 class RationalEchelon:
@@ -416,9 +409,7 @@ class RationalEchelon:
     the residual is ``±1``, an entry that is its own inverse, so integer
     rows, residuals and coordinates stay ``int``; with no unit entry it is
     the least index, scaled by a ``Fraction``.  A row also carries its
-    coordinates over the tagged vectors, modulo the untagged.  The rank
-    and kernel routines add every vector; ``eliminate_unit_pivots`` stores
-    only the unit-lead residuals, so its rows stay integer.
+    coordinates over the tagged vectors, modulo the untagged.
     """
 
     def __init__(self) -> None:
@@ -441,7 +432,8 @@ class RationalEchelon:
             c = residual.get(lead)
             if c:
                 _add_multiple(residual, -c, row)
-                _add_multiple(coordinates, c, row_coordinates)
+                if row_coordinates:
+                    _add_multiple(coordinates, c, row_coordinates)
         return residual, coordinates
 
     def add(self, vec, tag=None) -> bool:

@@ -4,13 +4,10 @@ Each group is reported as a free rank plus invariant factors (torsion
 numbers, each dividing the next): in degree k the free rank is
 ``dim ker(boundary_k) - rank(boundary_{k+1})`` and the torsion is the set
 of invariant factors of ``boundary_{k+1}`` exceeding 1.  The whole complex
-is first collapsed and coreduced on its ``±1`` face/coface pairs (from the
-augmented complex when the augmentation is a chain map, so that closed
-complexes have a cell to start from); each boundary restricted to the
-surviving cells then goes through the rational echelon, which splits off
-its ``±1`` pivots as integer column operations.  The rank is the number
-of pivots plus the rank of the residual core, and the torsion comes from
-the Smith normal form of that core alone.
+(augmented when the augmentation is a chain map, so that every vertex
+flows to zero) is first reduced to its discrete Morse complex, and both
+numbers come from the Smith normal form of the critical cells' boundaries
+alone.
 
 Alongside absolute and reduced homology this module computes relative
 homology of pairs and local homology at a vertex by two independent
@@ -43,12 +40,7 @@ from .chains import (
 from .complexes import SimplicialComplex, SubcomplexPair
 from .constructions import link
 from .errors import AdjacentVerticesError, ChainComplexError, LocalhomError
-from .exact import (
-    chain_reducer,
-    eliminate_unit_pivots,
-    reduce_chain_complex,
-    smith_normal_form,
-)
+from .exact import IntegerMatrix, chain_reducer, smith_normal_form
 
 
 @dataclass(frozen=True, repr=False)
@@ -163,12 +155,11 @@ def homology(c: ChainComplex, reduced: bool = False) -> HomologySummary:
     is meaningful for the chain complex of a complex; on other complexes
     it is not a chain map, and the boundary-squared error says so.
 
-    The ``±1`` pairs of every degree are collapsed and coreduced first,
-    and only the boundaries restricted to the surviving cells go to the
-    elimination.  When the complex starts at degree 0 and every degree-1
-    column sums to zero, the augmentation is a chain map: its cell is
-    reduced with the others, which gives a closed complex a free cell to
-    start from, and ``Z`` is added back in degree 0 unless ``reduced``.
+    The groups are read from the discrete Morse complex of ``c``.  When
+    the complex starts at degree 0 and every degree-1 column sums to zero,
+    the augmentation is a chain map: its cell is reduced with the others,
+    which pairs it with a vertex and lets every vertex flow to zero, and
+    ``Z`` is added back in degree 0 unless ``reduced``.
     """
     c.check_boundary_squared()
     chain_map = c.offset == 0 and all(sum(col.values()) == 0 for col in c.columns(1))
@@ -182,7 +173,7 @@ def homology(c: ChainComplex, reduced: bool = False) -> HomologySummary:
         vertices = (({0: 1},) * len(c.bases[0]),) if c.bases else ()
         boundaries = (({},), *vertices, *boundaries[1:])
     offset = c.offset - 1 if augmented else c.offset
-    groups = _groups(boundaries, reduce_chain_complex(boundaries), offset)
+    groups = _groups(chain_reducer(boundaries)(), offset)
     if augmented and not reduced:
         h0 = groups.get(0, ZERO_GROUP)
         groups[0] = HomologyGroup(h0.free_rank + 1, h0.torsion)
@@ -192,28 +183,36 @@ def homology(c: ChainComplex, reduced: bool = False) -> HomologySummary:
     return HomologySummary(groups, (low, c.top_degree), reduced)
 
 
-def _groups(boundaries, survivors, offset: int) -> dict[int, HomologyGroup]:
-    """Groups of the boundaries restricted to ``survivors`` (degree ``offset`` first)."""
+def _groups(morse, offset: int) -> dict[int, HomologyGroup]:
+    """Nonzero groups of a Morse complex ``(critical, columns)``, degree ``offset`` first.
+
+    Each boundary's Smith normal form runs on its nonzero rows and columns
+    only, and not at all on a zero boundary.
+    """
+    critical, boundaries = morse
     ranks, torsions = [], []
-    live_below: set[int] = set()
-    for columns, live in zip(boundaries, survivors):
-        if live and live_below:
-            units, core = eliminate_unit_pivots(
-                {r: x for r, x in columns[j].items() if r in live_below} for j in live
-            )
-            snf = smith_normal_form(core)
-            ranks.append(units + snf.rank)
+    for columns in boundaries:
+        live = [col for col in columns if col]
+        if live:
+            rows = {r: i for i, r in enumerate(sorted({r for col in live for r in col}))}
+            entries = [[0] * len(live) for _ in rows]
+            for j, col in enumerate(live):
+                for r, x in col.items():
+                    entries[rows[r]][j] = x
+            snf = smith_normal_form(IntegerMatrix(len(rows), len(live), entries))
+            ranks.append(snf.rank)
             torsions.append(snf.invariant_factors)
-        else:  # a boundary with no cell on one side is zero
+        else:
             ranks.append(0)
             torsions.append(())
-        live_below = set(live)
     ranks.append(0)
     torsions.append(())
-    return {
-        offset + i: HomologyGroup(len(live) - ranks[i] - ranks[i + 1], torsions[i + 1])
-        for i, live in enumerate(survivors)
-    }
+    groups = {}
+    for i, cells in enumerate(critical):
+        free = len(cells) - ranks[i] - ranks[i + 1]
+        if free or torsions[i + 1]:
+            groups[offset + i] = HomologyGroup(free, torsions[i + 1])
+    return groups
 
 
 def homology_of_complex(k: SimplicialComplex, reduced: bool = False) -> HomologySummary:
@@ -253,7 +252,7 @@ def local_homologies(k: SimplicialComplex, labels) -> dict[str, HomologySummary]
     reduce = chain_reducer(c.boundaries)
     span = (0, max(k.dim, 0))
     return {
-        lab: HomologySummary(_groups(c.boundaries, reduce(stars[i]), 0), span)
+        lab: HomologySummary(_groups(reduce(stars[i]), 0), span)
         for lab, i in zip(labels, indices)
     }
 

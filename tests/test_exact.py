@@ -10,12 +10,13 @@ import pytest
 
 import oracle
 from localhom import builtin, chain_complex
+from localhom.chains import ChainComplex
 from localhom.errors import DimensionMismatchError
 from localhom.exact import (
     IntegerMatrix,
     RationalEchelon,
+    chain_reducer,
     determinant,
-    eliminate_unit_pivots,
     kernel_basis_over_rationals,
     multiply,
     rank_over_rationals,
@@ -189,8 +190,18 @@ def _rank_and_factors(a):
     return res.rank, res.invariant_factors
 
 
+def _morse_core(a):
+    """``(pairs, core)`` of ``a`` as the one boundary of a two-degree complex.
+
+    Each pair the Morse reduction removes is a ``±1`` pivot of ``a``; the
+    core is the dense Morse boundary between the critical rows and columns.
+    """
+    critical, columns = chain_reducer([({},) * a.rows, sparse_columns(a)])()
+    return a.cols - len(critical[1]), ChainComplex(0, critical, columns).boundary(1)
+
+
 def _eliminated_rank_and_factors(a):
-    units, core = eliminate_unit_pivots(sparse_columns(a))
+    units, core = _morse_core(a)
     res = smith_normal_form(core)
     return units + res.rank, res.invariant_factors
 
@@ -201,59 +212,58 @@ def _eliminated_rank_and_factors(a):
     ids=["dense", "sparse-units", "dense-units"],
 )
 def test_unit_elimination_matches_whole_snf(make):
-    # Dense unit matrices are where fill turns a queued unit entry into a
-    # non-unit one, which must not be taken as a pivot.
+    # Dense unit matrices are where an earlier pair turns a unit entry into
+    # a non-unit entry of the Morse boundary, which must not be paired.
     rng = random.Random(2003)
     for _ in range(400):
         a = make(rng)
-        units, core = eliminate_unit_pivots(sparse_columns(a))
+        units, core = _morse_core(a)
         assert _eliminated_rank_and_factors(a) == _rank_and_factors(a)
         assert units <= min(a.rows, a.cols)
-        assert core.rows <= a.rows - units and core.cols <= a.cols - units
-        # The core keeps no all-zero row or column.
-        assert all(any(row) for row in core.entries)
-        assert all(any(core.column(j)) for j in range(core.cols))
-        assert eliminate_unit_pivots(sparse_columns(a)) == (units, core)
+        assert (core.rows, core.cols) == (a.rows - units, a.cols - units)
+        assert _morse_core(a) == (units, core)
 
 
 def test_unit_elimination_leaves_its_input_columns_unchanged():
     rng = random.Random(2011)
     for make in (_random_matrix, lambda rng: _unit_matrix(rng, 4)):
         for _ in range(100):
-            columns = sparse_columns(make(rng))
-            before = copy.deepcopy(columns)
-            eliminate_unit_pivots(columns)
-            assert columns == before
+            a = make(rng)
+            boundaries = [({},) * a.rows, sparse_columns(a)]
+            before = copy.deepcopy(boundaries)
+            chain_reducer(boundaries)()
+            assert boundaries == before
 
 
 def test_unit_elimination_core_without_units_still_counts_rank():
     # No entry is a unit, yet the SNF is (1, 6): the 1 is rank, not torsion.
     a = IntegerMatrix(2, 2, [[2, 0], [0, 3]])
-    units, core = eliminate_unit_pivots(sparse_columns(a))
+    units, core = _morse_core(a)
     assert (units, core) == (0, a)
     assert smith_normal_form(core).diagonal == (1, 6)
     assert _eliminated_rank_and_factors(a) == (2, (6,))
 
 
 def test_unit_elimination_empty_core():
-    units, core = eliminate_unit_pivots(sparse_columns(TRIANGLE_D1))
+    # Two pairs; the vertex and the edge left (a component and a loop of
+    # the triangle) have a zero Morse boundary.
+    units, core = _morse_core(TRIANGLE_D1)
     assert units == 2
-    assert (core.rows, core.cols) == (0, 0)
+    assert core == IntegerMatrix.zeros(1, 1)
     assert _eliminated_rank_and_factors(TRIANGLE_D1) == (2, ())
 
 
 def test_unit_elimination_leaves_torsion_in_core():
-    # Row 0 is cleared by the unit pivot; the 2 is what remains.
+    # Row 0 is paired with column 0; the 2 is what remains.
     a = IntegerMatrix(2, 2, [[1, 1], [0, 2]])
-    units, core = eliminate_unit_pivots(sparse_columns(a))
+    units, core = _morse_core(a)
     assert units == 1
     assert core == IntegerMatrix(1, 1, [[2]])
 
 
 def test_unit_elimination_skips_entries_that_fill_made_non_unit():
-    # Fill turns a unit entry of this matrix into a 2.  A pivot must be
-    # ±1 in the current residual; pivoting on the stale entry would give
-    # torsion Z/10.
+    # Two pairs turn unit entries of this matrix into 2s of the 3x3 Morse
+    # boundary; taking a stale unit entry as a pivot would give Z/10.
     a = IntegerMatrix.from_rows(
         [
             [0, -1, -1, 1, 1],
@@ -270,9 +280,9 @@ def test_unit_elimination_skips_entries_that_fill_made_non_unit():
 
 @pytest.mark.parametrize("shape", [(0, 0), (0, 4), (4, 0), (3, 2)])
 def test_unit_elimination_of_zero_and_empty_shapes(shape):
-    units, core = eliminate_unit_pivots(sparse_columns(IntegerMatrix.zeros(*shape)))
+    units, core = _morse_core(IntegerMatrix.zeros(*shape))
     assert units == 0
-    assert (core.rows, core.cols) == (0, 0)
+    assert core == IntegerMatrix.zeros(*shape)
 
 
 def test_sparse_columns():

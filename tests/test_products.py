@@ -1,11 +1,11 @@
-"""Torsion through the residual core, on staircase products with RP².
+"""Torsion through the Morse complex, on staircase products with RP².
 
 ``product(K, L)`` is the staircase triangulation of ``|K| × |L|``
 (Eilenberg–Zilber): for each pair of facets ``σ × τ`` and each monotone
 lattice path through their ordered vertices, the vertices ``(a_i, b_j)``
 on the path span one simplex.  The ``Z/2`` classes of these products are
-never split off as ``±1`` pivots, so their groups come from the Smith
-normal form of the residual core; the Künneth formula gives them.
+never paired away, so their groups come from the Smith normal form of the
+critical cells' Morse boundaries; the Künneth formula gives them.
 """
 
 from itertools import combinations

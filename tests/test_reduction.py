@@ -1,10 +1,11 @@
-"""The collapse and coreduction pass that runs before every elimination.
+"""The discrete Morse complex that homology reads its groups from.
 
-``homology()`` removes ``±1`` face/coface pairs over all degrees and
-eliminates only the boundaries restricted to the survivors.  A reference
-written here runs the elimination and the Smith normal form on every
-unreduced boundary instead; random complexes, random relative pairs and
-``tests/oracle.py`` tie the two together.
+``homology()`` reduces a chain complex to its critical cells and their
+Morse boundaries, and runs the Smith normal form on those alone.  A
+reference written here runs the Smith normal form on every whole dense
+boundary instead, sharing no code with that path; random complexes,
+random relative pairs, open stars and ``tests/oracle.py`` tie the two
+together.
 """
 
 import copy
@@ -26,22 +27,25 @@ from localhom import (
     relabel,
     relative_chain_complex,
 )
-from localhom.chains import ChainComplex
-from localhom.exact import eliminate_unit_pivots, reduce_chain_complex, smith_normal_form
+from localhom.chains import ChainComplex, open_star_chain_complex
+from localhom.exact import chain_reducer, smith_normal_form
 from localhom.homology import HomologyGroup
 from localhom.verification import EXPECTED_HOMOLOGY
 from test_link_route import LABELS, complexes, few
+from test_products import product
 
 Z = HomologyGroup(1)
+# The projective plane as one cell per degree: the 2-cell wraps twice
+# around the loop.
+RP2_CELLS = ChainComplex(0, [((0,),), ((0, 1),), ((0, 1, 2),)], [({},), ({},), ({0: 2},)])
 
 
 def reference_homology(c: ChainComplex) -> dict:
-    """Nonzero groups from the whole-boundary elimination of every degree."""
+    """Nonzero groups from the Smith normal form of every whole dense boundary."""
     ranks, torsions = [], []
-    for columns in c.boundaries:
-        units, core = eliminate_unit_pivots(columns)
-        snf = smith_normal_form(core)
-        ranks.append(units + snf.rank)
+    for d in c.degrees():
+        snf = smith_normal_form(c.boundary(d))
+        ranks.append(snf.rank)
         torsions.append(snf.invariant_factors)
     ranks.append(0)
     torsions.append(())
@@ -69,16 +73,11 @@ def oracle_counts(c: ChainComplex) -> tuple[list, list]:
     return over_q, even
 
 
-def restricted(c: ChainComplex, survivors) -> ChainComplex:
-    """``c`` on the surviving cells only, rows renumbered."""
-    bases, boundaries, position = [], [], {}
-    for basis, columns, live in zip(c.bases, c.boundaries, survivors):
-        boundaries.append(
-            [{position[r]: x for r, x in columns[j].items() if r in position} for j in live]
-        )
-        position = {j: p for p, j in enumerate(live)}
-        bases.append([basis[j] for j in live])
-    return ChainComplex(c.offset, bases, boundaries)
+def morse_complex(c: ChainComplex, cells=None) -> ChainComplex:
+    """The critical cells of ``c`` (or of ``cells``) with their Morse boundaries."""
+    critical, columns = chain_reducer(c.boundaries)(cells)
+    bases = [[basis[j] for j in kept] for basis, kept in zip(c.bases, critical)]
+    return ChainComplex(c.offset, bases, columns)
 
 
 def _complexes_of(k):
@@ -111,11 +110,25 @@ def test_relative_homology_equals_the_reference_and_the_oracle(pair):
 
 @few
 @given(pairs)
-def test_survivors_form_a_chain_complex_with_the_same_homology(pair):
+def test_morse_columns_form_a_chain_complex_with_the_same_homology(pair):
     for c in (*(c for c, _ in _complexes_of(pair.ambient)), relative_chain_complex(pair)):
-        rest = restricted(c, reduce_chain_complex(c.boundaries))
-        rest.check_boundary_squared()
-        assert reference_homology(rest) == reference_homology(c)
+        morse = morse_complex(c)
+        morse.check_boundary_squared()
+        assert reference_homology(morse) == reference_homology(c)
+
+
+@few
+@given(complexes)
+def test_each_open_star_reduces_to_its_quotient_morse_complex(k):
+    # One open-star complex holds every vertex; each vertex's star is
+    # reduced in it as the quotient by the cells that miss the vertex.
+    whole = open_star_chain_complex(k, range(k.n_vertices))
+    cells = [s for basis in whole.bases for s in basis]
+    for v in range(k.n_vertices):
+        star = [x for x, s in enumerate(cells) if v in s]
+        morse = morse_complex(whole, star)
+        morse.check_boundary_squared()
+        assert reference_homology(morse) == reference_homology(open_star_chain_complex(k, [v]))
 
 
 @few
@@ -123,32 +136,32 @@ def test_survivors_form_a_chain_complex_with_the_same_homology(pair):
 def test_reduction_leaves_the_shared_columns_unedited(pair):
     for c in (chain_complex(pair.ambient), relative_chain_complex(pair)):
         before = copy.deepcopy(c.boundaries)
-        reduce_chain_complex(c.boundaries)
+        chain_reducer(c.boundaries)()
         homology(c)
         assert c.boundaries == before
 
 
 @few
 @given(complexes, st.permutations(LABELS))
-def test_survivors_are_a_function_of_the_basis_order(k, image):
+def test_the_morse_complex_is_a_function_of_the_basis_order(k, image):
     prefixed = relabel(k, {lab: "v." + lab for lab in k.labels})
     moved = relabel(k, dict(zip(LABELS, image)))
     for (c, _), (same_order, _), (other_order, _) in zip(
         _complexes_of(k), _complexes_of(prefixed), _complexes_of(moved)
     ):
-        survivors = reduce_chain_complex(c.boundaries)
-        assert reduce_chain_complex(c.boundaries) == survivors
-        assert reduce_chain_complex(same_order.boundaries) == survivors
+        morse = chain_reducer(c.boundaries)()
+        assert chain_reducer(c.boundaries)() == morse
+        assert chain_reducer(same_order.boundaries)() == morse
         # A permutation that reorders the bases may pair other cells and
-        # leave a different number of them (facets h, ad, bde, abcf keep
-        # one vertex and one edge of the augmented complex, or three of
-        # each once relabelled), but never changes their Euler characteristic.
-        other = reduce_chain_complex(other_order.boundaries)
-        assert _euler(other) == _euler(survivors)
+        # leave a different number of critical ones, but never changes
+        # their Euler characteristic or the homology they carry.
+        other = morse_complex(other_order)
+        assert _euler(other.bases) == _euler(morse[0])
+        assert reference_homology(other) == reference_homology(morse_complex(c))
 
 
-def _euler(survivors) -> int:
-    return sum((-1) ** i * len(s) for i, s in enumerate(survivors))
+def _euler(critical) -> int:
+    return sum((-1) ** i * len(s) for i, s in enumerate(critical))
 
 
 def _iterated_prism(name: str, times: int) -> SimplicialComplex:
@@ -184,14 +197,38 @@ def test_grid_torus_40():
 
 
 def test_closed_complexes_start_from_the_augmentation():
+    # No cell has a single face or a single coface, so the queue stalls at
+    # once and vertex 0, the least cell, is made critical.  The Klein
+    # bottle then keeps two loops and a 2-cell wrapping twice around one.
+    c = chain_complex(builtin("klein8"))
+    assert chain_reducer(c.boundaries)() == (
+        ((0,), (6, 9), (14,)),
+        (({},), ({}, {}), ({1: 2},)),
+    )
     for name in ("klein8", "sphere(2)"):
-        c = chain_complex(builtin(name))
-        # No cell has a single face or a single coface, so nothing pairs
-        # until the augmentation gives every vertex the empty face.
-        assert reduce_chain_complex(c.boundaries) == tuple(
-            tuple(range(len(b))) for b in c.bases
-        )
-        assert homology(c).nonzero() == EXPECTED_HOMOLOGY[name]
+        # With the augmentation, vertex 0 pairs with its cell instead, and
+        # every vertex flows to zero.
+        augmented = augmented_chain_complex(builtin(name))
+        critical, _ = chain_reducer(augmented.boundaries)()
+        assert critical[:2] == ((), ())
+        assert homology(chain_complex(builtin(name))).nonzero() == EXPECTED_HOMOLOGY[name]
+
+
+def test_products_reduce_to_few_critical_cells():
+    # T^4 as the staircase product of two 3x3 grid tori (12,150 simplices)
+    # keeps one critical cell per Betti number, degrees -1..4.
+    t4 = augmented_chain_complex(product(_grid_torus(3), _grid_torus(3)))
+    critical, _ = chain_reducer(t4.boundaries)()
+    assert [len(cells) for cells in critical] == [0, 0, 4, 6, 4, 1]
+    t2_rp2 = product(builtin("torus7"), builtin("rp2_6"))
+    critical, _ = chain_reducer(augmented_chain_complex(t2_rp2).boundaries)()
+    assert sum(map(len, critical)) == 11
+    assert homology_of_complex(t2_rp2).nonzero() == {
+        0: Z,
+        1: HomologyGroup(2, (2,)),
+        2: HomologyGroup(1, (2, 2)),
+        3: HomologyGroup(0, (2,)),
+    }
 
 
 def test_relative_complex_with_unbalanced_edges_is_not_augmented():
@@ -212,18 +249,19 @@ def test_relative_complex_with_unbalanced_edges_is_not_augmented():
 
 
 def test_an_entry_of_two_is_not_paired_and_keeps_its_torsion():
-    # The projective plane as one cell per degree: the 2-cell wraps twice
-    # around the loop.
-    c = ChainComplex(0, [((0,),), ((0, 1),), ((0, 1, 2),)], [({},), ({},), ({0: 2},)])
-    assert reduce_chain_complex(c.boundaries) == ((0,), (0,), (0,))
+    assert chain_reducer(RP2_CELLS.boundaries)() == (
+        ((0,), (0,), (0,)),
+        (({},), ({},), ({0: 2},)),
+    )
     augmented = (({},), ({0: 1},), ({},), ({0: 2},))
-    assert reduce_chain_complex(augmented) == ((), (), (0,), (0,))
-    assert homology(c).nonzero() == {0: Z, 1: HomologyGroup(0, (2,))}
+    assert chain_reducer(augmented)() == (((), (), (0,), (0,)), ((), (), ({},), ({0: 2},)))
+    assert homology(RP2_CELLS).nonzero() == {0: Z, 1: HomologyGroup(0, (2,))}
 
 
 def test_degrees_without_surviving_cells_skip_the_elimination(monkeypatch):
-    # A hexagon reduces to one edge: every boundary has no surviving cell
-    # on one side, so no Smith normal form runs at all.
+    # A hexagon reduces to one critical edge with no critical vertex below
+    # it, so no Smith normal form runs at all: the critical cells are what
+    # survives the reduction.
     calls = []
 
     def counting(a):
@@ -235,11 +273,10 @@ def test_degrees_without_surviving_cells_skip_the_elimination(monkeypatch):
         [(str(i), str((i + 1) % 6)) for i in range(6)]
     )
     c = augmented_chain_complex(hexagon)
-    assert reduce_chain_complex(c.boundaries) == ((), (), (5,))
+    assert chain_reducer(c.boundaries)() == (((), (), (5,)), ((), (), ({},)))
     assert homology(c, reduced=True).nonzero() == {1: Z}
     assert calls == []
-    # The projective plane keeps a cell in every degree, so its torsion
-    # still comes from the Smith normal form of the 2-cell's boundary.
-    rp2 = ChainComplex(0, [((0,),), ((0, 1),), ((0, 1, 2),)], [({},), ({},), ({0: 2},)])
-    assert homology(rp2).nonzero() == {0: Z, 1: HomologyGroup(0, (2,))}
+    # The one-cell projective plane keeps its 2-cell's boundary 2, so its
+    # torsion comes from one 1x1 Smith normal form.
+    assert homology(RP2_CELLS).nonzero() == {0: Z, 1: HomologyGroup(0, (2,))}
     assert calls == [(1, 1)]
