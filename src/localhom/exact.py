@@ -11,7 +11,10 @@ each row remembers its coordinates over the tagged vectors.  Rows are
 scaled at a ``±1`` entry where they have one, so ``±1`` boundaries mostly
 stay in ``int``; a ``Fraction`` scale is the fallback.  Rank counts the
 columns that enlarge the span, and each column that does not gives a
-kernel vector from its coordinates.
+kernel vector from its coordinates.  ``kernel_vectors`` yields those
+vectors one at a time from sparse columns, so a caller that needs only
+the first few (Mayer-Vietoris keeps dim Z - rank B cycles per degree)
+eliminates no column past the last one it draws.
 
 Homology needs only the rank and the invariant factors of each boundary,
 and boundaries are sparse with mostly ``±1`` entries.  ``chain_reducer``
@@ -473,26 +476,32 @@ def rank_over_rationals(a: IntegerMatrix) -> int:
     return sum(map(echelon.add, sparse_columns(a)))
 
 
-def kernel_basis_over_rationals(a: IntegerMatrix) -> list[tuple[int, ...]]:
-    """Basis of the rational null space of ``a``.
+def kernel_vectors(columns, n: int):
+    """Yield a basis of the rational null space of ``n`` sparse columns, lazily.
 
-    The columns of ``a`` enter one echelon in order; each column that
-    depends on the earlier ones gives the relation ``e_j - sum of its
-    coordinates`` times their least common denominator, which leaves
-    content 1.  These are the free-column vectors of the reduced row
-    echelon form, in column order, with a positive entry at the free
-    column itself.
+    ``columns`` is an iterable of ``{row: value}`` columns, consumed in
+    order.  The columns enter one echelon; each column that depends on the
+    earlier ones gives the relation ``e_j - sum of its coordinates`` times
+    their least common denominator, which leaves content 1.  These are the
+    free-column vectors of the reduced row echelon form, in column order,
+    with a positive entry at the free column itself, as length-``n``
+    tuples.  Vector ``j`` depends only on columns up to ``j``, so it is
+    yielded as soon as column ``j`` is read, and a caller that stops early
+    reads no further column.
     """
     echelon = RationalEchelon()
-    basis = []
-    for j, col in enumerate(sparse_columns(a)):
+    for j, col in enumerate(columns):
         residual, coordinates = echelon.reduce(col)
         if echelon._store(residual, coordinates, j):
             continue
         scale = lcm(*(c.denominator for c in coordinates.values()))
-        vec = [0] * a.cols
+        vec = [0] * n
         for t, c in coordinates.items():
             vec[t] = -(c * scale).numerator
         vec[j] = scale
-        basis.append(tuple(vec))
-    return basis
+        yield tuple(vec)
+
+
+def kernel_basis_over_rationals(a: IntegerMatrix) -> list[tuple[int, ...]]:
+    """Basis of the rational null space of ``a``, as ``kernel_vectors`` yields it."""
+    return list(kernel_vectors(sparse_columns(a), a.cols))

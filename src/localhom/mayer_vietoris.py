@@ -17,8 +17,12 @@ All of it runs on ``exact.RationalEchelon``.  Each pair keeps one echelon
 per degree: the boundaries go in untagged and the chosen cycles tagged,
 so choosing the cycles and expressing a chain in them (the matrix columns
 of every arrow) share one elimination, and the rank of an arrow is the
-dimension of the span of its rows.  The echelon works in ``int`` on unit
-leads and in ``Fraction`` only without one; neither choice moves the maps.
+dimension of the span of its rows.  The cycles are drawn lazily from the
+sparse boundary columns, and the choice stops once it holds
+dim Z - rank B of them, a count read from the ranks of the boundary
+echelons, so the rest of the kernel is never eliminated.  The echelon
+works in ``int`` on unit leads and in ``Fraction`` only without one;
+neither choice moves the maps.
 
 Chains are indexed by label tuples.  Every complex sorts its labels the
 same way, so orientation signs agree across all the subcomplexes.
@@ -33,7 +37,7 @@ from .chains import relative_chain_complex
 from .complexes import SimplicialComplex, SubcomplexPair
 from .constructions import complex_intersection, complex_union
 from .errors import DecompositionError, InclusionError
-from .exact import RationalEchelon, kernel_basis_over_rationals
+from .exact import RationalEchelon, kernel_vectors
 
 
 def _label_boundary(chain: dict) -> dict:
@@ -54,10 +58,13 @@ class _PairHomology:
 
     Each degree keeps one echelon: the degree-(n+1) boundary columns go in
     untagged, then the kernel vectors of the degree-n boundary (in the
-    deterministic order of the exact kernel routine), each tagged by its
-    position among the chosen cycles when it enlarges the span.  So every
-    computation that starts from the same pair chooses the same cycles,
-    and expressing a cycle is one reduction against that echelon.
+    deterministic order of ``exact.kernel_vectors``), each tagged by its
+    position among the chosen cycles when it enlarges the span.  The
+    choice stops at dim Z_n - rank B_n = |C_n| - rank ∂_n - rank ∂_{n+1}
+    cycles: by then the chosen cycles and the boundaries span Z_n, so no
+    later kernel vector would be chosen.  So every computation that starts
+    from the same pair chooses the same cycles, and expressing a cycle is
+    one reduction against that echelon.
     """
 
     def __init__(self, pair: SubcomplexPair):
@@ -70,22 +77,43 @@ class _PairHomology:
         }
         self._cycles: dict = {}
         self._echelons: dict = {}
+        self._boundary_ranks: dict = {}
 
     def basis_labels(self, n: int) -> list:
         return self._labels.get(n, [])
 
-    def cycles(self, n: int) -> list:
-        """Chosen homology basis at degree n, as integer chain vectors."""
-        if n not in self._cycles:
+    def _echelon(self, n: int) -> RationalEchelon:
+        """Degree-n echelon, built once from the degree-(n+1) boundary columns.
+
+        Records their rank, rank ∂_{n+1}, before any cycle is added.
+        """
+        if n not in self._echelons:
             echelon = RationalEchelon()
             for col in self.cc.columns(n + 1):
                 echelon.add(col)
-            chosen = []
-            for vec in kernel_basis_over_rationals(self.cc.boundary(n)):
-                if echelon.add(dict(enumerate(vec)), tag=len(chosen)):
-                    chosen.append(vec)
-            self._cycles[n] = chosen
             self._echelons[n] = echelon
+            self._boundary_ranks[n] = len(echelon)
+        return self._echelons[n]
+
+    def cycles(self, n: int) -> list:
+        """Chosen homology basis at degree n, as integer chain vectors."""
+        if n not in self._cycles:
+            echelon = self._echelon(n)
+            self._echelon(n - 1)  # records rank ∂_n
+            size = len(self.cc.basis(n))
+            wanted = size - self._boundary_ranks[n - 1] - self._boundary_ranks[n]
+            chosen = []
+            if wanted:
+                for vec in kernel_vectors(self.cc.columns(n), size):
+                    if echelon.add(dict(enumerate(vec)), tag=len(chosen)):
+                        chosen.append(vec)
+                        if len(chosen) == wanted:
+                            break
+                else:
+                    raise RuntimeError(
+                        f"kernel ran out after {len(chosen)} of {wanted} cycles in degree {n}"
+                    )
+            self._cycles[n] = chosen
         return self._cycles[n]
 
     def rank(self, n: int) -> int:
@@ -111,7 +139,9 @@ class _PairHomology:
                     f"chain touches simplex {simplex} outside the relative basis"
                 )
             target[position[simplex]] = coeff
-        rank = self.rank(n)  # chooses the cycles, so builds the echelon
+        # Choose the cycles first: cycles(n + 1) may have built this echelon
+        # with the boundaries only.
+        rank = self.rank(n)
         residual, coordinates = self._echelons[n].reduce(target)
         if residual:
             raise InclusionError("chain is not a cycle in the span of the basis")

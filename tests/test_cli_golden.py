@@ -10,7 +10,11 @@ as a changed byte.  ``tests/data/homology_cli_golden.json`` holds
 groups carry torsion (plus the empty complex), and
 ``tests/data/verify_paper_golden.json`` the whole ``verify-paper --json``
 document; both were recorded before the unit-pivot elimination moved
-onto the rational echelon.  Constructed complexes are written to
+onto the rational echelon.  ``tests/data/mv_cli_golden.json`` holds
+``mv`` text and ``--json`` on four covers (octahedron hemispheres, a
+wedge cover with deleted stars, the 4x4 grid torus halves, two triangles
+glued along an edge) plus one ``--max-degree 0`` run, recorded before the
+cycle choice stopped at dim Z - rank B.  Constructed complexes are written to
 ``.scx`` files under relative names, so the ``complex`` field does not
 depend on where the test runs.
 """
@@ -24,17 +28,21 @@ from localhom import (
     builtin,
     cone,
     disjoint_union,
+    full_subcomplex,
     parse_complex,
     prism_product,
     wedge,
 )
 from localhom.cli import main
 from localhom.scx import write_complex
+from localhom.verification import wedge_decomposition
+from test_mayer_vietoris import _grid_torus_halves
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "local_cli_golden.json"
 HOMOLOGY_GOLDEN = DATA / "homology_cli_golden.json"
 VERIFY_GOLDEN = DATA / "verify_paper_golden.json"
+MV_GOLDEN = DATA / "mv_cli_golden.json"
 
 
 def corpus() -> dict:
@@ -113,3 +121,57 @@ def test_homology_json_is_byte_identical_to_the_recorded_output(
 def test_verify_paper_json_is_byte_identical_to_the_recorded_output(capsys):
     assert main(["verify-paper", "--json"]) == 0
     assert capsys.readouterr().out == VERIFY_GOLDEN.read_text(encoding="utf-8")
+
+
+def mv_covers() -> dict:
+    """Covers ``(k, a, b, c, d)`` for ``mv``; ``c`` and ``d`` may be None."""
+    oct_ = builtin("octahedron")
+    hemispheres = (
+        oct_,
+        full_subcomplex(oct_, ["1", "2", "3", "4", "5"]),
+        full_subcomplex(oct_, ["2", "3", "4", "5", "6"]),
+        None,
+        None,
+    )
+    wedge_cover = wedge_decomposition(oct_, "1")
+    halves = _grid_torus_halves(4)
+    return {
+        "octahedron-hemispheres": hemispheres,
+        "wedge-octahedron": tuple(
+            getattr(wedge_cover, part) for part in ("k", "a", "b", "c", "d")
+        ),
+        "halves-torus-4x4": (halves.k, halves.a, halves.b, None, None),
+        "glued-triangles": (
+            parse_complex("a b c\nb c d"),
+            parse_complex("a b c"),
+            parse_complex("b c d"),
+            None,
+            None,
+        ),
+    }
+
+
+def mv_outputs(capsys) -> dict[str, str]:
+    """``mv`` text and ``--json`` on every cover, plus one ``--max-degree 0`` run."""
+    found = {}
+    for name, parts in mv_covers().items():
+        argv = ["mv"]
+        for flag, part in zip(("--in", "--a", "--b", "--c", "--d"), parts):
+            if part is not None:
+                path = f"{name}-{flag[2:]}.scx"
+                write_complex(path, part)
+                argv += [flag, path]
+        runs = [argv, argv + ["--json"]]
+        if name == "octahedron-hemispheres":
+            runs += [argv + ["--max-degree", "0"], argv + ["--max-degree", "0", "--json"]]
+        for run in runs:
+            assert main(run) == 0, run
+            found[" ".join(run)] = capsys.readouterr().out
+    return found
+
+
+def test_mv_output_is_byte_identical_to_the_recorded_output(
+    tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    assert_matches(mv_outputs(capsys), MV_GOLDEN)

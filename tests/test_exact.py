@@ -18,6 +18,7 @@ from localhom.exact import (
     chain_reducer,
     determinant,
     kernel_basis_over_rationals,
+    kernel_vectors,
     multiply,
     rank_over_rationals,
     smith_normal_form,
@@ -508,3 +509,35 @@ def test_unit_leads_keep_integer_rows_residuals_and_coordinates():
         assert all(type(x) is int for x in coords.values())
         seen_coordinates += bool(coords)
     assert seen_coordinates > 0
+
+
+def test_kernel_vectors_yield_the_kernel_basis():
+    cases = [
+        TRIANGLE_D1,
+        IntegerMatrix(2, 4, [[2, 4, 6, 0], [0, 2, 2, 2]]),
+        IntegerMatrix(1, 3, [[6, 3, 2]]),
+        IntegerMatrix(1, 3, [[1, 2, -4]]),
+        IntegerMatrix(2, 3, [[4, 6, 0], [0, 0, 0]]),
+        *_seeded_rational_cases(),  # zero and empty shapes first
+    ]
+    for a in cases:
+        assert list(kernel_vectors(sparse_columns(a), a.cols)) == kernel_basis_over_rationals(a)
+
+
+def test_kernel_vectors_read_no_column_past_the_vector_drawn():
+    # Columns 0 to 2 are independent; column 3 is the first that depends
+    # on the earlier ones, so the first vector needs four columns only.
+    columns = [{0: 1}, {1: 2}, {0: 1, 2: 1}, {0: 2, 1: 2}, {2: 1}, {1: 1}]
+    read = []
+
+    def counted():
+        for col in columns:
+            read.append(col)
+            yield col
+
+    vectors = kernel_vectors(counted(), len(columns))
+    assert read == []
+    assert next(vectors) == (-2, -1, 0, 1, 0, 0)
+    assert len(read) == 4
+    assert next(vectors) == (1, 0, -1, 0, 1, 0)
+    assert len(read) == 5

@@ -3,19 +3,31 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given
 
+import oracle
 from localhom import (
     SimplicialComplex,
     SubcomplexPair,
     builtin,
+    cone,
+    deleted,
     full_subcomplex,
     induced_map,
     parse_complex,
+    prism_product,
+    relative_homology,
     wedge,
 )
 from localhom.errors import DecompositionError, InclusionError
-from localhom.mayer_vietoris import MvDecomposition, _PairHomology, mv_exactness_check
+from localhom.mayer_vietoris import (
+    MvDecomposition,
+    _PairHomology,
+    kernel_vectors,
+    mv_exactness_check,
+)
 from localhom.verification import wedge_decomposition
+from test_link_route import complexes, few
 from test_reduction import _grid_torus
 
 
@@ -329,3 +341,52 @@ def test_grid_torus_halves_match_the_fraction_echelon(monkeypatch):
     for name in ("phi", "psi", "delta"):
         assert _pinned(getattr(report, name)) == _pinned(getattr(reference, name))
     assert report.records() == reference.records()
+
+
+def test_grid_torus_halves_draw_only_the_cycles_they_keep(monkeypatch):
+    # Each degree stops drawing kernel vectors once it holds
+    # dim Z - rank B cycles; drawing the whole kernel took 422 vectors.
+    drawn = []
+
+    def counted(columns, n):
+        for vec in kernel_vectors(columns, n):
+            drawn.append(vec)
+            yield vec
+
+    monkeypatch.setattr("localhom.mayer_vietoris.kernel_vectors", counted)
+    assert mv_exactness_check(_grid_torus_halves(8), 3).exact
+    assert len(drawn) == 127
+
+
+def test_a_kernel_that_runs_out_early_is_refused(monkeypatch):
+    monkeypatch.setattr("localhom.mayer_vietoris.kernel_vectors", lambda columns, n: iter(()))
+    pair = _PairHomology(SubcomplexPair(builtin("sphere(2)"), SimplicialComplex.empty()))
+    assert pair.cycles(1) == []  # nothing is wanted, so nothing is drawn
+    with pytest.raises(RuntimeError, match="in degree 2"):
+        pair.cycles(2)
+
+
+@few
+@given(complexes)
+def test_cycle_count_matches_the_oracle_betti_numbers(k):
+    facets = [k.simplex_labels(f) for f in k.facets()]
+    betti = oracle.betti_numbers(facets, oracle.rank_q)
+    pair = _PairHomology(SubcomplexPair(k, SimplicialComplex.empty()))
+    assert [pair.rank(n) for n in range(k.dim + 2)] == betti + [0]
+
+
+def test_cycle_count_matches_relative_homology_on_prism_and_deleted_star_pairs():
+    rp2 = builtin("rp2_6")
+    pairs = [prism_product(builtin(name)) for name in ("sphere(1)", "rp2_6", "octahedron")]
+    for k, labels in (
+        (rp2, ["1", "2"]),
+        (builtin("klein8"), ["1", "2"]),
+        (cone(rp2, "apex"), ["apex", "1"]),
+        (wedge(rp2, "1", rp2, "1"), ["w", "L.2"]),
+    ):
+        pairs += [SubcomplexPair(k, deleted(k, lab)) for lab in labels]
+    for pair in pairs:
+        summary = relative_homology(pair)
+        counts = _PairHomology(pair)
+        for n in range(pair.ambient.dim + 2):
+            assert counts.rank(n) == summary.group(n).free_rank, (pair, n)
