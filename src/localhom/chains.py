@@ -7,17 +7,20 @@ Each boundary is stored once, as sparse ``{row: ±1}`` columns built from
 the simplex index; a dense matrix is built only on request.  The columns
 are shared, never edited: homology reduces the complex to its discrete
 Morse complex by marking cells dead and writes the critical cells' Morse
-boundaries as new columns.
+boundaries as new columns.  ``chain_boundary`` applies the same signs to
+a chain keyed by simplices.
 A chain complex may start at degree -1 (the augmented complex used for
-reduced homology, whose extra basis element is the empty simplex).  The
-open-star complex is the quotient by the simplices that miss a vertex
-set, the one complex local homology is read from.
+reduced homology, whose extra basis element is the empty simplex).  A
+quotient complex takes its basis from sets of a complex's simplices, so
+the pieces of a cover share one numbering.  The open-star complex is the
+quotient by the simplices that miss a vertex set, the one complex local
+homology is read from.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, filterfalse
 
 from .complexes import SimplicialComplex, SubcomplexPair, Simplex
 from .errors import ChainComplexError
@@ -135,19 +138,34 @@ def augmented_chain_complex(k: SimplicialComplex) -> ChainComplex:
     return ChainComplex(-1, bases, boundaries)
 
 
-def relative_chain_complex(pair: SubcomplexPair) -> ChainComplex:
-    """Quotient chain complex of a pair.
+def chain_boundary(chain: dict[Simplex, int]) -> dict[Simplex, int]:
+    """Boundary of a chain keyed by simplices: the columns' signs, no empty face."""
+    out: dict[Simplex, int] = {}
+    for s, coeff in chain.items():
+        for drop in range(len(s) if len(s) > 1 else 0):
+            face = s[:drop] + s[drop + 1 :]
+            out[face] = out.get(face, 0) + (-coeff if drop % 2 else coeff)
+    return {face: c for face, c in out.items() if c}
 
-    Bases are the ambient simplices not in the subcomplex; boundary faces
-    that land in the subcomplex are dropped.
+
+def quotient_chain_complex(k: SimplicialComplex, sub, ambient=None) -> ChainComplex:
+    """Chains on ``ambient`` (all of ``k`` when None) modulo chains on ``sub``.
+
+    Both are face-closed sets of simplices of ``k``.  The basis is
+    ``ambient - sub`` in ``k``'s order; faces in ``sub`` are dropped.
     """
-    k = pair.ambient
-    excluded = pair.sub_simplices_in_ambient()
-    bases = [
-        tuple(s for s in k.simplices(d) if s not in excluded)
-        for d in range(k.dim + 1)
-    ]
+    bases = []
+    for d in range(k.dim + 1):
+        cells = k.simplices(d)
+        if ambient is not None:
+            cells = filter(ambient.__contains__, cells)
+        bases.append(tuple(filterfalse(sub.__contains__, cells)))
     return ChainComplex(0, bases, map(_boundary_columns, [()] + bases, bases))
+
+
+def relative_chain_complex(pair: SubcomplexPair) -> ChainComplex:
+    """Quotient chain complex of a pair, in the ambient complex's numbering."""
+    return quotient_chain_complex(pair.ambient, pair.sub_simplices_in_ambient())
 
 
 def open_star_chain_complex(k: SimplicialComplex, vertices) -> ChainComplex:

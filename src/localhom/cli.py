@@ -91,9 +91,7 @@ def cmd_local(args) -> int:
 
 
 def cmd_construct(args) -> int:
-    primary = (
-        builtin(args.builtin) if args.builtin is not None else read_complex(args.in_path)
-    )
+    _, primary = _load_input(args)
     secondary = None
     if args.builtin2 is not None:
         secondary = builtin(args.builtin2)

@@ -180,15 +180,22 @@ class SimplicialComplex:
     def label_facets(self) -> list[tuple[str, ...]]:
         return [self.simplex_labels(f) for f in self.facets()]
 
+    def simplices_in(self, other: "SimplicialComplex") -> Iterator[Simplex]:
+        """The simplices of self in ``other``'s vertex numbering, matched by label.
+
+        Raises ``UnknownVertexError`` at once for a vertex ``other`` lacks;
+        a translated simplex need not be a simplex of ``other``.
+        """
+        translate = [other.index_of(lab) for lab in self.labels]
+        return (tuple(sorted(map(translate.__getitem__, s))) for s in self.all_simplices())
+
     def is_subcomplex_of(self, other: "SimplicialComplex") -> bool:
         """True when every simplex of self is a simplex of other (by labels)."""
-        if not all(other.has_vertex(lab) for lab in self.labels):
+        try:
+            simplices = self.simplices_in(other)
+        except UnknownVertexError:
             return False
-        translate = [other.index_of(lab) for lab in self.labels]
-        for s in self.all_simplices():
-            if not other.has_simplex(tuple(sorted(translate[i] for i in s))):
-                return False
-        return True
+        return all(map(other.has_simplex, simplices))
 
     # -- equality ----------------------------------------------------------
 
@@ -224,8 +231,4 @@ class SubcomplexPair:
 
     def sub_simplices_in_ambient(self) -> set:
         """Simplices of the subcomplex in the ambient index convention."""
-        translate = [self.ambient.index_of(lab) for lab in self.sub.labels]
-        return {
-            tuple(sorted(translate[i] for i in s))
-            for s in self.sub.all_simplices()
-        }
+        return set(self.sub.simplices_in(self.ambient))

@@ -162,23 +162,3 @@ def punctured_pair(pair: SubcomplexPair, v: str) -> SubcomplexPair:
         raise UnknownVertexError(v)
     return SubcomplexPair(deleted(pair.ambient, v), deleted(pair.sub, v))
 
-
-def complex_intersection(
-    k1: SimplicialComplex, k2: SimplicialComplex
-) -> SimplicialComplex:
-    """Simplices present in both complexes (compared by labels)."""
-    facets = [
-        k1.simplex_labels(s)
-        for s in k1.all_simplices()
-        if k2.contains_labelled(k1.simplex_labels(s))
-    ]
-    return SimplicialComplex.from_label_facets(facets)
-
-
-def complex_union(
-    k1: SimplicialComplex, k2: SimplicialComplex
-) -> SimplicialComplex:
-    """Union of two complexes living on a shared label space."""
-    facets = [k1.simplex_labels(s) for s in k1.facets()]
-    facets += [k2.simplex_labels(s) for s in k2.facets()]
-    return SimplicialComplex.from_label_facets(facets)

@@ -24,63 +24,63 @@ echelons, so the rest of the kernel is never eliminated.  The echelon
 works in ``int`` on unit leads and in ``Fraction`` only without one;
 neither choice moves the maps.
 
-Chains are indexed by label tuples.  Every complex sorts its labels the
-same way, so orientation signs agree across all the subcomplexes.
+Every piece is a set of ``k``'s simplices in ``k``'s own numbering, and a
+pair's chains are the quotient of two such sets, keyed by ``k``'s index
+tuples; an inclusion drops the target's subcomplex.  Every complex sorts
+its labels, so each pair's basis order and signs, and with them its
+cycles and maps, are those of the pair read on its own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 
-from .chains import relative_chain_complex
+from .chains import chain_boundary, quotient_chain_complex
 from .complexes import SimplicialComplex, SubcomplexPair
-from .constructions import complex_intersection, complex_union
-from .errors import DecompositionError, InclusionError
+from .errors import DecompositionError, InclusionError, UnknownVertexError
 from .exact import RationalEchelon, kernel_vectors
 
 
-def _label_boundary(chain: dict) -> dict:
-    """Boundary of a chain keyed by sorted label tuples."""
-    out: dict = {}
-    for simplex, coeff in chain.items():
-        for drop in range(len(simplex)):
-            face = simplex[:drop] + simplex[drop + 1 :]
-            if not face:
-                continue
-            sign = -1 if drop % 2 else 1
-            out[face] = out.get(face, 0) + sign * coeff
-    return {s: c for s, c in out.items() if c}
+def _cells_in(part: SimplicialComplex, k: SimplicialComplex, inside, error) -> frozenset:
+    """``part``'s simplices in ``k``'s numbering; ``error`` unless each is ``inside``."""
+    try:
+        cells = frozenset(part.simplices_in(k))
+    except UnknownVertexError:
+        raise error from None
+    if not all(map(inside, cells)):
+        raise error
+    return cells
 
 
 class _PairHomology:
-    """Rational homology bases of one relative chain complex.
+    """Rational homology bases of the pair ``(ambient, sub)`` of cell sets of ``k``.
 
-    Each degree keeps one echelon: the degree-(n+1) boundary columns go in
-    untagged, then the kernel vectors of the degree-n boundary (in the
-    deterministic order of ``exact.kernel_vectors``), each tagged by its
-    position among the chosen cycles when it enlarges the span.  The
-    choice stops at dim Z_n - rank B_n = |C_n| - rank ∂_n - rank ∂_{n+1}
-    cycles: by then the chosen cycles and the boundaries span Z_n, so no
-    later kernel vector would be chosen.  So every computation that starts
-    from the same pair chooses the same cycles, and expressing a cycle is
-    one reduction against that echelon.
+    The basis in each degree is the simplices of ``k`` in ``ambient - sub``
+    (``ambient`` None is all of ``k``) in ``k``'s order, and chains are
+    keyed by ``k``'s index tuples.  Each degree keeps one echelon: the
+    degree-(n+1) boundary columns go in untagged, then the kernel vectors
+    of the degree-n boundary (in the deterministic order of
+    ``exact.kernel_vectors``), each tagged by its position among the
+    chosen cycles when it enlarges the span.  The choice stops at
+    dim Z_n - rank B_n = |C_n| - rank ∂_n - rank ∂_{n+1} cycles: by then
+    the chosen cycles and the boundaries span Z_n, so no later kernel
+    vector would be chosen.  So every computation that starts from the
+    same pair chooses the same cycles, and expressing a cycle is one
+    reduction against that echelon.
     """
 
-    def __init__(self, pair: SubcomplexPair):
-        self.pair = pair
-        self.cc = relative_chain_complex(pair)
-        ambient = pair.ambient
-        self._labels = {
-            n: [ambient.simplex_labels(s) for s in self.cc.basis(n)]
-            for n in self.cc.degrees()
+    def __init__(self, k: SimplicialComplex, ambient, sub):
+        self.k = k
+        self.sub = sub
+        self.cc = quotient_chain_complex(k, sub, ambient)
+        self._positions = {
+            n: {s: i for i, s in enumerate(self.cc.basis(n))} for n in self.cc.degrees()
         }
         self._cycles: dict = {}
         self._echelons: dict = {}
         self._boundary_ranks: dict = {}
-
-    def basis_labels(self, n: int) -> list:
-        return self._labels.get(n, [])
 
     def _echelon(self, n: int) -> RationalEchelon:
         """Degree-n echelon, built once from the degree-(n+1) boundary columns.
@@ -120,8 +120,8 @@ class _PairHomology:
         return len(self.cycles(n))
 
     def chain_dict(self, n: int, vec) -> dict:
-        labels = self.basis_labels(n)
-        return {labels[i]: c for i, c in enumerate(vec) if c}
+        basis = self.cc.basis(n)
+        return {basis[i]: c for i, c in enumerate(vec) if c}
 
     def express(self, n: int, chain: dict) -> list:
         """Coordinates of a relative cycle in the degree-n homology basis.
@@ -129,14 +129,15 @@ class _PairHomology:
         The chosen cycles are independent modulo boundaries, so the
         coordinates are unique.
         """
-        position = {s: i for i, s in enumerate(self.basis_labels(n))}
+        position = self._positions.get(n, {})
         target = {}
         for simplex, coeff in chain.items():
             if coeff == 0:
                 continue
             if simplex not in position:
                 raise InclusionError(
-                    f"chain touches simplex {simplex} outside the relative basis"
+                    f"chain touches simplex {self.k.simplex_labels(simplex)} "
+                    "outside the relative basis"
                 )
             target[position[simplex]] = coeff
         # Choose the cycles first: cycles(n + 1) may have built this echelon
@@ -150,14 +151,7 @@ class _PairHomology:
 
 def _push_chain(chain: dict, target: _PairHomology) -> dict:
     """Image of a chain under inclusion into another pair's quotient."""
-    sub = target.pair.sub
-    out = {}
-    for simplex, coeff in chain.items():
-        if not target.pair.ambient.contains_labelled(simplex):
-            raise InclusionError(f"simplex {simplex} is missing from the target pair")
-        if not sub.contains_labelled(simplex):
-            out[simplex] = coeff
-    return out
+    return {s: c for s, c in chain.items() if s not in target.sub}
 
 
 @dataclass(frozen=True)
@@ -206,18 +200,19 @@ class RationalMap:
         return RationalMap(other.degree, entries, self.rows, other.cols)
 
 
-def _validate_pair_inclusion(source: SubcomplexPair, target: SubcomplexPair) -> None:
-    if not source.ambient.is_subcomplex_of(target.ambient):
-        raise InclusionError("source ambient is not contained in target ambient")
-    if not source.sub.is_subcomplex_of(target.sub) and not source.sub.is_empty():
-        raise InclusionError("source subcomplex is not contained in target subcomplex")
-
-
 def induced_map(source: SubcomplexPair, target: SubcomplexPair, degree: int) -> RationalMap:
-    """Matrix of the inclusion-induced map on rational homology."""
-    _validate_pair_inclusion(source, target)
-    sp = _PairHomology(source)
-    tp = _PairHomology(target)
+    """Matrix of the inclusion-induced map on rational homology.
+
+    Both pairs are numbered in ``target.ambient``.
+    """
+    k = target.ambient
+    error = InclusionError("source ambient is not contained in target ambient")
+    ambient = _cells_in(source.ambient, k, k.has_simplex, error)
+    target_sub = target.sub_simplices_in_ambient()
+    error = InclusionError("source subcomplex is not contained in target subcomplex")
+    sub = _cells_in(source.sub, k, target_sub.__contains__, error)
+    sp = _PairHomology(k, ambient, sub)
+    tp = _PairHomology(k, None, target_sub)
     columns = []
     for vec in sp.cycles(degree):
         chain = sp.chain_dict(degree, vec)
@@ -227,7 +222,12 @@ def induced_map(source: SubcomplexPair, target: SubcomplexPair, degree: int) -> 
 
 @dataclass(frozen=True, slots=True)
 class MvDecomposition:
-    """Covering data ``k = a | b`` with subcomplexes ``c <= a``, ``d <= b``."""
+    """Covering data ``k = a | b`` with subcomplexes ``c <= a``, ``d <= b``.
+
+    Each piece is checked and kept as the set of its simplices in ``k``'s
+    numbering; ``intersection``, ``sub_intersection`` and ``y`` are the
+    complexes of ``a & b``, ``c & d`` and ``c | d``.
+    """
 
     k: SimplicialComplex
     a: SimplicialComplex
@@ -237,31 +237,34 @@ class MvDecomposition:
     intersection: SimplicialComplex = field(init=False)
     sub_intersection: SimplicialComplex = field(init=False)
     y: SimplicialComplex = field(init=False)
+    _cells: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        k, a, b = self.k, self.a, self.b
+        k = self.k
         c = self.c if self.c is not None else SimplicialComplex.empty()
         d = self.d if self.d is not None else SimplicialComplex.empty()
-        for name, part, whole in (
-            ("a", a, k),
-            ("b", b, k),
-            ("c", c, a),
-            ("d", d, b),
-        ):
-            if not part.is_subcomplex_of(whole) and not part.is_empty():
-                raise DecompositionError(f"{name} is not a subcomplex of its ambient")
+
+        def piece(name: str, part: SimplicialComplex, inside) -> frozenset:
+            error = DecompositionError(f"{name} is not a subcomplex of its ambient")
+            return _cells_in(part, k, inside, error)
+
+        a_cells = piece("a", self.a, k.has_simplex)
+        b_cells = piece("b", self.b, k.has_simplex)
+        c_cells = piece("c", c, a_cells.__contains__)
+        d_cells = piece("d", d, b_cells.__contains__)
         for s in k.all_simplices():
-            labels = k.simplex_labels(s)
-            if not (a.contains_labelled(labels) or b.contains_labelled(labels)):
+            if s not in a_cells and s not in b_cells:
                 raise DecompositionError(
-                    f"simplex {labels} lies in neither covering piece"
+                    f"simplex {k.simplex_labels(s)} lies in neither covering piece"
                 )
+        closed = partial(SimplicialComplex.from_index_simplices, k.labels)
         for name, value in (
             ("c", c),
             ("d", d),
-            ("intersection", complex_intersection(a, b)),
-            ("sub_intersection", complex_intersection(c, d)),
-            ("y", complex_union(c, d)),
+            ("intersection", closed(a_cells & b_cells)),
+            ("sub_intersection", closed(c_cells & d_cells)),
+            ("y", closed(c_cells | d_cells)),
+            ("_cells", (a_cells, b_cells, c_cells, d_cells)),
         ):
             object.__setattr__(self, name, value)
 
@@ -337,22 +340,18 @@ def _connecting_chain(
     boundary of the ``a`` part, and corrects coefficients sitting on the
     ``c`` side so the result satisfies both quotient congruences.
     """
-    a, b, c, d = decomposition.a, decomposition.b, decomposition.c, decomposition.d
+    a, _, c, d = decomposition._cells
     a_part, b_part = {}, {}
     for simplex, coeff in chain.items():
-        if a.contains_labelled(simplex):
-            a_part[simplex] = coeff
-        elif b.contains_labelled(simplex):
-            b_part[simplex] = coeff
-        else:  # unreachable: the decomposition covers k
-            raise DecompositionError(f"simplex {simplex} not carried by the cover")
-    bound_a = _label_boundary(a_part)
-    bound_b = _label_boundary(b_part)
+        # The cover is checked, so a simplex outside a lies in b.
+        (a_part if simplex in a else b_part)[simplex] = coeff
+    bound_a = chain_boundary(a_part)
+    bound_b = chain_boundary(b_part)
     out = {}
     for simplex in set(bound_a) | set(bound_b):
-        if not c.contains_labelled(simplex):
+        if simplex not in c:
             coeff = bound_a.get(simplex, 0)
-        elif not d.contains_labelled(simplex):
+        elif simplex not in d:
             coeff = -bound_b.get(simplex, 0)
         else:
             continue  # lands in the subcomplex of the intersection pair
@@ -362,10 +361,10 @@ def _connecting_chain(
     # Internal guards: out == bound_a modulo chains in c, and
     # out == -bound_b modulo chains in d.
     for s in set(out) | set(bound_a):
-        if out.get(s, 0) != bound_a.get(s, 0) and not c.contains_labelled(s):
+        if out.get(s, 0) != bound_a.get(s, 0) and s not in c:
             raise RuntimeError("connecting chain violates the first congruence")
     for s in set(out) | set(bound_b):
-        if out.get(s, 0) != -bound_b.get(s, 0) and not d.contains_labelled(s):
+        if out.get(s, 0) != -bound_b.get(s, 0) and s not in d:
             raise RuntimeError("connecting chain violates the second congruence")
     return out
 
@@ -381,12 +380,11 @@ def mv_exactness_check(decomposition: MvDecomposition, max_degree: int) -> MvRep
     if max_degree < 0:
         raise DecompositionError(f"max degree must be at least 0, got {max_degree}")
     m = decomposition
-    int_pair = _PairHomology(
-        SubcomplexPair(m.intersection, m.sub_intersection)
-    )
-    left = _PairHomology(SubcomplexPair(m.a, m.c))
-    right = _PairHomology(SubcomplexPair(m.b, m.d))
-    total = _PairHomology(SubcomplexPair(m.k, m.y))
+    a, b, c, d = m._cells
+    int_pair = _PairHomology(m.k, a & b, c & d)
+    left = _PairHomology(m.k, a, c)
+    right = _PairHomology(m.k, b, d)
+    total = _PairHomology(m.k, None, c | d)
 
     def phi(n: int) -> RationalMap:
         columns = []

@@ -135,6 +135,14 @@ def pseudomanifold_check(
     return PseudomanifoldFlags(pure, ridge_condition, strongly_connected, closed)
 
 
+def _witness_record(witness: tuple[int, HomologyGroup] | None) -> dict | None:
+    """``{degree, rank, torsion}`` of a witness group, None without one."""
+    if witness is None:
+        return None
+    degree, group = witness
+    return {"degree": degree, "rank": group.free_rank, "torsion": list(group.torsion)}
+
+
 @dataclass(frozen=True)
 class ObstructionReport:
     """Aggregate manifold verdict for a whole complex."""
@@ -187,13 +195,7 @@ class ObstructionReport:
             "overall": self.overall,
             "inferred_dimension": self.inferred_dimension,
             "witness_vertex": self.witness_vertex,
-            "witness": None
-            if self.witness is None
-            else {
-                "degree": self.witness[0],
-                "rank": self.witness[1].free_rank,
-                "torsion": list(self.witness[1].torsion),
-            },
+            "witness": _witness_record(self.witness),
             "reason": self.reason,
             "pseudomanifold": {
                 "pure": self.flags.pure,
@@ -206,13 +208,7 @@ class ObstructionReport:
                     "vertex": verdict.vertex,
                     "category": verdict.category,
                     "dimension": verdict.dimension,
-                    "witness": None
-                    if verdict.witness is None
-                    else {
-                        "degree": verdict.witness[0],
-                        "rank": verdict.witness[1].free_rank,
-                        "torsion": list(verdict.witness[1].torsion),
-                    },
+                    "witness": _witness_record(verdict.witness),
                 }
                 for verdict in self.verdicts
             ],

@@ -19,6 +19,8 @@ from itertools import combinations
 from .catalog import CLOSED_SURFACES, builtin
 from .complexes import SimplicialComplex, SubcomplexPair
 from .constructions import (
+    WEDGE_POINT,
+    bottom_label,
     cone,
     deleted,
     full_subcomplex,
@@ -86,13 +88,13 @@ def check_wedge_point() -> tuple[list[str], str]:
         m = builtin(name)
         base = sorted(m.labels)[0]
         w = wedge(m, base, m, base)
-        local = local_homology(w, "w")
+        local = local_homology(w, WEDGE_POINT)
         if local.group(1) != HomologyGroup(1):
             failures.append(f"{name}: H_1 at wedge point is {local.group(1)}, not Z")
         if local.group(2) != HomologyGroup(2):
             failures.append(f"{name}: H_2 at wedge point is {local.group(2)}, not Z^2")
         report = obstruction_report(w)
-        if report.overall != NOT_A_MANIFOLD or report.witness_vertex != "w":
+        if report.overall != NOT_A_MANIFOLD or report.witness_vertex != WEDGE_POINT:
             failures.append(f"{name}: report did not single out the wedge point")
     return failures, f"{len(WEDGE_SURFACES)} wedges verified"
 
@@ -150,8 +152,7 @@ def check_prism_pairs() -> tuple[list[str], str]:
         m = builtin(name)
         pair = prism_product(m)
         for lab in m.labels:
-            bottom = lab + ".0"
-            punctured = relative_homology(punctured_pair(pair, bottom))
+            punctured = relative_homology(punctured_pair(pair, bottom_label(lab)))
             base = local_homology(m, lab)
             tested += 1
             if punctured != base:
@@ -217,13 +218,12 @@ def check_excision() -> tuple[list[str], str]:
 def wedge_decomposition(m: SimplicialComplex, base: str) -> MvDecomposition:
     """The covering of a wedge by its two halves and their deleted stars."""
     w = wedge(m, base, m, base)
-    left = full_subcomplex(
-        w, [lab for lab in w.labels if lab.startswith("L.")] + ["w"]
+    left, right = (
+        full_subcomplex(w, [lab for lab in w.labels if lab.startswith(side)] + [WEDGE_POINT])
+        for side in ("L.", "R.")
     )
-    right = full_subcomplex(
-        w, [lab for lab in w.labels if lab.startswith("R.")] + ["w"]
-    )
-    return MvDecomposition(w, left, right, deleted(left, "w"), deleted(right, "w"))
+    c, d = (deleted(half, WEDGE_POINT) for half in (left, right))
+    return MvDecomposition(w, left, right, c, d)
 
 
 def check_mayer_vietoris() -> tuple[list[str], str]:

@@ -10,12 +10,13 @@ from localhom import (
     augmented_chain_complex,
     cone,
     deleted,
+    full_subcomplex,
     parse_complex,
     prism_product,
     relative_chain_complex,
     wedge,
 )
-from localhom.chains import ChainComplex
+from localhom.chains import ChainComplex, chain_boundary, quotient_chain_complex
 from localhom.errors import ChainComplexError
 from localhom.exact import IntegerMatrix, sparse_columns
 from localhom.homology import homology
@@ -108,6 +109,28 @@ def test_relative_disk_modulo_boundary():
     rel = relative_chain_complex(SubcomplexPair(disk, boundary))
     assert [len(rel.basis(d)) for d in range(3)] == [0, 0, 1]
     assert rel.boundary(2).is_zero()
+
+
+def test_chain_boundary_has_the_signs_of_the_columns():
+    c = chain_complex(builtin("torus7"))
+    for n in (1, 2):
+        rows, cells = c.basis(n - 1), c.basis(n)
+        for s, col in zip(cells, c.columns(n)):
+            assert chain_boundary({s: 3}) == {rows[i]: 3 * x for i, x in col.items()}
+    edges = c.basis(1)
+    cycle = {edges[0]: 1, edges[1]: -1}
+    assert chain_boundary({**cycle, **{s: 0 for s in edges[2:4]}}) == chain_boundary(cycle)
+    assert chain_boundary({(0,): 5}) == {}
+
+
+def test_quotient_of_cell_sets_keeps_the_order_of_k():
+    k = builtin("octahedron")
+    upper = set(full_subcomplex(k, ["1", "2", "3", "4", "5"]).simplices_in(k))
+    equator = set(full_subcomplex(k, ["2", "3", "4", "5"]).simplices_in(k))
+    c = quotient_chain_complex(k, equator, upper)
+    whole = chain_complex(k)
+    for n in range(3):
+        assert c.basis(n) == tuple(s for s in whole.basis(n) if s in upper - equator)
 
 
 def test_inconsistent_boundaries_are_rejected():

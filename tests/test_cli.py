@@ -219,6 +219,25 @@ def test_mv_negative_max_degree_is_a_domain_error(capsys, tmp_path):
     assert err == "error: max degree must be at least 0, got -3\n"
 
 
+@pytest.mark.parametrize("piece", ["a", "b", "d"])
+def test_mv_piece_with_a_vertex_outside_k_is_a_domain_error(capsys, tmp_path, piece):
+    from localhom import parse_complex
+
+    files = {
+        "in": parse_complex("a b c\nb c d"),
+        "a": parse_complex("a b c"),
+        "b": parse_complex("b c d"),
+    }
+    files[piece] = parse_complex("b c x") if piece != "d" else parse_complex("x")
+    argv = ["mv"]
+    for name, k in files.items():
+        write_complex(tmp_path / f"{name}.scx", k)
+        argv += [f"--{name}", str(tmp_path / f"{name}.scx")]
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == f"error: {piece} is not a subcomplex of its ambient\n"
+
+
 def test_verify_paper_filter_and_exit(capsys):
     code, out, _ = run(capsys, "verify-paper", "--only", "thm3.1")
     assert code == 0

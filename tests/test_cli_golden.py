@@ -14,7 +14,10 @@ onto the rational echelon.  ``tests/data/mv_cli_golden.json`` holds
 ``mv`` text and ``--json`` on four covers (octahedron hemispheres, a
 wedge cover with deleted stars, the 4x4 grid torus halves, two triangles
 glued along an edge) plus one ``--max-degree 0`` run, recorded before the
-cycle choice stopped at dim Z - rank B.  Constructed complexes are written to
+cycle choice stopped at dim Z - rank B, and on two more covers (octahedron
+hemispheres relabelled so no piece's labels are contiguous in k's, and a
+path cover whose ``c`` meets ``b`` outside ``d``), recorded before
+Mayer-Vietoris numbered every piece in ``k``.  Constructed complexes are written to
 ``.scx`` files under relative names, so the ``complex`` field does not
 depend on where the test runs.
 """
@@ -36,7 +39,11 @@ from localhom import (
 from localhom.cli import main
 from localhom.scx import write_complex
 from localhom.verification import wedge_decomposition
-from test_mayer_vietoris import _grid_torus_halves
+from test_mayer_vietoris import (
+    _correction_path_cover,
+    _grid_torus_halves,
+    _interleaved_hemispheres,
+)
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "local_cli_golden.json"
@@ -123,6 +130,11 @@ def test_verify_paper_json_is_byte_identical_to_the_recorded_output(capsys):
     assert capsys.readouterr().out == VERIFY_GOLDEN.read_text(encoding="utf-8")
 
 
+def _cover_parts(m) -> tuple:
+    """``(k, a, b, c, d)`` of a decomposition, an empty ``c`` or ``d`` as None."""
+    return (m.k, m.a, m.b, *(None if p.is_empty() else p for p in (m.c, m.d)))
+
+
 def mv_covers() -> dict:
     """Covers ``(k, a, b, c, d)`` for ``mv``; ``c`` and ``d`` may be None."""
     oct_ = builtin("octahedron")
@@ -133,14 +145,10 @@ def mv_covers() -> dict:
         None,
         None,
     )
-    wedge_cover = wedge_decomposition(oct_, "1")
-    halves = _grid_torus_halves(4)
     return {
         "octahedron-hemispheres": hemispheres,
-        "wedge-octahedron": tuple(
-            getattr(wedge_cover, part) for part in ("k", "a", "b", "c", "d")
-        ),
-        "halves-torus-4x4": (halves.k, halves.a, halves.b, None, None),
+        "wedge-octahedron": _cover_parts(wedge_decomposition(oct_, "1")),
+        "halves-torus-4x4": _cover_parts(_grid_torus_halves(4)),
         "glued-triangles": (
             parse_complex("a b c\nb c d"),
             parse_complex("a b c"),
@@ -148,6 +156,8 @@ def mv_covers() -> dict:
             None,
             None,
         ),
+        "interleaved-hemispheres": _cover_parts(_interleaved_hemispheres()),
+        "correction-path": _cover_parts(_correction_path_cover()),
     }
 
 

@@ -273,6 +273,17 @@ def test_subcomplex_pair_validation():
     SubcomplexPair(k, full_subcomplex(k, ["2", "3", "4", "5"]))
 
 
+def test_simplices_in_renumbers_by_label():
+    k = parse_complex("a b c\nb c d")
+    piece = parse_complex("b d\nc")
+    assert sorted(piece.simplices_in(k)) == [(1,), (1, 3), (2,), (3,)]
+    assert piece.is_subcomplex_of(k)
+    assert not parse_complex("a d").is_subcomplex_of(k)  # not an edge of k
+    with pytest.raises(UnknownVertexError):
+        parse_complex("a x").simplices_in(k)
+    assert not parse_complex("a x").is_subcomplex_of(k)
+
+
 def test_subcomplex_pair_is_frozen_with_structural_equality():
     k = builtin("octahedron")
     pair = SubcomplexPair(k, full_subcomplex(k, ["2", "3", "4", "5"]))

@@ -3,7 +3,7 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings, strategies as st
 
 import oracle
 from localhom import (
@@ -16,10 +16,11 @@ from localhom import (
     induced_map,
     parse_complex,
     prism_product,
+    relabel,
     relative_homology,
     wedge,
 )
-from localhom.errors import DecompositionError, InclusionError
+from localhom.errors import DecompositionError, InclusionError, UnknownVertexError
 from localhom.mayer_vietoris import (
     MvDecomposition,
     _PairHomology,
@@ -29,6 +30,11 @@ from localhom.mayer_vietoris import (
 from localhom.verification import wedge_decomposition
 from test_link_route import complexes, few
 from test_reduction import _grid_torus
+
+
+def _pair_homology(pair: SubcomplexPair) -> _PairHomology:
+    """The homology bases of a pair, numbered in its ambient complex."""
+    return _PairHomology(pair.ambient, None, pair.sub_simplices_in_ambient())
 
 
 def test_degenerate_cover_is_exact():
@@ -80,20 +86,38 @@ def test_wedge_cover_for_torsion_surface():
     assert (middle.rows, middle.cols, middle.rank()) == (2, 2, 2)
 
 
-def test_connecting_map_correction_path():
-    # C meets B outside D here, so the connecting chain cannot just be the
-    # boundary of the A-part: its coefficients on C-but-not-D simplices
-    # must come from the B-part.  The internal congruence guards verify
-    # the constructed chain and exactness must still hold.
-    k = parse_complex("a b\nb c")
-    m = MvDecomposition(
-        k,
+def _correction_path_cover() -> MvDecomposition:
+    """A path cover whose ``c`` meets ``b`` outside ``d``."""
+    return MvDecomposition(
+        parse_complex("a b\nb c"),
         parse_complex("a b\nc"),
         parse_complex("b c"),
         parse_complex("b\nc"),
         parse_complex("b"),
     )
-    assert mv_exactness_check(m, 2).exact
+
+
+def test_connecting_map_correction_path():
+    # C meets B outside D here, so the connecting chain cannot just be the
+    # boundary of the A-part: its coefficients on C-but-not-D simplices
+    # must come from the B-part.  The internal congruence guards verify
+    # the constructed chain and exactness must still hold.
+    assert mv_exactness_check(_correction_path_cover(), 2).exact
+
+
+def _interleaved_hemispheres() -> MvDecomposition:
+    """Octahedron hemispheres relabelled so no piece's labels are contiguous in k's.
+
+    The poles are ``c`` and ``d`` and the equator ``a b e f``, so the
+    intersection skips two of k's labels and each hemisphere skips one.
+    """
+    k = relabel(
+        builtin("octahedron"),
+        {"1": "c", "2": "a", "3": "b", "4": "e", "5": "f", "6": "d"},
+    )
+    upper = full_subcomplex(k, ["a", "b", "c", "e", "f"])
+    lower = full_subcomplex(k, ["a", "b", "d", "e", "f"])
+    return MvDecomposition(k, upper, lower)
 
 
 def test_report_rendering_and_records():
@@ -224,6 +248,43 @@ def test_pinned_maps_of_the_wedge_cover():
     }
 
 
+def test_pinned_maps_of_the_interleaved_hemispheres():
+    # No piece's labels are contiguous in k's, so each pair's basis order
+    # is k's order restricted; the entries match the octahedron's.
+    report = mv_exactness_check(_interleaved_hemispheres(), 3)
+    assert _pinned(report.phi) == {
+        0: (2, 1, ((F(1),), (F(-1),))),
+        1: (0, 1, ()),
+        2: (0, 0, ()),
+        3: (0, 0, ()),
+    }
+    assert _pinned(report.psi) == {
+        0: (1, 2, ((F(1), F(1)),)),
+        1: (0, 0, ()),
+        2: (1, 0, ((),)),
+        3: (0, 0, ()),
+    }
+    assert _pinned(report.delta) == {
+        0: (0, 1, ()),
+        1: (1, 0, ((),)),
+        2: (1, 1, ((F(-1),),)),
+        3: (0, 0, ()),
+        4: (0, 0, ()),
+    }
+
+
+def test_pinned_maps_of_the_correction_path():
+    report = mv_exactness_check(_correction_path_cover(), 2)
+    assert _pinned(report.phi) == {0: (0, 1, ()), 1: (0, 0, ()), 2: (0, 0, ())}
+    assert _pinned(report.psi) == {0: (0, 0, ()), 1: (1, 0, ((),)), 2: (0, 0, ())}
+    assert _pinned(report.delta) == {
+        0: (0, 0, ()),
+        1: (1, 1, ((F(-1),),)),
+        2: (0, 0, ()),
+        3: (0, 0, ()),
+    }
+
+
 def test_pinned_maps_of_a_point_into_the_sphere():
     s2 = builtin("sphere(2)")
     point = SubcomplexPair(full_subcomplex(s2, ["0"]), SimplicialComplex.empty())
@@ -237,16 +298,16 @@ def test_pinned_maps_of_a_point_into_the_sphere():
 
 
 def test_express_rejects_a_chain_that_is_not_a_cycle():
-    pair = _PairHomology(SubcomplexPair(builtin("sphere(2)"), SimplicialComplex.empty()))
+    pair = _pair_homology(SubcomplexPair(builtin("sphere(2)"), SimplicialComplex.empty()))
     with pytest.raises(InclusionError, match="chain is not a cycle"):
-        pair.express(1, {("0", "1"): 1})
+        pair.express(1, {(0, 1): 1})
 
 
 def test_express_rejects_a_simplex_outside_the_relative_basis():
     s2 = builtin("sphere(2)")
-    pair = _PairHomology(SubcomplexPair(s2, full_subcomplex(s2, ["0", "1"])))
+    pair = _pair_homology(SubcomplexPair(s2, full_subcomplex(s2, ["0", "1"])))
     with pytest.raises(InclusionError, match="outside the relative basis"):
-        pair.express(1, {("0", "1"): 1, ("0", "2"): 1})
+        pair.express(1, {(0, 1): 1, (0, 2): 1})
 
 
 def test_negative_max_degree_is_refused():
@@ -360,7 +421,7 @@ def test_grid_torus_halves_draw_only_the_cycles_they_keep(monkeypatch):
 
 def test_a_kernel_that_runs_out_early_is_refused(monkeypatch):
     monkeypatch.setattr("localhom.mayer_vietoris.kernel_vectors", lambda columns, n: iter(()))
-    pair = _PairHomology(SubcomplexPair(builtin("sphere(2)"), SimplicialComplex.empty()))
+    pair = _pair_homology(SubcomplexPair(builtin("sphere(2)"), SimplicialComplex.empty()))
     assert pair.cycles(1) == []  # nothing is wanted, so nothing is drawn
     with pytest.raises(RuntimeError, match="in degree 2"):
         pair.cycles(2)
@@ -371,7 +432,7 @@ def test_a_kernel_that_runs_out_early_is_refused(monkeypatch):
 def test_cycle_count_matches_the_oracle_betti_numbers(k):
     facets = [k.simplex_labels(f) for f in k.facets()]
     betti = oracle.betti_numbers(facets, oracle.rank_q)
-    pair = _PairHomology(SubcomplexPair(k, SimplicialComplex.empty()))
+    pair = _pair_homology(SubcomplexPair(k, SimplicialComplex.empty()))
     assert [pair.rank(n) for n in range(k.dim + 2)] == betti + [0]
 
 
@@ -387,6 +448,82 @@ def test_cycle_count_matches_relative_homology_on_prism_and_deleted_star_pairs()
         pairs += [SubcomplexPair(k, deleted(k, lab)) for lab in labels]
     for pair in pairs:
         summary = relative_homology(pair)
-        counts = _PairHomology(pair)
+        counts = _pair_homology(pair)
         for n in range(pair.ambient.dim + 2):
             assert counts.rank(n) == summary.group(n).free_rank, (pair, n)
+
+
+@pytest.mark.parametrize(
+    "piece, parts",
+    [
+        ("a", ("a b c\nx", "b c d", None)),
+        ("b", ("a b c", "b c d\nx", None)),
+        ("d", ("a b c", "b c d", "x")),
+    ],
+)
+def test_a_piece_with_a_vertex_outside_k_names_the_piece(piece, parts):
+    k = parse_complex("a b c\nb c d")
+    a, b, d = (parse_complex(p) if p else None for p in parts)
+    with pytest.raises(DecompositionError, match=f"^{piece} is not a subcomplex") as info:
+        MvDecomposition(k, a, b, None, d)
+    assert not isinstance(info.value, (UnknownVertexError, KeyError))
+
+
+def test_induced_map_rejects_a_source_sub_outside_the_target_sub():
+    s2 = builtin("sphere(2)")
+    edge = full_subcomplex(s2, ["0", "1"])
+    with pytest.raises(InclusionError, match="source subcomplex is not contained"):
+        induced_map(
+            SubcomplexPair(edge, full_subcomplex(s2, ["0"])),
+            SubcomplexPair(s2, full_subcomplex(s2, ["1"])),
+            0,
+        )
+
+
+def _label_intersection(k1: SimplicialComplex, k2: SimplicialComplex) -> SimplicialComplex:
+    """Simplices present in both complexes, compared by labels."""
+    labels = (k1.simplex_labels(s) for s in k1.all_simplices())
+    return SimplicialComplex.from_label_facets(f for f in labels if k2.contains_labelled(f))
+
+
+def _label_union(k1: SimplicialComplex, k2: SimplicialComplex) -> SimplicialComplex:
+    return SimplicialComplex.from_label_facets(k1.label_facets() + k2.label_facets())
+
+
+@st.composite
+def covers(draw):
+    """``k`` split facet by facet into ``a``, ``b`` or both; ``c``, ``d`` empty or deleted stars.
+
+    At least one facet goes to both sides, so the two facet sets overlap.
+    """
+    k = draw(complexes)
+    facets = k.label_facets()
+    sides = draw(st.lists(st.sampled_from((1, 2, 3)), min_size=len(facets), max_size=len(facets)))
+    sides[draw(st.sampled_from(range(len(facets))))] = 3
+    a, b = (
+        SimplicialComplex.from_label_facets(f for f, side in zip(facets, sides) if side & bit)
+        for bit in (1, 2)
+    )
+    v = draw(st.sampled_from(sorted(set(a.labels) & set(b.labels))))
+    c = deleted(a, v) if draw(st.booleans()) else None
+    d = deleted(b, v) if draw(st.booleans()) else None
+    return MvDecomposition(k, a, b, c, d)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(covers())
+def test_random_covers_are_exact_and_match_relative_homology(m):
+    c, d = m.c, m.d
+    assert m.intersection == _label_intersection(m.a, m.b)
+    assert m.sub_intersection == _label_intersection(c, d)
+    assert m.y == _label_union(c, d)
+    report = mv_exactness_check(m, m.k.dim + 1)
+    assert report.exact
+    pairs = {
+        "H(A&B, C&D)": [SubcomplexPair(m.intersection, m.sub_intersection)],
+        "H(A,C) + H(B,D)": [SubcomplexPair(m.a, c), SubcomplexPair(m.b, d)],
+        "H(K, Y)": [SubcomplexPair(m.k, m.y)],
+    }
+    for node in report.nodes:
+        ranks = [relative_homology(p).group(node.degree).free_rank for p in pairs[node.node]]
+        assert node.dim == sum(ranks), node
