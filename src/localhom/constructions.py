@@ -74,10 +74,15 @@ def cone(k: SimplicialComplex, apex_label: str) -> SimplicialComplex:
     return SimplicialComplex.from_label_facets(facets)
 
 
+# Label prefixes of the left and right copies in a disjoint union or wedge.
+SIDE_PREFIXES = ("L.", "R.")
+
+
 def disjoint_union(k1: SimplicialComplex, k2: SimplicialComplex) -> SimplicialComplex:
     """Disjoint union; labels are kept apart by ``L.``/``R.`` prefixes."""
-    facets = [tuple("L." + lab for lab in f) for f in k1.label_facets()]
-    facets += [tuple("R." + lab for lab in f) for f in k2.label_facets()]
+    left, right = SIDE_PREFIXES
+    facets = [tuple(left + lab for lab in f) for f in k1.label_facets()]
+    facets += [tuple(right + lab for lab in f) for f in k2.label_facets()]
     return SimplicialComplex.from_label_facets(facets)
 
 
@@ -100,8 +105,8 @@ def wedge(
     def rename(prefix, base):
         return lambda lab: WEDGE_POINT if lab == base else prefix + lab
 
-    left = rename("L.", v1)
-    right = rename("R.", v2)
+    left = rename(SIDE_PREFIXES[0], v1)
+    right = rename(SIDE_PREFIXES[1], v2)
     facets = [tuple(left(lab) for lab in f) for f in k1.label_facets()]
     facets += [tuple(right(lab) for lab in f) for f in k2.label_facets()]
     return SimplicialComplex.from_label_facets(facets)

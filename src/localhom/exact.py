@@ -18,13 +18,16 @@ eliminates no column past the last one it draws.
 
 Homology needs only the rank and the invariant factors of each boundary,
 and boundaries are sparse with mostly ``±1`` entries.  ``chain_reducer``
-numbers the cells of a complex across degrees once and reduces any set of
-them (the whole complex, or one open star of it) to a discrete Morse
-complex: coreductions and collapses remove pairs of cells joined by a
-``±1`` entry, and when no pair is left the least live cell is made
-critical.  The boundaries of the few critical cells, pushed through the
-images of the paired cells, form a complex with the same homology over
-Z, and their Smith normal form is the whole integer elimination.
+numbers the cells of a complex across degrees once, allocates their
+per-cell state once, and reduces any set of them (the whole complex, or
+one open star of it) to a discrete Morse complex: coreductions and
+collapses remove pairs of cells joined by a ``±1`` entry, and when no pair
+is left the least live cell is made critical.  Every cell of a call is
+removed by its end, so a call leaves the shared state clean and costs
+work in proportion to its own cells; a reducer is not reentrant.  The
+boundaries of the few critical cells, pushed through the images of the
+paired cells, form a complex with the same homology over Z, and their
+Smith normal form is the whole integer elimination.
 
 ``smith_normal_form`` is the dense reduction with both transforms.  It
 picks the nonzero entry of least absolute value as the pivot on every
@@ -270,7 +273,8 @@ def chain_reducer(boundaries):
     ``boundaries[i]`` holds the ``{row: value}`` columns out of degree
     ``i``, with rows indexing the basis of degree ``i - 1``.  Cells are
     numbered through the bases bottom degree first, and their coface lists
-    are built here, once, so many cell sets of one complex can be reduced.
+    and per-cell state (a live flag and live face and coface counts) are
+    built here, once, so many cell sets of one complex can be reduced.
     ``reduce(cells)`` reduces ``cells`` (ascending cell numbers, every
     cell when omitted) to a discrete Morse complex; faces and cofaces
     outside them count as absent, so a set whose complement is a
@@ -293,6 +297,13 @@ def chain_reducer(boundaries):
     Morse boundaries form a complex chain-equivalent to the original over
     Z, torsion included.
 
+    Every cell of a call is removed, paired or critical, so a call
+    returns with each cell dead and the queue empty: the next call marks
+    and counts only its own cells, and costs work in proportion to them
+    rather than to the whole complex.  A call that raises (a cell number
+    out of range raises ``IndexError``) clears the cells it marked first.
+    The state is shared, so a reducer is not reentrant.
+
     Returns ``(critical, columns)``: the basis indices of the critical
     cells of each degree, ascending, and their Morse boundary columns,
     ``{row: value}`` with rows indexing the critical cells one degree
@@ -314,57 +325,61 @@ def chain_reducer(boundaries):
                 cofaces[base + r].append(x)
         columns.extend(cols)
         below.extend([base] * len(cols))
+    # Only the entries of a call's own cells are read, and each call sets
+    # them before it starts.
+    alive = bytearray(total)
+    live_faces = [0] * total
+    live_cofaces = [0] * total
+    queue: deque[int] = deque()
 
-    def reduce(cells=None) -> tuple[tuple, tuple]:
-        if cells is None:
-            cells = range(total)
-            alive = bytearray(b"\x01") * total
-            live_faces = [len(col) for col in columns]
-            live_cofaces = [len(ys) for ys in cofaces]
-        else:
-            alive = bytearray(total)
-            for x in cells:
-                alive[x] = 1
-            live_faces = dict.fromkeys(cells, 0)
-            live_cofaces = dict.fromkeys(cells, 0)
-            for x in cells:
-                base = below[x]
-                for r in columns[x]:
-                    if alive[base + r]:
-                        live_faces[x] += 1
-                        live_cofaces[base + r] += 1
-        queue = deque(cells)
+    def remove(x: int) -> None:
+        alive[x] = 0
+        base = below[x]
+        for r in columns[x]:
+            f = base + r
+            if alive[f]:
+                live_cofaces[f] -= 1
+                if live_cofaces[f] == 1:
+                    queue.append(f)
+        for y in cofaces[x]:
+            if alive[y]:
+                live_faces[y] -= 1
+                if live_faces[y] == 1:
+                    queue.append(y)
+
+    def image(x: int, c: int, flow: dict) -> dict:
+        """``c`` times the flow of ``∂x``."""
+        out: dict = {}
+        base = below[x]
+        for r, value in columns[x].items():
+            target = flow.get(base + r)
+            if target:
+                _add_multiple(out, c * value, target)
+        return out
+
+    def mark(cells) -> None:
+        for x in cells:
+            if not 0 <= x < total:
+                raise IndexError(f"cell {x} is not among the {total} cells")
+            alive[x] = 1
+            live_cofaces[x] = 0
+        for x in cells:
+            base = below[x]
+            n = 0
+            for r in columns[x]:
+                f = base + r
+                if alive[f]:
+                    n += 1
+                    live_cofaces[f] += 1
+            live_faces[x] = n
+
+    def run(cells) -> tuple[tuple, tuple]:
+        queue.extend(cells)
         critical: list[list[int]] = [[] for _ in boundaries]
         morse: list[list[dict]] = [[] for _ in boundaries]
         # Image of a dead cell over the critical cells of its degree, keyed
         # by their positions there; a cell without an entry flows to zero.
         flow: dict[int, dict] = {}
-
-        def remove(x: int) -> None:
-            alive[x] = 0
-            base = below[x]
-            for r in columns[x]:
-                f = base + r
-                if alive[f]:
-                    live_cofaces[f] -= 1
-                    if live_cofaces[f] == 1:
-                        queue.append(f)
-            for y in cofaces[x]:
-                if alive[y]:
-                    live_faces[y] -= 1
-                    if live_faces[y] == 1:
-                        queue.append(y)
-
-        def image(x: int, c: int) -> dict:
-            """``c`` times the flow of ``∂x``."""
-            out: dict = {}
-            base = below[x]
-            for r, value in columns[x].items():
-                target = flow.get(base + r)
-                if target:
-                    _add_multiple(out, c * value, target)
-            return out
-
         unseen = iter(cells)
         while True:
             while queue:
@@ -373,32 +388,55 @@ def chain_reducer(boundaries):
                     continue
                 if live_faces[x] == 1:
                     base = below[x]
-                    r, value = next((r, v) for r, v in columns[x].items() if alive[base + r])
+                    for r, value in columns[x].items():
+                        if alive[base + r]:
+                            break
                     if value == 1 or value == -1:
                         remove(x)
                         remove(base + r)
                         # a flows to -<∂b, a> times the flow of ∂b's other
                         # faces; before the first critical cell, that is zero.
                         if flow:
-                            target = image(x, -value)
+                            target = image(x, -value, flow)
                             if target:
                                 flow[base + r] = target
                         continue
                 if live_cofaces[x] == 1:
-                    y = next(y for y in cofaces[x] if alive[y])
+                    for y in cofaces[x]:
+                        if alive[y]:
+                            break
                     value = columns[y][x - below[y]]
                     if value == 1 or value == -1:
                         remove(x)
                         remove(y)
-            x = next((x for x in unseen if alive[x]), None)
-            if x is None:
+            for x in unseen:
+                if alive[x]:
+                    break
+            else:
                 break
             i = bisect_right(starts, x) - 1
-            morse[i].append(image(x, 1))
+            morse[i].append(image(x, 1, flow))
             flow[x] = {len(critical[i]): 1}
             critical[i].append(x - starts[i])
             remove(x)
         return tuple(map(tuple, critical)), tuple(map(tuple, morse))
+
+    def reduce(cells=None) -> tuple[tuple, tuple]:
+        try:
+            if cells is None:
+                cells = range(total)
+                alive[:] = b"\x01" * total
+                live_faces[:] = map(len, columns)
+                live_cofaces[:] = map(len, cofaces)
+            else:
+                mark(cells)
+            return run(cells)
+        except BaseException:
+            for x in cells:
+                if 0 <= x < total:
+                    alive[x] = 0
+            queue.clear()
+            raise
 
     return reduce
 

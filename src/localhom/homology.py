@@ -190,23 +190,19 @@ def _groups(morse, offset: int) -> dict[int, HomologyGroup]:
     only, and not at all on a zero boundary.
     """
     critical, boundaries = morse
-    ranks, torsions = [], []
-    for columns in boundaries:
+    ranks = [0] * (len(boundaries) + 1)
+    torsions = [()] * (len(boundaries) + 1)
+    for i, columns in enumerate(boundaries):
         live = [col for col in columns if col]
         if live:
-            rows = {r: i for i, r in enumerate(sorted({r for col in live for r in col}))}
+            rows = {r: n for n, r in enumerate(sorted({r for col in live for r in col}))}
             entries = [[0] * len(live) for _ in rows]
             for j, col in enumerate(live):
                 for r, x in col.items():
                     entries[rows[r]][j] = x
             snf = smith_normal_form(IntegerMatrix(len(rows), len(live), entries))
-            ranks.append(snf.rank)
-            torsions.append(snf.invariant_factors)
-        else:
-            ranks.append(0)
-            torsions.append(())
-    ranks.append(0)
-    torsions.append(())
+            ranks[i] = snf.rank
+            torsions[i] = snf.invariant_factors
     groups = {}
     for i, cells in enumerate(critical):
         free = len(cells) - ranks[i] - ranks[i + 1]

@@ -32,6 +32,9 @@ CONSISTENT_CLOSED = "consistent_with_closed_n_manifold"
 CONSISTENT_WITH_BOUNDARY = "consistent_with_n_manifold_with_boundary"
 NOT_A_MANIFOLD = "not_a_manifold"
 
+# The local group of an interior vertex, in the degree of its star.
+INTERIOR_GROUP = HomologyGroup(1)
+
 
 @dataclass(frozen=True)
 class VertexVerdict:
@@ -70,18 +73,16 @@ def vertex_verdict(
     the local homology at ``v`` when the caller has it already.
     """
     summary = local_homology(k, v) if local is None else local
-    nonzero = summary.nonzero()
+    groups = summary.groups
     expected = _star_dimension(k, v)
-    if not nonzero:
+    if not groups:
         return VertexVerdict(v, BOUNDARY_LIKE, dimension=expected, local=summary)
-    if len(nonzero) == 1 and nonzero.get(expected) == HomologyGroup(1):
+    if len(groups) == 1 and groups.get(expected) == INTERIOR_GROUP:
         return VertexVerdict(v, INTERIOR_LIKE, dimension=expected, local=summary)
-    offending = [
-        d for d, g in nonzero.items() if d != expected or g != HomologyGroup(1)
-    ]
+    offending = [d for d, g in groups.items() if d != expected or g != INTERIOR_GROUP]
     degree = max(offending)
     return VertexVerdict(
-        v, NOT_LOCALLY_EUCLIDEAN, witness=(degree, nonzero[degree]), local=summary
+        v, NOT_LOCALLY_EUCLIDEAN, witness=(degree, groups[degree]), local=summary
     )
 
 

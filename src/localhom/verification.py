@@ -19,6 +19,7 @@ from itertools import combinations
 from .catalog import CLOSED_SURFACES, builtin
 from .complexes import SimplicialComplex, SubcomplexPair
 from .constructions import (
+    SIDE_PREFIXES,
     WEDGE_POINT,
     bottom_label,
     cone,
@@ -220,7 +221,7 @@ def wedge_decomposition(m: SimplicialComplex, base: str) -> MvDecomposition:
     w = wedge(m, base, m, base)
     left, right = (
         full_subcomplex(w, [lab for lab in w.labels if lab.startswith(side)] + [WEDGE_POINT])
-        for side in ("L.", "R.")
+        for side in SIDE_PREFIXES
     )
     c, d = (deleted(half, WEDGE_POINT) for half in (left, right))
     return MvDecomposition(w, left, right, c, d)

@@ -5,7 +5,12 @@
 of complexes, recorded before the probe and ``local`` moved to the
 open-star route.  Every vertex is queried, and ``--vertices`` takes each
 single vertex and every non-adjacent pair, so a changed route shows up
-as a changed byte.  ``tests/data/homology_cli_golden.json`` holds
+as a changed byte.  Two more complexes, a 6x4 grid annulus (whose rim
+vertices are boundary-like) and the prism over the prism over ``rp2_6``
+(whose stars are 4-dimensional), pin ``check --json`` and ``local
+--vertex --json`` at every vertex; they were recorded before the
+reducer kept one state across its calls.
+``tests/data/homology_cli_golden.json`` holds
 ``homology --json``, plain and ``--reduced``, on a small corpus whose
 groups carry torsion (plus the empty complex), and
 ``tests/data/verify_paper_golden.json`` the whole ``verify-paper --json``
@@ -44,6 +49,7 @@ from test_mayer_vietoris import (
     _grid_torus_halves,
     _interleaved_hemispheres,
 )
+from test_reduction import _grid_annulus
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "local_cli_golden.json"
@@ -88,6 +94,21 @@ def commands(name, k) -> list[list[str]]:
     return out
 
 
+def star_corpus() -> dict:
+    """Rims whose stars are boundary-like, and 4-dimensional stars."""
+    return {
+        "annulus-6x4": _grid_annulus(6, 4),
+        "prism-prism-rp2_6": prism_product(prism_product(builtin("rp2_6")).ambient).ambient,
+    }
+
+
+def star_commands(name, k) -> list[list[str]]:
+    source = ["--in", f"{name}.scx"]
+    out = [["check", *source, "--json"]]
+    out += [["local", *source, "--vertex", lab, "--json"] for lab in sorted(k.labels)]
+    return out
+
+
 def homology_commands(name, k) -> list[list[str]]:
     source = ["--in", f"{name}.scx"]
     return [["homology", *source, "--json"], ["homology", *source, "--reduced", "--json"]]
@@ -115,7 +136,9 @@ def test_local_commands_are_byte_identical_to_the_recorded_output(
     tmp_path, monkeypatch, capsys
 ):
     monkeypatch.chdir(tmp_path)
-    assert_matches(outputs(capsys), GOLDEN)
+    found = outputs(capsys)
+    found.update(outputs(capsys, star_corpus, star_commands))
+    assert_matches(found, GOLDEN)
 
 
 def test_homology_json_is_byte_identical_to_the_recorded_output(

@@ -5,11 +5,17 @@ Morse boundaries, and runs the Smith normal form on those alone.  A
 reference written here runs the Smith normal form on every whole dense
 boundary instead, sharing no code with that path; random complexes,
 random relative pairs, open stars and ``tests/oracle.py`` tie the two
-together.
+together.  One reducer serves many calls: each call must answer as a
+fresh reducer would, and reducing one open star must allocate nothing
+sized by the whole complex.
 """
 
 import copy
+import random
 import sys
+import tracemalloc
+
+import pytest
 
 from hypothesis import given, strategies as st
 
@@ -20,6 +26,7 @@ from localhom import (
     augmented_chain_complex,
     builtin,
     chain_complex,
+    cone,
     full_subcomplex,
     homology,
     homology_of_complex,
@@ -160,6 +167,77 @@ def test_the_morse_complex_is_a_function_of_the_basis_order(k, image):
         assert reference_homology(other) == reference_homology(morse_complex(c))
 
 
+def _vertex_stars(c: ChainComplex) -> list[list[int]]:
+    """Each vertex's cells in ``c``, in cell-number order, for the vertices that have some."""
+    stars: dict[int, list[int]] = {}
+    for x, s in enumerate(s for basis in c.bases for s in basis):
+        for v in s:
+            stars.setdefault(v, []).append(x)
+    return [stars[v] for v in sorted(stars)]
+
+
+def _assert_one_reducer_reuses_its_state(c: ChainComplex, rng: random.Random) -> None:
+    """One reducer, called on every star, the whole complex and a bad cell set, answers as fresh ones."""
+    reduce = chain_reducer(c.boundaries)
+    whole = chain_reducer(c.boundaries)()
+    total = sum(map(len, c.bases))
+    stars = _vertex_stars(c)
+    rng.shuffle(stars)
+    for n, cells in enumerate(stars):
+        assert reduce(cells) == chain_reducer(c.boundaries)(cells)
+        if n % 2:
+            assert reduce() == whole
+            # The first star again, after other stars and a whole call.
+            assert reduce(stars[0]) == chain_reducer(c.boundaries)(stars[0])
+    assert reduce() == whole
+    # A call that meets a bad cell number has marked the cells before it;
+    # the calls after it must not see them.
+    for bad in (*stars[:1], range(total)):
+        with pytest.raises(IndexError):
+            reduce([*bad, total])
+        for cells in stars[-1:]:
+            assert reduce(cells) == chain_reducer(c.boundaries)(cells)
+        assert reduce() == whole
+
+
+@few
+@given(complexes, st.randoms(use_true_random=False))
+def test_one_reducer_answers_every_call_as_a_fresh_one(k, rng):
+    _assert_one_reducer_reuses_its_state(open_star_chain_complex(k, range(k.n_vertices)), rng)
+    _assert_one_reducer_reuses_its_state(augmented_chain_complex(k), rng)
+
+
+def test_one_reducer_reused_on_a_cone_and_a_relative_pair():
+    rng = random.Random(0)
+    apex = cone(builtin("rp2_6"), "apex")
+    _assert_one_reducer_reuses_its_state(open_star_chain_complex(apex, range(apex.n_vertices)), rng)
+    _assert_one_reducer_reuses_its_state(
+        relative_chain_complex(prism_product(builtin("torus7"))), rng
+    )
+
+
+def _star_reduction_peak(n: int) -> int:
+    """Bytes allocated at the peak of reducing one vertex's open star in grid torus ``n``²."""
+    k = _grid_torus(n)
+    c = open_star_chain_complex(k, range(k.n_vertices))
+    star = _vertex_stars(c)[0]
+    reduce = chain_reducer(c.boundaries)
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        critical, _ = reduce(star)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [len(cells) for cells in critical] == [0, 0, 1]
+    return peak - before
+
+
+def test_reducing_one_star_allocates_nothing_sized_by_the_complex():
+    # 600 and 21,600 cells: the star has 13 of them either way.
+    assert abs(_star_reduction_peak(60) - _star_reduction_peak(10)) < 1024
+
+
 def _euler(critical) -> int:
     return sum((-1) ** i * len(s) for i, s in enumerate(critical))
 
@@ -171,16 +249,27 @@ def _iterated_prism(name: str, times: int) -> SimplicialComplex:
     return k
 
 
-def _grid_torus(n: int) -> SimplicialComplex:
+def _grid(cols: int, rows: int, bands: int) -> SimplicialComplex:
+    """Triangulated grid whose columns wrap; its rows wrap when ``bands == rows``."""
+
     def v(i, j):
-        return f"{i % n}.{j % n}"
+        return f"{i % rows}.{j % cols}"
 
     facets = []
-    for i in range(n):
-        for j in range(n):
+    for i in range(bands):
+        for j in range(cols):
             facets.append((v(i, j), v(i + 1, j), v(i + 1, j + 1)))
             facets.append((v(i, j), v(i, j + 1), v(i + 1, j + 1)))
     return SimplicialComplex.from_label_facets(facets)
+
+
+def _grid_torus(n: int) -> SimplicialComplex:
+    return _grid(n, n, n)
+
+
+def _grid_annulus(cols: int, rows: int) -> SimplicialComplex:
+    """``cols`` vertices around and ``rows`` across; the first and last rows are the rims."""
+    return _grid(cols, rows, rows - 1)
 
 
 def test_triple_prisms_keep_the_homology_of_their_base():
