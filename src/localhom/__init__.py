@@ -4,6 +4,10 @@ The package computes absolute, reduced, relative, and local homology of
 finite simplicial complexes over the integers (Smith normal form on exact
 integer matrices), checks Mayer-Vietoris exactness over the rationals, and
 classifies vertices by their local homology to locate non-manifold points.
+
+The function ``homology`` is re-exported here under its submodule's name,
+so ``import localhom.homology as m`` binds the function, not the module;
+``importlib.import_module("localhom.homology")`` returns the module.
 """
 
 from .complexes import SimplicialComplex, SubcomplexPair

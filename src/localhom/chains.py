@@ -14,13 +14,14 @@ reduced homology, whose extra basis element is the empty simplex).  A
 quotient complex takes its basis from sets of a complex's simplices, so
 the pieces of a cover share one numbering.  The open-star complex is the
 quotient by the simplices that miss a vertex set, the one complex local
-homology is read from.
+homology is read from (over every vertex, the whole chain complex).  The
+range check in validation runs once per degree, over all its rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, filterfalse
+from itertools import chain, combinations, filterfalse
 
 from .complexes import SimplicialComplex, SubcomplexPair, Simplex
 from .errors import ChainComplexError
@@ -49,8 +50,9 @@ class ChainComplex:
             raise ChainComplexError("one boundary is required per degree")
         for i, cols in enumerate(self.boundaries):
             below = len(self.bases[i - 1]) if i > 0 else 0
-            if len(cols) != len(self.bases[i]) or any(
-                col and (min(col) < 0 or max(col) >= below) for col in cols
+            if len(cols) != len(self.bases[i]) or (
+                min(chain.from_iterable(cols), default=0) < 0
+                or max(chain.from_iterable(cols), default=-1) >= below
             ):
                 raise ChainComplexError(
                     f"boundary at degree {self.offset + i} needs "
@@ -175,19 +177,16 @@ def open_star_chain_complex(k: SimplicialComplex, vertices) -> ChainComplex:
     form a subcomplex, so the quotient's basis is the union of their open
     stars (the simplices containing at least one).  The stars are read
     from the vertex→facet index, so the cost follows the stars rather than
-    the whole complex; when every vertex is given, the basis is all of
-    ``k``.  For a single vertex ``v`` this is the complex of the pair
-    ``(K, K - v)``, whose homology is the local homology at ``v``.
+    the whole complex, and every vertex gives ``chain_complex(k)``.  For a
+    single vertex ``v`` this is the complex of the pair ``(K, K - v)``,
+    whose homology is the local homology at ``v``.
     """
     wanted = set(vertices)
     if len(wanted) == k.n_vertices:
-        bases = [k.simplices(d) for d in range(k.dim + 1)]
-    else:
-        found: list[set] = [set() for _ in range(k.dim + 1)]
-        for f in dict.fromkeys(f for v in wanted for f in k.vertex_facets(v)):
-            for size in range(1, len(f) + 1):
-                found[size - 1].update(
-                    s for s in combinations(f, size) if not wanted.isdisjoint(s)
-                )
-        bases = [tuple(sorted(cells)) for cells in found]
+        return chain_complex(k)
+    found: list[set] = [set() for _ in range(k.dim + 1)]
+    for f in dict.fromkeys(f for v in wanted for f in k.vertex_facets(v)):
+        for size in range(1, len(f) + 1):
+            found[size - 1].update(s for s in combinations(f, size) if not wanted.isdisjoint(s))
+    bases = [tuple(sorted(cells)) for cells in found]
     return ChainComplex(0, bases, map(_boundary_columns, [()] + bases, bases))

@@ -11,17 +11,18 @@ threads; every operation on them returns a new complex.  Derived views
 (sorted simplices, facets, and the index from each vertex to the facets
 containing it) are filled lazily on first use and never go stale.  The
 vertex→facet index lets links and stars be built from one vertex's
-facets instead of a scan over every simplex.
+facets instead of a scan over every simplex.  Faces are enumerated one
+dimension at a time, in bulk, through ``chain.from_iterable``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations, filterfalse, groupby, repeat
 from typing import Iterable, Iterator
 
-from .errors import SubcomplexError, UnknownVertexError
+from .errors import SubcomplexError, UnknownVertexError, VertexIndexError
 
 Simplex = tuple[int, ...]
 
@@ -48,12 +49,13 @@ class SimplicialComplex:
 
     @classmethod
     def _closure(cls, labels, simplices: Iterable[Simplex]) -> "SimplicialComplex":
-        """The faces of sorted index simplices, over the final label list."""
-        by_dim: dict[int, set] = {}
-        for idx in simplices:
-            for r in range(1, len(idx) + 1):
-                by_dim.setdefault(r - 1, set()).update(combinations(idx, r))
-        return cls(tuple(labels), {d: frozenset(s) for d, s in by_dim.items()})
+        """Faces of sorted index simplices over the final label list, top level first."""
+        by_size = {r: list(g) for r, g in groupby(sorted(simplices, key=len), len)}
+        levels, cells = {}, ()
+        for r in range(max(by_size, default=0), 0, -1):
+            faces = chain.from_iterable(map(combinations, cells, repeat(r)))
+            levels[r - 1] = cells = frozenset(chain(by_size.get(r, ()), faces))
+        return cls(tuple(labels), dict(sorted(levels.items())))
 
     @classmethod
     def from_label_facets(cls, facets: Iterable[Iterable[str]]) -> "SimplicialComplex":
@@ -63,11 +65,10 @@ class SimplicialComplex:
         the sorted order of the labels.
         """
         facet_list = [tuple(f) for f in facets]
-        label_set = sorted({lab for f in facet_list for lab in f})
-        index = {lab: i for i, lab in enumerate(label_set)}
+        label_set = sorted(set(chain.from_iterable(facet_list)))
+        index = {lab: i for i, lab in enumerate(label_set)}.__getitem__
         return cls._closure(
-            label_set,
-            (tuple(sorted(index[lab] for lab in set(f))) for f in facet_list),
+            label_set, (tuple(sorted(set(map(index, f)))) for f in facet_list)
         )
 
     @classmethod
@@ -76,15 +77,20 @@ class SimplicialComplex:
     ) -> "SimplicialComplex":
         """Face closure of index simplices over an existing label list.
 
-        Only labels that actually occur in a simplex are kept.
+        Only labels that actually occur in a simplex are kept, and an
+        index repeated inside a simplex counts once.  An index outside the
+        label list raises ``VertexIndexError``.
         """
         label_tuple = tuple(labels)
         simplex_list = [tuple(s) for s in simplices]
-        used = sorted({i for s in simplex_list for i in s})
-        rename = {old: new for new, old in enumerate(used)}
+        used = sorted(set(chain.from_iterable(simplex_list)))
+        for i in used[:1] + used[-1:]:
+            if not 0 <= i < len(label_tuple):
+                raise VertexIndexError(f"vertex index {i} is outside the labels")
+        rename = {old: new for new, old in enumerate(used)}.__getitem__
         return cls._closure(
             [label_tuple[i] for i in used],
-            (tuple(sorted(rename[i] for i in s)) for s in simplex_list),
+            (tuple(sorted(set(map(rename, s)))) for s in simplex_list),
         )
 
     # -- basic queries -----------------------------------------------------
@@ -151,11 +157,12 @@ class SimplicialComplex:
 
     @cached_property
     def _facets(self) -> tuple[Simplex, ...]:
-        non_maximal: set = set()
-        for d in range(1, self.dim + 1):
-            for s in self._simplices.get(d, ()):
-                non_maximal.update(combinations(s, len(s) - 1))
-        return tuple(s for s in self.all_simplices() if s not in non_maximal)
+        facets = []
+        for d in range(self.dim + 1):
+            above = self._simplices.get(d + 1, ())
+            faces = set(chain.from_iterable(map(combinations, above, repeat(d + 1))))
+            facets += filterfalse(faces.__contains__, self.simplices(d))
+        return tuple(facets)
 
     def facets(self) -> tuple[Simplex, ...]:
         """Maximal simplices, sorted by (dimension, lexicographic order)."""

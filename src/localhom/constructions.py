@@ -17,11 +17,7 @@ from .errors import LabelCollisionError, RelabelError, UnknownVertexError
 
 def full_subcomplex(k: SimplicialComplex, keep_labels) -> SimplicialComplex:
     """All simplices of ``k`` whose vertices lie in ``keep_labels``."""
-    keep = set(keep_labels)
-    for lab in keep:
-        if not k.has_vertex(lab):
-            raise UnknownVertexError(lab)
-    keep_idx = {k.index_of(lab) for lab in keep}
+    keep_idx = {k.index_of(lab) for lab in set(keep_labels)}
     simplices = [s for s in k.all_simplices() if set(s) <= keep_idx]
     return SimplicialComplex.from_index_simplices(k.labels, simplices)
 
@@ -97,10 +93,8 @@ def wedge(
     The identified vertex is labelled ``w``; every other label is prefixed
     with ``L.`` or ``R.`` so the two copies cannot collide.
     """
-    if not k1.has_vertex(v1):
-        raise UnknownVertexError(v1)
-    if not k2.has_vertex(v2):
-        raise UnknownVertexError(v2)
+    k1.index_of(v1)  # raises UnknownVertexError for a missing base vertex
+    k2.index_of(v2)
 
     def rename(prefix, base):
         return lambda lab: WEDGE_POINT if lab == base else prefix + lab
@@ -140,19 +134,13 @@ def prism_product(k: SimplicialComplex) -> SubcomplexPair:
     ``{v0.0, ..., vi.0, vi.1, ..., vp.1}``; the distinguished subcomplex is
     the bottom copy of ``k`` (labels suffixed ``.0``, top copy ``.1``).
     """
-    facets = []
-    for f in k.facets():
-        labs = k.simplex_labels(f)
-        p = len(labs) - 1
-        for i in range(p + 1):
-            cell = tuple(bottom_label(lab) for lab in labs[: i + 1]) + tuple(
-                top_label(lab) for lab in labs[i:]
-            )
-            facets.append(cell)
-    ambient = SimplicialComplex.from_label_facets(facets)
-    bottom = SimplicialComplex.from_label_facets(
-        [tuple(bottom_label(lab) for lab in f) for f in k.label_facets()]
+    facets = k.label_facets()
+    ambient = SimplicialComplex.from_label_facets(
+        tuple(map(bottom_label, f[: i + 1])) + tuple(map(top_label, f[i:]))
+        for f in facets
+        for i in range(len(f))
     )
+    bottom = SimplicialComplex.from_label_facets(tuple(map(bottom_label, f)) for f in facets)
     return SubcomplexPair(ambient, bottom)
 
 

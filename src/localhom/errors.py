@@ -27,6 +27,10 @@ class UnknownVertexError(LocalhomError):
         self.label = label
 
 
+class VertexIndexError(LocalhomError, IndexError):
+    """A vertex index falls outside the label list it should index."""
+
+
 class UnwritableLabelError(LocalhomError):
     """A vertex label cannot be written to a facet-list file and read back."""
 

@@ -225,32 +225,37 @@ def relative_homology(pair: SubcomplexPair) -> HomologySummary:
     return homology(relative_chain_complex(pair))
 
 
-def local_homologies(k: SimplicialComplex, labels) -> dict[str, HomologySummary]:
-    """Local homology ``H_*(K, K - v)`` at each vertex, from one chain complex.
+def open_stars(k: SimplicialComplex, labels) -> tuple[ChainComplex, dict, dict]:
+    """The chain complex of the open stars of ``labels``, built and checked once.
 
-    The quotient ``C(K)/C(K - v)`` has the open star of ``v`` (the
-    simplices containing it) as its basis.  So one chain complex holds
-    the open stars of all the vertices, built and checked once, and each
-    vertex's groups come from reducing its own open star in it: the cells
-    without ``v`` form a subcomplex, so ``∂∘∂ = 0`` holds on every
-    quotient.  The whole complex costs work proportional to its size, a
-    single vertex work proportional to its star.
+    Returns it, the local homology ``H_*(K, K - v)`` at each vertex and each
+    vertex's star dimension, the degree of the highest cell in its open star.
+    That star is the basis of ``C(K)/C(K - v)``, and the cells without ``v``
+    form a subcomplex, so ``∂∘∂ = 0`` holds on every quotient and each star
+    is reduced in place.
     """
     labels = list(labels)
     indices = [k.index_of(lab) for lab in labels]
     c = open_star_chain_complex(k, indices)
     c.check_boundary_squared()
+    cells = list(chain.from_iterable(c.bases))
     stars: dict[int, list[int]] = {i: [] for i in indices}
-    for x, s in enumerate(chain.from_iterable(c.bases)):
+    for x, s in enumerate(cells):
         for i in s:
             if i in stars:
                 stars[i].append(x)
     reduce = chain_reducer(c.boundaries)
     span = (0, max(k.dim, 0))
-    return {
-        lab: HomologySummary(_groups(reduce(stars[i]), 0), span)
-        for lab, i in zip(labels, indices)
-    }
+    local, dims = {}, {}
+    for lab, i in zip(labels, indices):
+        local[lab] = HomologySummary(_groups(reduce(stars[i]), 0), span)
+        dims[lab] = len(cells[stars[i][-1]]) - 1  # cells ascend by degree
+    return c, local, dims
+
+
+def local_homologies(k: SimplicialComplex, labels) -> dict[str, HomologySummary]:
+    """Local homology ``H_*(K, K - v)`` at each vertex, from ``open_stars``."""
+    return open_stars(k, labels)[1]
 
 
 def local_homology(k: SimplicialComplex, v: str) -> HomologySummary:

@@ -7,22 +7,23 @@ is the computational content of the wedge and cone obstructions.  The
 probe is a necessary test only: a clean report says "consistent with", it
 never certifies an actual manifold.
 
-A report reads every vertex's local groups from one chain complex: the
-quotient ``C(K)/C(K - v)`` has the open star of ``v`` as its basis, so
-``local_homologies`` builds and checks the complex once and reduces each
-open star in it.  The star dimension is the largest facet containing the
-vertex, read from the complex's vertex→facet index.  The link route
-``local_homology_via_link`` stays in ``homology`` as the independent
-cross-check.
+A report reads everything from ``chain_complex(K)``, built and checked
+once by ``open_stars``: each vertex's local groups come from reducing
+its open star (the basis of ``C(K)/C(K - v)``) in place, its star
+dimension is the degree of the highest cell in that star, and the
+pseudomanifold flags come from the rows of the boundary columns.  The
+link route ``local_homology_via_link`` stays in ``homology`` as the
+independent cross-check.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import combinations
+from dataclasses import asdict, dataclass
+from itertools import chain
 
+from .chains import ChainComplex, chain_complex
 from .complexes import SimplicialComplex
-from .homology import HomologyGroup, HomologySummary, local_homologies, local_homology
+from .homology import HomologyGroup, HomologySummary, open_stars
 
 INTERIOR_LIKE = "interior_like"
 BOUNDARY_LIKE = "boundary_like"
@@ -55,10 +56,6 @@ class VertexVerdict:
         return f"not locally euclidean (H_{degree} local = {group})"
 
 
-def _star_dimension(k: SimplicialComplex, v: str) -> int:
-    return max(len(f) for f in k.vertex_facets(k.index_of(v))) - 1
-
-
 def vertex_verdict(
     k: SimplicialComplex, v: str, local: HomologySummary | None = None
 ) -> VertexVerdict:
@@ -72,9 +69,13 @@ def vertex_verdict(
     boundary-like verdicts both record the star dimension.  ``local`` is
     the local homology at ``v`` when the caller has it already.
     """
-    summary = local_homology(k, v) if local is None else local
+    _, groups, dims = open_stars(k, [v])
+    return _verdict(v, groups[v] if local is None else local, dims[v])
+
+
+def _verdict(v: str, summary: HomologySummary, expected: int) -> VertexVerdict:
+    """The verdict on ``v`` from its local homology and star dimension."""
     groups = summary.groups
-    expected = _star_dimension(k, v)
     if not groups:
         return VertexVerdict(v, BOUNDARY_LIKE, dimension=expected, local=summary)
     if len(groups) == 1 and groups.get(expected) == INTERIOR_GROUP:
@@ -99,41 +100,44 @@ class PseudomanifoldFlags:
         return (self.pure, self.ridge_condition, self.strongly_connected)
 
 
-def pseudomanifold_check(
-    k: SimplicialComplex, closed: bool = True
-) -> PseudomanifoldFlags:
+def pseudomanifold_check(k: SimplicialComplex, closed: bool = True) -> PseudomanifoldFlags:
     """Purity, the ridge condition, and strong connectedness of facets.
 
     In closed mode every (n-1)-simplex must lie in exactly two
     n-simplices; in boundary mode at most two.
     """
-    n = k.dim
-    if n < 0:
+    return _flags(chain_complex(k), closed)
+
+
+def _flags(c: ChainComplex, closed: bool) -> PseudomanifoldFlags:
+    """The flags of a complex read from its chain complex ``c``.
+
+    It is pure when every cell below the top degree is a row of some
+    column one degree up; the ridges are the rows of the top columns.
+    """
+    if not c.bases:
         return PseudomanifoldFlags(True, True, True, closed)
-    facets = k.facets()
-    pure = all(len(f) == n + 1 for f in facets)
-    top = k.simplices(n)
-    if n == 0:
-        return PseudomanifoldFlags(pure, True, len(top) <= 1, closed)
-    by_ridge: dict = {r: [] for r in k.simplices(n - 1)}
-    for i, f in enumerate(top):
-        for r in combinations(f, n):
-            by_ridge[r].append(i)
-    counts = [len(facets) for facets in by_ridge.values()]
-    ridge_condition = (
-        all(c == 2 for c in counts) if closed else all(c <= 2 for c in counts)
+    pure = all(
+        len(set(chain.from_iterable(cols))) == len(cells)
+        for cells, cols in zip(c.bases, c.boundaries[1:])
     )
-    seen = {0} if top else set()
-    queue = [0] if top else []
-    while queue:
-        current = queue.pop()
-        for r in combinations(top[current], n):
-            for j in by_ridge[r]:
-                if j not in seen:
-                    seen.add(j)
-                    queue.append(j)
-    strongly_connected = len(seen) == len(top)
-    return PseudomanifoldFlags(pure, ridge_condition, strongly_connected, closed)
+    top = c.boundaries[-1]
+    if len(c.bases) == 1:
+        return PseudomanifoldFlags(pure, True, len(top) <= 1, closed)
+    cofaces = [[] for _ in c.bases[-2]]
+    for j, col in enumerate(top):
+        for r in col:
+            cofaces[r].append(j)
+    counts = set(map(len, cofaces))
+    ridge_condition = counts == {2} if closed else max(counts) <= 2
+    seen, reached = {0}, [0]
+    for j in reached:
+        for r in top[j]:
+            for i in cofaces[r]:
+                if i not in seen:
+                    seen.add(i)
+                    reached.append(i)
+    return PseudomanifoldFlags(pure, ridge_condition, len(reached) == len(top), closed)
 
 
 def _witness_record(witness: tuple[int, HomologyGroup] | None) -> dict | None:
@@ -198,12 +202,7 @@ class ObstructionReport:
             "witness_vertex": self.witness_vertex,
             "witness": _witness_record(self.witness),
             "reason": self.reason,
-            "pseudomanifold": {
-                "pure": self.flags.pure,
-                "ridge_condition": self.flags.ridge_condition,
-                "strongly_connected": self.flags.strongly_connected,
-                "closed_mode": self.flags.closed_mode,
-            },
+            "pseudomanifold": asdict(self.flags),
             "vertices": [
                 {
                     "vertex": verdict.vertex,
@@ -225,13 +224,13 @@ def obstruction_report(k: SimplicialComplex) -> ObstructionReport:
     vertex looks Euclidean.
     """
     labels = sorted(k.labels)
-    local = local_homologies(k, labels)
-    verdicts = tuple(vertex_verdict(k, lab, local[lab]) for lab in labels)
+    c, local, star_dims = open_stars(k, labels)
+    verdicts = tuple(_verdict(lab, local[lab], star_dims[lab]) for lab in labels)
     offenders = [v for v in verdicts if v.category == NOT_LOCALLY_EUCLIDEAN]
     dims = sorted({v.dimension for v in verdicts if v.category != NOT_LOCALLY_EUCLIDEAN})
     inferred = dims[0] if len(dims) == 1 else None
     has_boundary = any(v.category == BOUNDARY_LIKE for v in verdicts)
-    flags = pseudomanifold_check(k, closed=not has_boundary)
+    flags = _flags(c, closed=not has_boundary)
 
     if offenders:
         first = offenders[0]

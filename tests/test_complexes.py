@@ -12,6 +12,7 @@ from localhom import (
     deleted,
     disjoint_union,
     full_subcomplex,
+    homology_of_complex,
     link,
     local_homology_via_link,
     parse_complex,
@@ -25,12 +26,14 @@ from localhom.catalog import verify_builtin
 from localhom.errors import (
     BuiltinIntegrityError,
     LabelCollisionError,
+    LocalhomError,
     MalformedFacetError,
     RelabelError,
     SubcomplexError,
     UnknownBuiltinError,
     UnknownVertexError,
     UnwritableLabelError,
+    VertexIndexError,
 )
 from localhom.complexes import SubcomplexPair
 from localhom.homology import HomologyGroup
@@ -195,6 +198,25 @@ def test_vertex_facets_of_an_unknown_index_is_empty():
     assert k.vertex_facets(k.index_of("c")) == ((2, 3), (0, 1, 2))
     for i in (-1, k.n_vertices, 99):
         assert k.vertex_facets(i) == ()
+
+
+def test_index_simplices_reject_a_negative_index():
+    # A negative index used to wrap around to the end of the label list.
+    with pytest.raises(VertexIndexError, match="-1"):
+        SimplicialComplex.from_index_simplices(["a", "b", "c"], [(-1, 0)])
+
+
+def test_index_simplices_reject_an_index_past_the_labels():
+    with pytest.raises(VertexIndexError, match="vertex index 3 ") as info:
+        SimplicialComplex.from_index_simplices(["a", "b", "c"], [(0, 1), (1, 3)])
+    assert isinstance(info.value, LocalhomError)
+
+
+def test_index_simplices_collapse_a_repeated_index():
+    k = SimplicialComplex.from_index_simplices(["a", "b", "c"], [(0, 0, 1)])
+    assert k == SimplicialComplex.from_label_facets([("a", "b")])
+    assert k.f_vector() == (2, 1)
+    assert homology_of_complex(k).nonzero() == {0: HomologyGroup(1)}
 
 
 def test_complex_answers_the_same_after_the_index_is_filled():

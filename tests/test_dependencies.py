@@ -57,3 +57,13 @@ def test_runtime_dependencies_stay_empty():
     assert project["dependencies"] == []
     # Test-only tools live in the extra, never in the runtime list.
     assert set(project["optional-dependencies"]["test"]) == {"pytest", "hypothesis"}
+
+
+def test_package_parses_as_the_oldest_supported_python():
+    # pyproject.toml promises Python >= 3.10; syntax newer than that would
+    # only fail on an interpreter the tests do not run on.
+    files = sorted(PACKAGE.glob("*.py"))
+    for path in files:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
+    with pytest.raises(SyntaxError):
+        ast.parse("type Pair = tuple[int, int]\n", feature_version=(3, 10))

@@ -32,9 +32,10 @@ from localhom.homology import HomologyGroup
 LABELS = "abcdefgh"
 
 # Up to six facets of dimension at most 3 on at most eight vertices.
-complexes = st.lists(
+facet_lists = st.lists(
     st.sets(st.sampled_from(LABELS), min_size=1, max_size=4), min_size=1, max_size=6
-).map(SimplicialComplex.from_label_facets)
+)
+complexes = facet_lists.map(SimplicialComplex.from_label_facets)
 
 few = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
