@@ -24,15 +24,8 @@ from .constructions import (
     wedge,
 )
 from .catalog import builtin, builtin_names
-from .chains import augmented_chain_complex, chain_complex, relative_chain_complex
-from .exact import (
-    IntegerMatrix,
-    SnfResult,
-    kernel_basis_over_rationals,
-    multiply,
-    rank_over_rationals,
-    smith_normal_form,
-)
+from .chains import chain_complex, relative_chain_complex
+from .exact import IntegerMatrix, SnfResult, multiply, smith_normal_form
 from .homology import (
     HomologyGroup,
     HomologySummary,
@@ -68,7 +61,6 @@ __all__ = [
     "ObstructionReport",
     "VertexVerdict",
     "apex_local_homology_formula",
-    "augmented_chain_complex",
     "builtin",
     "builtin_names",
     "chain_complex",
@@ -79,7 +71,6 @@ __all__ = [
     "homology",
     "homology_of_complex",
     "induced_map",
-    "kernel_basis_over_rationals",
     "link",
     "local_homologies",
     "local_homology",
@@ -92,7 +83,6 @@ __all__ = [
     "prism_product",
     "pseudomanifold_check",
     "punctured_pair",
-    "rank_over_rationals",
     "read_complex",
     "reduced_homology",
     "relabel",

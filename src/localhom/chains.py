@@ -4,18 +4,19 @@ Bases are the simplices of each degree in lexicographic order of their
 vertex index lists; orientation comes from the increasing vertex order, so
 the boundary of a simplex alternates signs over its vertex-deleted faces.
 Each boundary is stored once, as sparse ``{row: ±1}`` columns built from
-the simplex index; a dense matrix is built only on request.  The columns
-are shared, never edited: homology reduces the complex to its discrete
-Morse complex by marking cells dead and writes the critical cells' Morse
-boundaries as new columns.  ``chain_boundary`` applies the same signs to
-a chain keyed by simplices.
-A chain complex may start at degree -1 (the augmented complex used for
-reduced homology, whose extra basis element is the empty simplex).  A
-quotient complex takes its basis from sets of a complex's simplices, so
-the pieces of a cover share one numbering.  The open-star complex is the
-quotient by the simplices that miss a vertex set, the one complex local
-homology is read from (over every vertex, the whole chain complex).  The
-range check in validation runs once per degree, over all its rows.
+the simplex index; no dense matrix is built.  The columns are shared,
+never edited: homology reduces the complex to its discrete Morse complex
+by marking cells dead and writes the critical cells' Morse boundaries as
+new columns.  ``chain_boundary`` applies the same signs to a chain keyed
+by simplices.  A chain complex may start at degree -1 (an augmented
+complex, whose extra basis element is the empty simplex), but every
+complex built here starts at 0: ``homology`` adjoins the augmentation
+cell itself for reduced homology.  A quotient complex takes its basis
+from sets of a complex's simplices, so the pieces of a cover share one
+numbering.  The open-star complex is the quotient by the simplices that
+miss a vertex set, the one complex local homology is read from (over
+every vertex, the whole chain complex).  The range check in validation
+runs once per degree, over all its rows.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from itertools import chain, combinations, filterfalse
 
 from .complexes import SimplicialComplex, SubcomplexPair, Simplex
 from .errors import ChainComplexError
-from .exact import IntegerMatrix
 
 
 @dataclass(frozen=True)
@@ -79,15 +79,6 @@ class ChainComplex:
             return self.boundaries[i]
         return ()
 
-    def boundary(self, degree: int) -> IntegerMatrix:
-        """Dense boundary matrix out of ``degree`` (zero-shaped off the ends)."""
-        cols = self.columns(degree)
-        entries = [[0] * len(cols) for _ in self.basis(degree - 1)]
-        for j, col in enumerate(cols):
-            for i, x in col.items():
-                entries[i][j] = x
-        return IntegerMatrix(len(entries), len(cols), entries)
-
     def check_boundary_squared(self) -> None:
         """Raise ``ChainComplexError`` unless consecutive boundaries compose to zero.
 
@@ -126,18 +117,6 @@ def chain_complex(k: SimplicialComplex) -> ChainComplex:
     """The simplicial chain complex of a complex (degrees 0..dim)."""
     bases = [k.simplices(d) for d in range(k.dim + 1)]
     return ChainComplex(0, bases, map(_boundary_columns, [()] + bases, bases))
-
-
-def augmented_chain_complex(k: SimplicialComplex) -> ChainComplex:
-    """Chain complex of ``k`` with the augmentation in degree -1.
-
-    The empty simplex spans degree -1 and every vertex's boundary is it.
-    Its homology is the reduced homology of ``k``; the empty complex keeps
-    a single class in degree -1.
-    """
-    bases = [((),), *(k.simplices(d) for d in range(k.dim + 1))]
-    boundaries = [({},), *map(_boundary_columns, bases[:-1], bases[1:])]
-    return ChainComplex(-1, bases, boundaries)
 
 
 def chain_boundary(chain: dict[Simplex, int]) -> dict[Simplex, int]:

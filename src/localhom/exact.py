@@ -4,17 +4,18 @@ All arithmetic uses Python's arbitrary-precision integers, so there is no
 overflow at any size; intermediate entries in a Smith reduction can grow
 well past 64 bits even for small boundary matrices.
 
-Every rational elimination (ranks, kernels and the Mayer-Vietoris maps)
-goes through one ``RationalEchelon``: sparse ``{index: value}`` vectors
-are reduced against the stored rows in the order they were added, and
-each row remembers its coordinates over the tagged vectors.  Rows are
-scaled at a ``±1`` entry where they have one, so ``±1`` boundaries mostly
-stay in ``int``; a ``Fraction`` scale is the fallback.  Rank counts the
-columns that enlarge the span, and each column that does not gives a
-kernel vector from its coordinates.  ``kernel_vectors`` yields those
-vectors one at a time from sparse columns, so a caller that needs only
-the first few (Mayer-Vietoris keeps dim Z - rank B cycles per degree)
-eliminates no column past the last one it draws.
+Every rational elimination (the Mayer-Vietoris cycles, their coordinates
+and the ranks of the maps) goes through one ``RationalEchelon``: sparse
+``{index: value}`` vectors are reduced against the stored rows in the
+order they were added, and each row remembers its coordinates over the
+tagged vectors.  Rows are scaled at a ``±1`` entry where they have one,
+so ``±1`` boundaries mostly stay in ``int``; a ``Fraction`` scale is the
+fallback.  Rank counts the columns that enlarge the span, and each column
+that does not gives a kernel vector from its coordinates.
+``kernel_vectors`` yields those vectors one at a time from sparse
+columns, so a caller that needs only the first few (Mayer-Vietoris keeps
+dim Z - rank B cycles per degree) eliminates no column past the last one
+it draws.
 
 Homology needs only the rank and the invariant factors of each boundary,
 and boundaries are sparse with mostly ``±1`` entries.  ``chain_reducer``
@@ -42,7 +43,6 @@ from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
 from math import lcm
 
 from .errors import DimensionMismatchError
@@ -63,12 +63,6 @@ class IntegerMatrix:
         if len(data) != self.rows or any(len(row) != self.cols for row in data):
             raise ValueError(f"entries do not form a {self.rows}x{self.cols} grid")
         object.__setattr__(self, "entries", data)
-
-    @classmethod
-    def from_rows(cls, rows) -> "IntegerMatrix":
-        data = [list(r) for r in rows]
-        n_cols = len(data[0]) if data else 0
-        return cls(len(data), n_cols, data)
 
     @classmethod
     def identity(cls, n: int) -> "IntegerMatrix":
@@ -97,12 +91,6 @@ class IntegerMatrix:
             self.rows,
             [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)],
         )
-
-    def column(self, j: int) -> tuple[int, ...]:
-        return tuple(self.entries[i][j] for i in range(self.rows))
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for row in self.entries for x in row)
 
     def diagonal(self) -> tuple[int, ...]:
         return tuple(self.entries[i][i] for i in range(min(self.rows, self.cols)))
@@ -260,13 +248,6 @@ def smith_normal_form(a: IntegerMatrix) -> SnfResult:
     )
 
 
-def sparse_columns(a: IntegerMatrix) -> list[dict[int, int]]:
-    """The nonzero entries of each column of ``a`` as ``{row: value}``."""
-    if a.rows == 0:
-        return [{} for _ in range(a.cols)]
-    return [dict(compress(enumerate(col), col)) for col in zip(*a.entries)]
-
-
 def chain_reducer(boundaries):
     """Number a chain complex's cells once; returns ``reduce(cells=None)``.
 
@@ -275,10 +256,10 @@ def chain_reducer(boundaries):
     numbered through the bases bottom degree first, and their coface lists
     and per-cell state (a live flag and live face and coface counts) are
     built here, once, so many cell sets of one complex can be reduced.
-    ``reduce(cells)`` reduces ``cells`` (ascending cell numbers, every
-    cell when omitted) to a discrete Morse complex; faces and cofaces
-    outside them count as absent, so a set whose complement is a
-    subcomplex is reduced as the quotient complex.  One queue runs over
+    ``reduce(cells)`` reduces ``cells`` (any iterable of ascending cell
+    numbers, every cell when omitted) to a discrete Morse complex; faces
+    and cofaces outside them count as absent, so a set whose complement
+    is a subcomplex is reduced as the quotient complex.  One queue runs over
     every degree, seeded with ``cells`` in order; a cell goes back on it
     when its live faces or live cofaces drop to one.  Two moves remove a
     pair of cells joined by a ``±1`` entry:
@@ -422,6 +403,8 @@ def chain_reducer(boundaries):
         return tuple(map(tuple, critical)), tuple(map(tuple, morse))
 
     def reduce(cells=None) -> tuple[tuple, tuple]:
+        if cells is not None:
+            cells = tuple(cells)  # read by mark, the queue seed and the unseen scan
         try:
             if cells is None:
                 cells = range(total)
@@ -508,12 +491,6 @@ def _add_multiple(target: dict, c, source: dict) -> None:
             del target[i]
 
 
-def rank_over_rationals(a: IntegerMatrix) -> int:
-    """Rank of ``a`` over the rationals."""
-    echelon = RationalEchelon()
-    return sum(map(echelon.add, sparse_columns(a)))
-
-
 def kernel_vectors(columns, n: int):
     """Yield a basis of the rational null space of ``n`` sparse columns, lazily.
 
@@ -538,8 +515,3 @@ def kernel_vectors(columns, n: int):
             vec[t] = -(c * scale).numerator
         vec[j] = scale
         yield tuple(vec)
-
-
-def kernel_basis_over_rationals(a: IntegerMatrix) -> list[tuple[int, ...]]:
-    """Basis of the rational null space of ``a``, as ``kernel_vectors`` yields it."""
-    return list(kernel_vectors(sparse_columns(a), a.cols))

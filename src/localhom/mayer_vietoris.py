@@ -35,7 +35,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
 
 from .chains import chain_boundary, quotient_chain_complex
 from .complexes import SimplicialComplex, SubcomplexPair
@@ -148,10 +147,17 @@ class _PairHomology:
             raise InclusionError("chain is not a cycle in the span of the basis")
         return [coordinates.get(t, Fraction(0)) for t in range(rank)]
 
+    def pushed(self, n: int, target: _PairHomology) -> list:
+        """Target coordinates of each chosen degree-n cycle under inclusion.
 
-def _push_chain(chain: dict, target: _PairHomology) -> dict:
-    """Image of a chain under inclusion into another pair's quotient."""
-    return {s: c for s, c in chain.items() if s not in target.sub}
+        The inclusion into the target's quotient drops its subcomplex.
+        """
+        return [
+            target.express(
+                n, {s: c for s, c in self.chain_dict(n, vec).items() if s not in target.sub}
+            )
+            for vec in self.cycles(n)
+        ]
 
 
 @dataclass(frozen=True)
@@ -175,18 +181,8 @@ class RationalMap:
         echelon = RationalEchelon()
         return sum(echelon.add(dict(enumerate(row))) for row in self.entries)
 
-    def nullity(self) -> int:
-        return self.cols - self.rank()
-
     def is_zero(self) -> bool:
         return all(x == 0 for row in self.entries for x in row)
-
-    def is_identity(self) -> bool:
-        return self.rows == self.cols and all(
-            x == (1 if i == j else 0)
-            for i, row in enumerate(self.entries)
-            for j, x in enumerate(row)
-        )
 
     def compose(self, other: "RationalMap") -> "RationalMap":
         """self after other (matrix product self @ other)."""
@@ -213,20 +209,17 @@ def induced_map(source: SubcomplexPair, target: SubcomplexPair, degree: int) -> 
     sub = _cells_in(source.sub, k, target_sub.__contains__, error)
     sp = _PairHomology(k, ambient, sub)
     tp = _PairHomology(k, None, target_sub)
-    columns = []
-    for vec in sp.cycles(degree):
-        chain = sp.chain_dict(degree, vec)
-        columns.append(tp.express(degree, _push_chain(chain, tp)))
-    return RationalMap.from_columns(degree, columns, tp.rank(degree))
+    return RationalMap.from_columns(degree, sp.pushed(degree, tp), tp.rank(degree))
 
 
 @dataclass(frozen=True, slots=True)
 class MvDecomposition:
     """Covering data ``k = a | b`` with subcomplexes ``c <= a``, ``d <= b``.
 
-    Each piece is checked and kept as the set of its simplices in ``k``'s
-    numbering; ``intersection``, ``sub_intersection`` and ``y`` are the
-    complexes of ``a & b``, ``c & d`` and ``c | d``.
+    Each piece is checked once and kept as the set of its simplices in
+    ``k``'s numbering; every pair of the sequence, ``(a & b, c & d)`` and
+    ``(k, c | d)`` among them, is a quotient of those sets.  An omitted
+    ``c`` or ``d`` is the empty complex.
     """
 
     k: SimplicialComplex
@@ -234,9 +227,6 @@ class MvDecomposition:
     b: SimplicialComplex
     c: SimplicialComplex | None = None
     d: SimplicialComplex | None = None
-    intersection: SimplicialComplex = field(init=False)
-    sub_intersection: SimplicialComplex = field(init=False)
-    y: SimplicialComplex = field(init=False)
     _cells: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -257,16 +247,9 @@ class MvDecomposition:
                 raise DecompositionError(
                     f"simplex {k.simplex_labels(s)} lies in neither covering piece"
                 )
-        closed = partial(SimplicialComplex.from_index_simplices, k.labels)
-        for name, value in (
-            ("c", c),
-            ("d", d),
-            ("intersection", closed(a_cells & b_cells)),
-            ("sub_intersection", closed(c_cells & d_cells)),
-            ("y", closed(c_cells | d_cells)),
-            ("_cells", (a_cells, b_cells, c_cells, d_cells)),
-        ):
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "_cells", (a_cells, b_cells, c_cells, d_cells))
 
 
 @dataclass(frozen=True)
@@ -387,20 +370,14 @@ def mv_exactness_check(decomposition: MvDecomposition, max_degree: int) -> MvRep
     total = _PairHomology(m.k, None, c | d)
 
     def phi(n: int) -> RationalMap:
-        columns = []
-        for vec in int_pair.cycles(n):
-            chain = int_pair.chain_dict(n, vec)
-            into_a = left.express(n, _push_chain(chain, left))
-            into_b = right.express(n, _push_chain(chain, right))
-            columns.append(into_a + [-x for x in into_b])
+        columns = [
+            into_a + [-x for x in into_b]
+            for into_a, into_b in zip(int_pair.pushed(n, left), int_pair.pushed(n, right))
+        ]
         return RationalMap.from_columns(n, columns, left.rank(n) + right.rank(n))
 
     def psi(n: int) -> RationalMap:
-        columns = []
-        for pair_hom in (left, right):
-            for vec in pair_hom.cycles(n):
-                chain = pair_hom.chain_dict(n, vec)
-                columns.append(total.express(n, _push_chain(chain, total)))
+        columns = left.pushed(n, total) + right.pushed(n, total)
         return RationalMap.from_columns(n, columns, total.rank(n))
 
     def delta(n: int) -> RationalMap:

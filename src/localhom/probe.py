@@ -56,9 +56,7 @@ class VertexVerdict:
         return f"not locally euclidean (H_{degree} local = {group})"
 
 
-def vertex_verdict(
-    k: SimplicialComplex, v: str, local: HomologySummary | None = None
-) -> VertexVerdict:
+def vertex_verdict(k: SimplicialComplex, v: str) -> VertexVerdict:
     """Classify ``v`` against the expected pattern of its star dimension.
 
     A vertex whose incident facets have dimension n is interior-like only
@@ -66,11 +64,10 @@ def vertex_verdict(
     of two triangles, whose local homology sits in degree 1, fails even
     though the group itself is ``Z``).  The witness is the nonzero group
     of highest degree that breaks the pattern.  Interior-like and
-    boundary-like verdicts both record the star dimension.  ``local`` is
-    the local homology at ``v`` when the caller has it already.
+    boundary-like verdicts both record the star dimension.
     """
     _, groups, dims = open_stars(k, [v])
-    return _verdict(v, groups[v] if local is None else local, dims[v])
+    return _verdict(v, groups[v], dims[v])
 
 
 def _verdict(v: str, summary: HomologySummary, expected: int) -> VertexVerdict:

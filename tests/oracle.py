@@ -2,9 +2,10 @@
 
 Everything here is deliberately written from scratch: its own face
 closure, its own boundary matrices, and its own Gaussian elimination over
-the rationals and over GF(2).  Free ranks come from rational Betti
-numbers; the count of even torsion coefficients comes from the GF(2)
-Betti numbers through the universal-coefficient bookkeeping
+the rationals and over GF(2); ``dense`` writes sparse ``{row: value}``
+columns out as the row lists those eliminations read.  Free ranks come
+from rational Betti numbers; the count of even torsion coefficients comes
+from the GF(2) Betti numbers through the universal-coefficient bookkeeping
 ``b_k(F2) = b_k(Q) + t_k + t_{k-1}`` with ``t_k`` the number of even
 invariant factors in degree k.  ``group_direct_sum`` renormalizes a sum of
 groups to invariant factors through their prime-power parts, for the
@@ -45,6 +46,15 @@ def boundary_matrices(facets):
                 mat[rows[face]][j] = -1 if drop % 2 else 1
         matrices.append(mat)
     return graded, matrices
+
+
+def dense(columns, rows):
+    """Row lists of the matrix with ``rows`` rows and sparse ``{row: value}`` columns."""
+    matrix = [[0] * len(columns) for _ in range(rows)]
+    for j, col in enumerate(columns):
+        for i, x in col.items():
+            matrix[i][j] = x
+    return matrix
 
 
 def rank_q(matrix):

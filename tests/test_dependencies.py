@@ -1,4 +1,5 @@
-"""The package imports nothing outside the standard library (``dependencies = []``)."""
+"""The package imports nothing outside the standard library (``dependencies = []``),
+and its public surface changes only on purpose."""
 
 import ast
 import sys
@@ -8,6 +9,55 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "localhom"
+
+# ``localhom.__all__``, in its order: adding or removing a public name
+# means editing this list too.
+PUBLIC_NAMES = [
+    "SimplicialComplex",
+    "SubcomplexPair",
+    "IntegerMatrix",
+    "SnfResult",
+    "HomologyGroup",
+    "HomologySummary",
+    "MvDecomposition",
+    "RationalMap",
+    "ObstructionReport",
+    "VertexVerdict",
+    "apex_local_homology_formula",
+    "builtin",
+    "builtin_names",
+    "chain_complex",
+    "cone",
+    "deleted",
+    "disjoint_union",
+    "full_subcomplex",
+    "homology",
+    "homology_of_complex",
+    "induced_map",
+    "link",
+    "local_homologies",
+    "local_homology",
+    "local_homology_multi",
+    "local_homology_via_link",
+    "multiply",
+    "mv_exactness_check",
+    "obstruction_report",
+    "parse_complex",
+    "prism_product",
+    "pseudomanifold_check",
+    "punctured_pair",
+    "read_complex",
+    "reduced_homology",
+    "relabel",
+    "relative_chain_complex",
+    "relative_homology",
+    "smith_normal_form",
+    "star",
+    "to_scx",
+    "vertex_verdict",
+    "wedge",
+    "write_complex",
+]
 
 
 def _outside_stdlib(source: str, filename: str) -> list[str]:
@@ -67,3 +117,10 @@ def test_package_parses_as_the_oldest_supported_python():
         ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
     with pytest.raises(SyntaxError):
         ast.parse("type Pair = tuple[int, int]\n", feature_version=(3, 10))
+
+
+def test_public_names_are_pinned_and_resolve():
+    import localhom
+
+    assert localhom.__all__ == PUBLIC_NAMES
+    assert [name for name in PUBLIC_NAMES if not hasattr(localhom, name)] == []

@@ -10,23 +10,47 @@ import pytest
 
 import oracle
 from localhom import builtin, chain_complex
-from localhom.chains import ChainComplex
 from localhom.errors import DimensionMismatchError
 from localhom.exact import (
     IntegerMatrix,
     RationalEchelon,
     chain_reducer,
     determinant,
-    kernel_basis_over_rationals,
     kernel_vectors,
     multiply,
-    rank_over_rationals,
     smith_normal_form,
-    sparse_columns,
 )
 
-# Boundary of the triangle a-b-c: rows a, b, c; columns ab, ac, bc.
-TRIANGLE_D1 = IntegerMatrix(3, 3, [[-1, -1, 0], [1, 0, -1], [0, 1, 1]])
+# Boundary of the triangle a-b-c as sparse columns ab, ac, bc over rows a, b, c.
+TRIANGLE_D1 = [{0: -1, 1: 1}, {0: -1, 2: 1}, {1: -1, 2: 1}]
+
+
+def _matrix(rows: int, columns) -> IntegerMatrix:
+    """The dense matrix with ``rows`` rows and these sparse columns."""
+    return IntegerMatrix(rows, len(columns), oracle.dense(columns, rows))
+
+
+def _columns(rows: int, cols: int, entry) -> list[dict]:
+    """Sparse columns of a ``rows`` x ``cols`` matrix, ``entry()`` drawing each entry by rows."""
+    columns = [{} for _ in range(cols)]
+    for i in range(rows):
+        for j in range(cols):
+            x = entry()
+            if x:
+                columns[j][i] = x
+    return columns
+
+
+def _rank(columns) -> int:
+    """Rank over the rationals: the dimension of one echelon holding the columns."""
+    echelon = RationalEchelon()
+    for col in columns:
+        echelon.add(col)
+    return len(echelon)
+
+
+def _kernel(columns) -> list[tuple[int, ...]]:
+    return list(kernel_vectors(columns, len(columns)))
 
 
 def test_zero_matrix_is_already_normal():
@@ -47,9 +71,11 @@ def test_rank_one_matrix_with_content_two():
 
 def test_triangle_boundary_diagonal():
     # Hand reduction: connected graph on 3 vertices, rank 2, no torsion.
-    res = smith_normal_form(TRIANGLE_D1)
+    a = _matrix(3, TRIANGLE_D1)
+    assert a == IntegerMatrix(3, 3, [[-1, -1, 0], [1, 0, -1], [0, 1, 1]])
+    res = smith_normal_form(a)
     assert res.diagonal == (1, 1, 0)
-    assert res.u @ TRIANGLE_D1 @ res.v == res.d
+    assert res.u @ a @ res.v == res.d
 
 
 def test_multiply_by_identity():
@@ -65,55 +91,54 @@ def test_multiply_dimension_mismatch():
 
 
 def test_rank_of_diagonal():
-    assert rank_over_rationals(IntegerMatrix(2, 2, [[2, 0], [0, 0]])) == 1
+    assert _rank([{0: 2}, {}]) == 1  # diag(2, 0)
 
 
 def test_kernel_of_triangle_boundary():
     # Solving the 3x3 system by hand gives the alternating 3-cycle.
-    basis = kernel_basis_over_rationals(TRIANGLE_D1)
-    assert basis == [(1, -1, 1)]
+    assert _kernel(TRIANGLE_D1) == [(1, -1, 1)]
+
+
+# The 2x4 matrix [[2, 4, 6, 0], [0, 2, 2, 2]].
+TWO_BY_FOUR = [{0: 2}, {0: 4, 1: 2}, {0: 6, 1: 2}, {1: 2}]
 
 
 def test_kernel_vectors_are_primitive_and_deterministic():
-    a = IntegerMatrix(2, 4, [[2, 4, 6, 0], [0, 2, 2, 2]])
-    basis = kernel_basis_over_rationals(a)
-    assert basis == kernel_basis_over_rationals(a)
+    basis = _kernel(TWO_BY_FOUR)
+    assert basis == _kernel(TWO_BY_FOUR)
     for vec in basis:
-        content = 0
-        for x in vec:
-            import math
-
-            content = math.gcd(content, x)
-        assert content == 1
+        assert gcd(*vec) == 1
         assert any(vec)
     for vec in basis:
-        assert all(x == 0 for x in (sum(r * x for r, x in zip(row, vec)) for row in a.entries))
+        rows = oracle.dense(TWO_BY_FOUR, 2)
+        assert all(x == 0 for x in (sum(r * x for r, x in zip(row, vec)) for row in rows))
+
+
+# The rows [6, 3, 2] and [1, 2, -4], and [[4, 6, 0], [0, 0, 0]].
+FRACTIONAL_CASES = [
+    (1, [{0: 6}, {0: 3}, {0: 2}]),
+    (1, [{0: 1}, {0: 2}, {0: -4}]),
+    (2, [{0: 4}, {0: 6}, {}]),
+]
 
 
 def test_kernel_vectors_clear_fractional_coordinates():
     # Column 1 is 1/2 of column 0 and column 2 is 1/3 of it; the integer
     # coordinates of a unit lead need no clearing.
-    assert kernel_basis_over_rationals(IntegerMatrix(1, 3, [[6, 3, 2]])) == [
-        (-1, 2, 0),
-        (-1, 0, 3),
-    ]
-    assert kernel_basis_over_rationals(IntegerMatrix(1, 3, [[1, 2, -4]])) == [
-        (-2, 1, 0),
-        (4, 0, 1),
-    ]
-    assert kernel_basis_over_rationals(IntegerMatrix(2, 3, [[4, 6, 0], [0, 0, 0]])) == [
-        (-3, 2, 0),
-        (0, 0, 1),
+    assert [_kernel(columns) for _, columns in FRACTIONAL_CASES] == [
+        [(-1, 2, 0), (-1, 0, 3)],
+        [(-2, 1, 0), (4, 0, 1)],
+        [(-3, 2, 0), (0, 0, 1)],
     ]
 
 
 def test_empty_shapes():
-    for shape in [(0, 0), (0, 3), (3, 0)]:
-        a = IntegerMatrix.zeros(*shape)
+    for rows, cols in [(0, 0), (0, 3), (3, 0)]:
+        a = IntegerMatrix.zeros(rows, cols)
         res = smith_normal_form(a)
         assert res.d == a
-        assert rank_over_rationals(a) == 0
-    assert kernel_basis_over_rationals(IntegerMatrix.zeros(0, 2)) == [(1, 0), (0, 1)]
+        assert _rank([{} for _ in range(cols)]) == 0
+    assert _kernel([{}, {}]) == [(1, 0), (0, 1)]  # a 0x2 matrix
 
 
 def test_determinant_matches_cofactor_expansion():
@@ -147,19 +172,17 @@ def test_determinant_matches_cofactor_expansion():
 
 
 def _random_matrix(rng, max_dim=6, bound=5):
+    """``(rows, columns)`` with entries from ``-bound`` to ``bound``."""
     rows = rng.randint(1, max_dim)
     cols = rng.randint(1, max_dim)
-    return IntegerMatrix(
-        rows,
-        cols,
-        [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)],
-    )
+    return rows, _columns(rows, cols, lambda: rng.randint(-bound, bound))
 
 
 def test_snf_random_properties():
     rng = random.Random(99)
     for _ in range(300):
-        a = _random_matrix(rng)
+        rows, columns = _random_matrix(rng)
+        a = _matrix(rows, columns)
         res = smith_normal_form(a)
         assert res.u @ a @ res.v == res.d
         assert abs(determinant(res.u)) == 1
@@ -170,7 +193,7 @@ def test_snf_random_properties():
         assert diag[: len(nonzero)] == tuple(nonzero), "zeros must come last"
         for x, y in zip(nonzero, nonzero[1:]):
             assert y % x == 0
-        assert rank_over_rationals(a) == len(nonzero)
+        assert _rank(columns) == len(nonzero)
         t_nonzero = [x for x in smith_normal_form(a.transpose()).diagonal if x]
         assert t_nonzero == nonzero
 
@@ -180,10 +203,12 @@ def _unit_matrix(rng, zeros, max_dim=12):
     rows = rng.randint(1, max_dim)
     cols = rng.randint(1, max_dim)
     choices = (0,) * zeros + (1, -1)
-    entries = [[rng.choice(choices) for _ in range(cols)] for _ in range(rows)]
+    columns = _columns(rows, cols, lambda: rng.choice(choices))
     for _ in range(rng.randint(0, 3)):
-        entries[rng.randrange(rows)][rng.randrange(cols)] = rng.choice((2, -2, 3, 4, -6))
-    return IntegerMatrix(rows, cols, entries)
+        value = rng.choice((2, -2, 3, 4, -6))
+        row = rng.randrange(rows)
+        columns[rng.randrange(cols)][row] = value
+    return rows, columns
 
 
 def _rank_and_factors(a):
@@ -191,18 +216,19 @@ def _rank_and_factors(a):
     return res.rank, res.invariant_factors
 
 
-def _morse_core(a):
-    """``(pairs, core)`` of ``a`` as the one boundary of a two-degree complex.
+def _morse_core(rows, columns):
+    """``(pairs, core)`` of a matrix as the one boundary of a two-degree complex.
 
-    Each pair the Morse reduction removes is a ``±1`` pivot of ``a``; the
-    core is the dense Morse boundary between the critical rows and columns.
+    Each pair the Morse reduction removes is a ``±1`` pivot of the matrix;
+    the core is the dense Morse boundary between the critical rows and
+    columns.
     """
-    critical, columns = chain_reducer([({},) * a.rows, sparse_columns(a)])()
-    return a.cols - len(critical[1]), ChainComplex(0, critical, columns).boundary(1)
+    critical, morse = chain_reducer([({},) * rows, columns])()
+    return len(columns) - len(critical[1]), _matrix(len(critical[0]), morse[1])
 
 
-def _eliminated_rank_and_factors(a):
-    units, core = _morse_core(a)
+def _eliminated_rank_and_factors(rows, columns):
+    units, core = _morse_core(rows, columns)
     res = smith_normal_form(core)
     return units + res.rank, res.invariant_factors
 
@@ -217,20 +243,22 @@ def test_unit_elimination_matches_whole_snf(make):
     # a non-unit entry of the Morse boundary, which must not be paired.
     rng = random.Random(2003)
     for _ in range(400):
-        a = make(rng)
-        units, core = _morse_core(a)
-        assert _eliminated_rank_and_factors(a) == _rank_and_factors(a)
-        assert units <= min(a.rows, a.cols)
-        assert (core.rows, core.cols) == (a.rows - units, a.cols - units)
-        assert _morse_core(a) == (units, core)
+        rows, columns = make(rng)
+        units, core = _morse_core(rows, columns)
+        assert _eliminated_rank_and_factors(rows, columns) == _rank_and_factors(
+            _matrix(rows, columns)
+        )
+        assert units <= min(rows, len(columns))
+        assert (core.rows, core.cols) == (rows - units, len(columns) - units)
+        assert _morse_core(rows, columns) == (units, core)
 
 
 def test_unit_elimination_leaves_its_input_columns_unchanged():
     rng = random.Random(2011)
     for make in (_random_matrix, lambda rng: _unit_matrix(rng, 4)):
         for _ in range(100):
-            a = make(rng)
-            boundaries = [({},) * a.rows, sparse_columns(a)]
+            rows, columns = make(rng)
+            boundaries = [({},) * rows, columns]
             before = copy.deepcopy(boundaries)
             chain_reducer(boundaries)()
             assert boundaries == before
@@ -238,58 +266,53 @@ def test_unit_elimination_leaves_its_input_columns_unchanged():
 
 def test_unit_elimination_core_without_units_still_counts_rank():
     # No entry is a unit, yet the SNF is (1, 6): the 1 is rank, not torsion.
-    a = IntegerMatrix(2, 2, [[2, 0], [0, 3]])
-    units, core = _morse_core(a)
-    assert (units, core) == (0, a)
+    columns = [{0: 2}, {1: 3}]  # diag(2, 3)
+    units, core = _morse_core(2, columns)
+    assert (units, core) == (0, _matrix(2, columns))
     assert smith_normal_form(core).diagonal == (1, 6)
-    assert _eliminated_rank_and_factors(a) == (2, (6,))
+    assert _eliminated_rank_and_factors(2, columns) == (2, (6,))
 
 
 def test_unit_elimination_empty_core():
     # Two pairs; the vertex and the edge left (a component and a loop of
     # the triangle) have a zero Morse boundary.
-    units, core = _morse_core(TRIANGLE_D1)
+    units, core = _morse_core(3, TRIANGLE_D1)
     assert units == 2
     assert core == IntegerMatrix.zeros(1, 1)
-    assert _eliminated_rank_and_factors(TRIANGLE_D1) == (2, ())
+    assert _eliminated_rank_and_factors(3, TRIANGLE_D1) == (2, ())
 
 
 def test_unit_elimination_leaves_torsion_in_core():
     # Row 0 is paired with column 0; the 2 is what remains.
-    a = IntegerMatrix(2, 2, [[1, 1], [0, 2]])
-    units, core = _morse_core(a)
+    units, core = _morse_core(2, [{0: 1}, {0: 1, 1: 2}])  # [[1, 1], [0, 2]]
     assert units == 1
     assert core == IntegerMatrix(1, 1, [[2]])
 
 
 def test_unit_elimination_skips_entries_that_fill_made_non_unit():
     # Two pairs turn unit entries of this matrix into 2s of the 3x3 Morse
-    # boundary; taking a stale unit entry as a pivot would give Z/10.
-    a = IntegerMatrix.from_rows(
-        [
-            [0, -1, -1, 1, 1],
-            [-1, -1, 0, 0, -1],
-            [1, -1, 0, 1, 0],
-            [-1, 0, -1, -1, 1],
-            [0, 1, 1, 1, 1],
-        ]
-    )
+    # boundary; taking a stale unit entry as a pivot would give Z/10.  Its
+    # rows are [0, -1, -1, 1, 1], [-1, -1, 0, 0, -1], [1, -1, 0, 1, 0],
+    # [-1, 0, -1, -1, 1] and [0, 1, 1, 1, 1].
+    columns = [
+        {1: -1, 2: 1, 3: -1},
+        {0: -1, 1: -1, 2: -1, 4: 1},
+        {0: -1, 3: -1, 4: 1},
+        {0: 1, 2: 1, 3: -1, 4: 1},
+        {0: 1, 1: -1, 3: 1, 4: 1},
+    ]
+    a = _matrix(5, columns)
     assert determinant(a) in (4, -4)
     assert _rank_and_factors(a) == (5, (4,))
-    assert _eliminated_rank_and_factors(a) == (5, (4,))
+    assert _eliminated_rank_and_factors(5, columns) == (5, (4,))
 
 
 @pytest.mark.parametrize("shape", [(0, 0), (0, 4), (4, 0), (3, 2)])
 def test_unit_elimination_of_zero_and_empty_shapes(shape):
-    units, core = _morse_core(IntegerMatrix.zeros(*shape))
+    rows, cols = shape
+    units, core = _morse_core(rows, [{} for _ in range(cols)])
     assert units == 0
     assert core == IntegerMatrix.zeros(*shape)
-
-
-def test_sparse_columns():
-    assert sparse_columns(TRIANGLE_D1) == [{0: -1, 1: 1}, {0: -1, 2: 1}, {1: -1, 2: 1}]
-    assert sparse_columns(IntegerMatrix.zeros(0, 2)) == [{}, {}]
-    assert sparse_columns(IntegerMatrix.zeros(2, 0)) == []
 
 
 def test_first_two_invariant_factors_match_minor_gcds():
@@ -333,32 +356,33 @@ def _clear_denominators(vec) -> tuple[int, ...]:
     return tuple(x // content for x in ints)
 
 
-def _rref_kernel_reference(a):
+def _rref_kernel_reference(n_rows, columns):
     """Kernel basis from a dense ``Fraction`` reduced row echelon form.
 
     One vector per free column, in column order: 1 at the free column and
     minus the free column's entry in each pivot row at that row's pivot
     column, cleared to integer entries of content 1.
     """
-    rows = [[Fraction(x) for x in row] for row in a.entries]
+    n_cols = len(columns)
+    rows = [[Fraction(x) for x in row] for row in oracle.dense(columns, n_rows)]
     pivots = []
-    for c in range(a.cols):
+    for c in range(n_cols):
         r = len(pivots)
-        pivot_row = next((i for i in range(r, a.rows) if rows[i][c] != 0), None)
+        pivot_row = next((i for i in range(r, n_rows) if rows[i][c] != 0), None)
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
         rows[r] = [x / rows[r][c] for x in rows[r]]
-        for i in range(a.rows):
+        for i in range(n_rows):
             if i != r and rows[i][c] != 0:
                 factor = rows[i][c]
                 rows[i] = [x - factor * y for x, y in zip(rows[i], rows[r])]
         pivots.append(c)
     basis = []
-    for free in range(a.cols):
+    for free in range(n_cols):
         if free in pivots:
             continue
-        vec = [Fraction(0)] * a.cols
+        vec = [Fraction(0)] * n_cols
         vec[free] = Fraction(1)
         for r, c in enumerate(pivots):
             vec[c] = -rows[r][free]
@@ -367,35 +391,30 @@ def _rref_kernel_reference(a):
 
 
 def _seeded_rational_cases(seed=11, count=300):
-    """Matrices of every shape up to 7x7, empty and all-zero ones included."""
+    """``(rows, columns)`` of every shape up to 7x7, empty and all-zero ones included."""
     rng = random.Random(seed)
-    cases = [IntegerMatrix.zeros(r, c) for r in range(4) for c in range(4)]
+    cases = [(r, [{} for _ in range(c)]) for r in range(4) for c in range(4)]
     while len(cases) < count:
         rows, cols = rng.randint(0, 7), rng.randint(0, 7)
         density = rng.choice([0.0, 0.2, 0.5, 1.0])
-        cases.append(
-            IntegerMatrix(
-                rows,
-                cols,
-                [
-                    [rng.randint(-4, 4) if rng.random() < density else 0 for _ in range(cols)]
-                    for _ in range(rows)
-                ],
-            )
-        )
+
+        def entry():
+            return rng.randint(-4, 4) if rng.random() < density else 0
+
+        cases.append((rows, _columns(rows, cols, entry)))
     return cases
 
 
 def test_rank_matches_the_oracle_on_seeded_matrices():
-    for a in _seeded_rational_cases():
-        assert rank_over_rationals(a) == oracle.rank_q([list(row) for row in a.entries])
+    for rows, columns in _seeded_rational_cases():
+        assert _rank(columns) == oracle.rank_q(oracle.dense(columns, rows))
 
 
 def test_kernel_matches_the_dense_rref_reference_on_seeded_matrices():
-    for a in _seeded_rational_cases():
-        basis = kernel_basis_over_rationals(a)
-        assert basis == _rref_kernel_reference(a)
-        assert len(basis) == a.cols - rank_over_rationals(a)
+    for rows, columns in _seeded_rational_cases():
+        basis = _kernel(columns)
+        assert basis == _rref_kernel_reference(rows, columns)
+        assert len(basis) == len(columns) - _rank(columns)
 
 
 def test_rank_and_kernel_of_rank_deficient_products():
@@ -404,16 +423,15 @@ def test_rank_and_kernel_of_rank_deficient_products():
     rng = random.Random(13)
     for _ in range(100):
         inner = rng.randint(0, 3)
-        left = IntegerMatrix.from_rows(
-            [[rng.randint(-3, 3) for _ in range(inner)] for _ in range(6)]
-        )
-        right = IntegerMatrix(
-            inner, 7, [[rng.randint(-3, 3) for _ in range(7)] for _ in range(inner)]
-        )
-        a = left @ right
-        rank = rank_over_rationals(a)
-        assert rank == oracle.rank_q([list(row) for row in a.entries]) <= inner
-        assert kernel_basis_over_rationals(a) == _rref_kernel_reference(a)
+        left = [[rng.randint(-3, 3) for _ in range(inner)] for _ in range(6)]
+        right = [[rng.randint(-3, 3) for _ in range(7)] for _ in range(inner)]
+        # Column j of left @ right, its zero entries included.
+        columns = [
+            {i: sum(x * right[k][j] for k, x in enumerate(row)) for i, row in enumerate(left)}
+            for j in range(7)
+        ]
+        assert _rank(columns) == oracle.rank_q(oracle.dense(columns, 6)) <= inner
+        assert _kernel(columns) == _rref_kernel_reference(6, columns)
 
 
 def test_reduce_recovers_each_vector_from_its_coordinates():
@@ -455,23 +473,18 @@ def test_reduce_coordinates_are_taken_modulo_untagged_vectors():
 
 
 def _seeded_non_unit_cases(seed=19, count=200):
-    """Matrices with entries from ``{±2, ±3, ±6}`` only, then mixed with ``±1``."""
+    """``(rows, columns)`` with entries from ``{±2, ±3, ±6}`` only, then mixed with ``±1``."""
     rng = random.Random(seed)
     cases = []
     for values in ([2, -2, 3, -3, 6, -6], [1, -1, 2, -2, 3, -3, 6, -6]):
         for _ in range(count // 2):
             rows, cols = rng.randint(1, 7), rng.randint(1, 7)
             density = rng.choice([0.3, 0.6, 1.0])
-            cases.append(
-                IntegerMatrix(
-                    rows,
-                    cols,
-                    [
-                        [rng.choice(values) if rng.random() < density else 0 for _ in range(cols)]
-                        for _ in range(rows)
-                    ],
-                )
-            )
+
+            def entry():
+                return rng.choice(values) if rng.random() < density else 0
+
+            cases.append((rows, _columns(rows, cols, entry)))
     return cases
 
 
@@ -481,10 +494,9 @@ def test_non_unit_leads_fall_back_to_fractions():
     # No entry is a unit, so the lead is the least index, scaled by 1/2.
     residual, coords = echelon.reduce({0: 1})
     assert residual == {1: Fraction(-3, 2)} and coords == {"x": Fraction(1, 2)}
-    for a in _seeded_non_unit_cases():
-        dense = [list(row) for row in a.entries]
-        assert rank_over_rationals(a) == oracle.rank_q(dense)
-        assert kernel_basis_over_rationals(a) == _rref_kernel_reference(a)
+    for rows, columns in _seeded_non_unit_cases():
+        assert _rank(columns) == oracle.rank_q(oracle.dense(columns, rows))
+        assert _kernel(columns) == _rref_kernel_reference(rows, columns)
 
 
 def test_unit_leads_keep_integer_rows_residuals_and_coordinates():
@@ -496,7 +508,7 @@ def test_unit_leads_keep_integer_rows_residuals_and_coordinates():
     for col in cc.columns(2):
         echelon.add(col)
     chosen = 0
-    for vec in kernel_basis_over_rationals(cc.boundary(1)):
+    for vec in kernel_vectors(cc.columns(1), len(cc.basis(1))):
         chosen += echelon.add(dict(enumerate(vec)), tag=chosen)
     assert (len(echelon), chosen) == (15, 2)
     rng = random.Random(23)
@@ -512,16 +524,9 @@ def test_unit_leads_keep_integer_rows_residuals_and_coordinates():
 
 
 def test_kernel_vectors_yield_the_kernel_basis():
-    cases = [
-        TRIANGLE_D1,
-        IntegerMatrix(2, 4, [[2, 4, 6, 0], [0, 2, 2, 2]]),
-        IntegerMatrix(1, 3, [[6, 3, 2]]),
-        IntegerMatrix(1, 3, [[1, 2, -4]]),
-        IntegerMatrix(2, 3, [[4, 6, 0], [0, 0, 0]]),
-        *_seeded_rational_cases(),  # zero and empty shapes first
-    ]
-    for a in cases:
-        assert list(kernel_vectors(sparse_columns(a), a.cols)) == kernel_basis_over_rationals(a)
+    # The seeded cases are compared with the same reference above.
+    for rows, columns in [(3, TRIANGLE_D1), (2, TWO_BY_FOUR), *FRACTIONAL_CASES]:
+        assert _kernel(columns) == _rref_kernel_reference(rows, columns)
 
 
 def test_kernel_vectors_read_no_column_past_the_vector_drawn():
