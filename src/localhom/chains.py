@@ -8,12 +8,11 @@ the simplex index; no dense matrix is built.  The columns are shared,
 never edited: homology reduces the complex to its discrete Morse complex
 by marking cells dead and writes the critical cells' Morse boundaries as
 new columns.  ``chain_boundary`` applies the same signs to a chain keyed
-by simplices.  A chain complex may start at degree -1 (an augmented
-complex, whose extra basis element is the empty simplex), but every
-complex built here starts at 0: ``homology`` adjoins the augmentation
-cell itself for reduced homology.  A quotient complex takes its basis
-from sets of a complex's simplices, so the pieces of a cover share one
-numbering.  The open-star complex is the quotient by the simplices that
+by simplices.  Every chain complex starts at degree 0 and is built by
+one constructor from its bases; ``homology`` adjoins the augmentation
+cell itself, as reducer input, for reduced homology.  A quotient complex
+takes its basis from sets of a complex's simplices, so the pieces of a
+cover share one numbering.  The open-star complex is the quotient by the simplices that
 miss a vertex set, the one complex local homology is read from (over
 every vertex, the whole chain complex).  The range check in validation
 runs once per degree, over all its rows.
@@ -30,16 +29,15 @@ from .errors import ChainComplexError
 
 @dataclass(frozen=True)
 class ChainComplex:
-    """Graded bases plus sparse boundary columns, starting at ``offset``.
+    """Graded bases plus sparse boundary columns, starting at degree 0.
 
-    ``bases[i]`` holds the simplices of degree ``offset + i`` and
-    ``boundaries[i]`` maps degree ``offset + i`` to the degree below, one
-    ``{row: value}`` column per basis simplex (the bottom boundary goes
-    to the zero group, so its columns are empty).  The columns are shared,
-    not copied: nothing may edit them in place.
+    ``bases[i]`` holds the simplices of degree ``i`` and ``boundaries[i]``
+    maps degree ``i`` to the degree below, one ``{row: value}`` column per
+    basis simplex (the bottom boundary goes to the zero group, so its
+    columns are empty).  The columns are shared, not copied: nothing may
+    edit them in place.
     """
 
-    offset: int
     bases: tuple[tuple[Simplex, ...], ...]
     boundaries: tuple[tuple[dict[int, int], ...], ...]
 
@@ -55,29 +53,23 @@ class ChainComplex:
                 or max(chain.from_iterable(cols), default=-1) >= below
             ):
                 raise ChainComplexError(
-                    f"boundary at degree {self.offset + i} needs "
-                    f"{len(self.bases[i])} columns with rows below {below}"
+                    f"boundary at degree {i} needs {len(self.bases[i])} columns "
+                    f"with rows below {below}"
                 )
 
     @property
     def top_degree(self) -> int:
-        return self.offset + len(self.bases) - 1
+        return len(self.bases) - 1
 
     def degrees(self) -> range:
-        return range(self.offset, self.top_degree + 1)
+        return range(len(self.bases))
 
     def basis(self, degree: int) -> tuple[Simplex, ...]:
-        i = degree - self.offset
-        if 0 <= i < len(self.bases):
-            return self.bases[i]
-        return ()
+        return self.bases[degree] if 0 <= degree < len(self.bases) else ()
 
     def columns(self, degree: int) -> tuple[dict[int, int], ...]:
         """Sparse boundary columns out of ``degree`` (none off the ends)."""
-        i = degree - self.offset
-        if 0 <= i < len(self.boundaries):
-            return self.boundaries[i]
-        return ()
+        return self.boundaries[degree] if 0 <= degree < len(self.boundaries) else ()
 
     def check_boundary_squared(self) -> None:
         """Raise ``ChainComplexError`` unless consecutive boundaries compose to zero.
@@ -94,9 +86,7 @@ class ChainComplex:
                     for s, y in below[r].items():
                         image[s] = image.get(s, 0) + x * y
                 if any(image.values()):
-                    raise ChainComplexError(
-                        f"boundary squared is nonzero at degree {self.offset + i}"
-                    )
+                    raise ChainComplexError(f"boundary squared is nonzero at degree {i}")
 
 
 def _boundary_columns(rows: tuple[Simplex, ...], cols: tuple[Simplex, ...]) -> list[dict]:
@@ -113,10 +103,14 @@ def _boundary_columns(rows: tuple[Simplex, ...], cols: tuple[Simplex, ...]) -> l
     return columns
 
 
+def _complex(bases: list[tuple[Simplex, ...]]) -> ChainComplex:
+    """The chain complex on ``bases``, each boundary read from the basis below."""
+    return ChainComplex(bases, map(_boundary_columns, [()] + bases, bases))
+
+
 def chain_complex(k: SimplicialComplex) -> ChainComplex:
     """The simplicial chain complex of a complex (degrees 0..dim)."""
-    bases = [k.simplices(d) for d in range(k.dim + 1)]
-    return ChainComplex(0, bases, map(_boundary_columns, [()] + bases, bases))
+    return _complex([k.simplices(d) for d in range(k.dim + 1)])
 
 
 def chain_boundary(chain: dict[Simplex, int]) -> dict[Simplex, int]:
@@ -141,7 +135,7 @@ def quotient_chain_complex(k: SimplicialComplex, sub, ambient=None) -> ChainComp
         if ambient is not None:
             cells = filter(ambient.__contains__, cells)
         bases.append(tuple(filterfalse(sub.__contains__, cells)))
-    return ChainComplex(0, bases, map(_boundary_columns, [()] + bases, bases))
+    return _complex(bases)
 
 
 def relative_chain_complex(pair: SubcomplexPair) -> ChainComplex:
@@ -167,5 +161,4 @@ def open_star_chain_complex(k: SimplicialComplex, vertices) -> ChainComplex:
     for f in dict.fromkeys(f for v in wanted for f in k.vertex_facets(v)):
         for size in range(1, len(f) + 1):
             found[size - 1].update(s for s in combinations(f, size) if not wanted.isdisjoint(s))
-    bases = [tuple(sorted(cells)) for cells in found]
-    return ChainComplex(0, bases, map(_boundary_columns, [()] + bases, bases))
+    return _complex([tuple(sorted(cells)) for cells in found])

@@ -86,6 +86,11 @@ class HomologyGroup:
 ZERO_GROUP = HomologyGroup(0, ())
 
 
+def group_record(degree: int, group: HomologyGroup) -> dict:
+    """The JSON record ``{"degree": k, "rank": r, "torsion": [...]}`` of one group."""
+    return {"degree": degree, "rank": group.free_rank, "torsion": list(group.torsion)}
+
+
 @dataclass(frozen=True, eq=False)
 class HomologySummary:
     """Per-degree homology groups of one computation.
@@ -129,15 +134,8 @@ class HomologySummary:
         return hash(frozenset(self.groups.items()))
 
     def records(self) -> list[dict]:
-        """JSON-ready rows ``{"degree": k, "rank": r, "torsion": [...]}``."""
-        return [
-            {
-                "degree": d,
-                "rank": self.group(d).free_rank,
-                "torsion": list(self.group(d).torsion),
-            }
-            for d in self.degrees()
-        ]
+        """JSON-ready rows, one ``group_record`` per degree of the span."""
+        return [group_record(d, self.group(d)) for d in self.degrees()]
 
     def lines(self) -> list[str]:
         tilde = "~" if self.reduced else ""
@@ -156,14 +154,14 @@ def homology(c: ChainComplex, reduced: bool = False) -> HomologySummary:
     it is not a chain map, and the boundary-squared error says so.
 
     The groups are read from the discrete Morse complex of ``c``.  When
-    the complex starts at degree 0 and every degree-1 column sums to zero,
-    the augmentation is a chain map: its cell is reduced with the others,
-    which pairs it with a vertex and lets every vertex flow to zero, and
-    ``Z`` is added back in degree 0 unless ``reduced``.
+    every degree-1 column sums to zero, the augmentation is a chain map:
+    its cell goes to the reducer below the vertices and is reduced with
+    the others, which pairs it with a vertex and lets every vertex flow to
+    zero, and ``Z`` is added back in degree 0 unless ``reduced``.
     """
     c.check_boundary_squared()
-    chain_map = c.offset == 0 and all(sum(col.values()) == 0 for col in c.columns(1))
-    if reduced and c.offset == 0 and not chain_map:
+    chain_map = all(sum(col.values()) == 0 for col in c.columns(1))
+    if reduced and not chain_map:
         raise ChainComplexError("boundary squared is nonzero at degree 0")
     if not c.bases and not reduced:
         return HomologySummary({}, (0, 0), reduced)
@@ -172,15 +170,11 @@ def homology(c: ChainComplex, reduced: bool = False) -> HomologySummary:
     if augmented:
         vertices = (({0: 1},) * len(c.bases[0]),) if c.bases else ()
         boundaries = (({},), *vertices, *boundaries[1:])
-    offset = c.offset - 1 if augmented else c.offset
-    groups = _groups(chain_reducer(boundaries)(), offset)
+    groups = _groups(chain_reducer(boundaries)(), -1 if augmented else 0)
     if augmented and not reduced:
         h0 = groups.get(0, ZERO_GROUP)
         groups[0] = HomologyGroup(h0.free_rank + 1, h0.torsion)
-    # Degree -1 only ever carries a class for the empty complex; keep the
-    # rendered span at 0 otherwise.
-    low = 0 if reduced else c.offset
-    return HomologySummary(groups, (low, c.top_degree), reduced)
+    return HomologySummary(groups, (0, c.top_degree), reduced)
 
 
 def _groups(morse, offset: int) -> dict[int, HomologyGroup]:

@@ -23,7 +23,7 @@ from itertools import chain
 
 from .chains import ChainComplex, chain_complex
 from .complexes import SimplicialComplex
-from .homology import HomologyGroup, HomologySummary, open_stars
+from .homology import HomologyGroup, HomologySummary, group_record, open_stars
 
 INTERIOR_LIKE = "interior_like"
 BOUNDARY_LIKE = "boundary_like"
@@ -137,14 +137,6 @@ def _flags(c: ChainComplex, closed: bool) -> PseudomanifoldFlags:
     return PseudomanifoldFlags(pure, ridge_condition, len(reached) == len(top), closed)
 
 
-def _witness_record(witness: tuple[int, HomologyGroup] | None) -> dict | None:
-    """``{degree, rank, torsion}`` of a witness group, None without one."""
-    if witness is None:
-        return None
-    degree, group = witness
-    return {"degree": degree, "rank": group.free_rank, "torsion": list(group.torsion)}
-
-
 @dataclass(frozen=True)
 class ObstructionReport:
     """Aggregate manifold verdict for a whole complex."""
@@ -197,7 +189,7 @@ class ObstructionReport:
             "overall": self.overall,
             "inferred_dimension": self.inferred_dimension,
             "witness_vertex": self.witness_vertex,
-            "witness": _witness_record(self.witness),
+            "witness": group_record(*self.witness) if self.witness else None,
             "reason": self.reason,
             "pseudomanifold": asdict(self.flags),
             "vertices": [
@@ -205,7 +197,7 @@ class ObstructionReport:
                     "vertex": verdict.vertex,
                     "category": verdict.category,
                     "dimension": verdict.dimension,
-                    "witness": _witness_record(verdict.witness),
+                    "witness": group_record(*verdict.witness) if verdict.witness else None,
                 }
                 for verdict in self.verdicts
             ],

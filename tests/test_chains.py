@@ -1,5 +1,7 @@
 """Boundary matrix assembly and chain complex consistency."""
 
+import dataclasses
+
 import pytest
 
 from localhom import (
@@ -15,20 +17,32 @@ from localhom import (
     relative_chain_complex,
     wedge,
 )
-from localhom.chains import ChainComplex, chain_boundary, quotient_chain_complex
+from localhom.chains import (
+    ChainComplex,
+    chain_boundary,
+    open_star_chain_complex,
+    quotient_chain_complex,
+)
 from localhom.errors import ChainComplexError
 from localhom.homology import homology
 
 
 def augmented(k: SimplicialComplex) -> ChainComplex:
-    """``chain_complex(k)`` with the empty simplex in degree -1, every vertex's boundary.
+    """``chain_complex(k)`` one degree up, over the empty simplex in degree 0.
 
-    Its homology is the reduced homology of ``k``; the empty complex keeps
-    a single class in degree -1.
+    The empty simplex is every vertex's boundary, so this is the augmented
+    complex of ``k`` shifted up one degree: its homology in degree ``d + 1``
+    is the reduced homology of ``k`` in degree ``d``, and the empty complex
+    keeps a single class in degree 0.
     """
     c = chain_complex(k)
     vertices = [({0: 1},) * len(c.bases[0])] if c.bases else []
-    return ChainComplex(-1, [((),), *c.bases], [({},), *vertices, *c.boundaries[1:]])
+    return ChainComplex([((),), *c.bases], [({},), *vertices, *c.boundaries[1:]])
+
+
+def shifted_down(groups: dict) -> dict:
+    """Groups one degree lower: the reduced groups of ``k`` from those of ``augmented(k)``."""
+    return {d - 1: g for d, g in groups.items()}
 
 
 def test_single_vertex_complex():
@@ -91,7 +105,7 @@ def test_boundary_squared_flags_one_flipped_sign():
     broken = list(c.boundaries)
     broken[2] = (first, *c.columns(2)[1:])
     with pytest.raises(ChainComplexError, match="nonzero at degree 2$"):
-        ChainComplex(c.offset, c.bases, broken).check_boundary_squared()
+        ChainComplex(c.bases, broken).check_boundary_squared()
 
 
 def test_relative_complex_of_equal_pair_is_empty():
@@ -141,11 +155,11 @@ def test_quotient_of_cell_sets_keeps_the_order_of_k():
 def test_inconsistent_boundaries_are_rejected():
     bases = [((0,), (1,)), ((0, 1),)]
     with pytest.raises(ChainComplexError):
-        ChainComplex(0, bases, [[{}, {}]])  # one boundary short
+        ChainComplex(bases, [[{}, {}]])  # one boundary short
     with pytest.raises(ChainComplexError):
-        ChainComplex(0, bases, [[{}, {}], [{}, {}]])  # two columns for one edge
+        ChainComplex(bases, [[{}, {}], [{}, {}]])  # two columns for one edge
     # Shape-valid but with nonzero boundary square.
-    bad = ChainComplex(0, [((0,),), ((0, 1),), ((0, 1, 2),)], [[{}], [{0: 1}], [{0: 1}]])
+    bad = ChainComplex([((0,),), ((0, 1),), ((0, 1, 2),)], [[{}], [{0: 1}], [{0: 1}]])
     with pytest.raises(ChainComplexError):
         bad.check_boundary_squared()
     with pytest.raises(ChainComplexError):
@@ -162,21 +176,40 @@ def test_inconsistent_boundaries_are_rejected():
 )
 def test_boundary_rows_must_lie_in_the_basis_below(boundaries, below):
     with pytest.raises(ChainComplexError, match=f"rows below {below}$"):
-        ChainComplex(0, [((0,), (1,)), ((0, 1),)], boundaries)
+        ChainComplex([((0,), (1,)), ((0, 1),)], boundaries)
 
 
 def test_chain_complex_fields_cannot_be_assigned():
+    assert [f.name for f in dataclasses.fields(ChainComplex)] == ["bases", "boundaries"]
     c = chain_complex(builtin("sphere(1)"))
-    for name in ("offset", "bases", "boundaries"):
+    for name in ("bases", "boundaries"):
         with pytest.raises(AttributeError):
             setattr(c, name, getattr(c, name))
+
+
+def test_every_built_complex_starts_at_degree_0():
+    for k in (*_corpus(), parse_complex("p"), SimplicialComplex.empty()):
+        first = full_subcomplex(k, k.labels[:1])
+        built = [
+            chain_complex(k),
+            quotient_chain_complex(k, set(first.simplices_in(k))),
+            relative_chain_complex(SubcomplexPair(k, first)),
+            open_star_chain_complex(k, range(k.n_vertices)),
+            *(open_star_chain_complex(k, [v]) for v in range(min(k.n_vertices, 3))),
+        ]
+        for c in built:
+            assert c.degrees() == range(k.dim + 1)
+            assert c.top_degree == k.dim
+            assert c.basis(-1) == () == c.columns(-1)
+            assert c.columns(k.dim + 1) == () == c.basis(k.dim + 1)
 
 
 def test_homology_twice_on_one_complex_is_equal():
     # The complex shares its columns with the elimination, which must not
     # edit them: a second call sees the same boundaries as the first.
     for k in _corpus():
-        for c, reduced in ((chain_complex(k), False), (augmented(k), True)):
+        whole = chain_complex(k)
+        for c, reduced in ((whole, False), (whole, True), (augmented(k), False)):
             first = homology(c, reduced)
             second = homology(c, reduced)
             assert second == first
@@ -184,13 +217,15 @@ def test_homology_twice_on_one_complex_is_equal():
 
 
 def test_augmented_complex_shapes():
-    # The helper's complex is the augmentation that homology adjoins itself.
+    # The helper's complex is the augmentation that homology adjoins itself,
+    # one degree up.
     c = augmented(parse_complex("a b"))
-    assert c.offset == -1
-    assert c.basis(-1) == ((),)
-    assert c.columns(0) == ({0: 1}, {0: 1})
+    assert c.degrees() == range(3)
+    assert c.basis(0) == ((),)
+    assert c.columns(1) == ({0: 1}, {0: 1})
     empty = augmented(SimplicialComplex.empty())
-    assert empty.basis(-1) == ((),)
-    assert empty.columns(0) == ()
+    assert empty.basis(0) == ((),)
+    assert empty.columns(1) == ()
     for k in (*_corpus(), SimplicialComplex.empty()):
-        assert homology(augmented(k)) == homology(chain_complex(k), reduced=True)
+        reduced = homology(chain_complex(k), reduced=True)
+        assert shifted_down(homology(augmented(k)).nonzero()) == reduced.nonzero()

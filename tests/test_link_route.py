@@ -75,7 +75,7 @@ def open_star_of(c: ChainComplex, vi: int) -> ChainComplex:
         )
         position = {j: p for p, j in enumerate(kept)}
         bases.append([basis[j] for j in kept])
-    return ChainComplex(c.offset, bases, boundaries)
+    return ChainComplex(bases, boundaries)
 
 
 @few
@@ -87,11 +87,7 @@ def test_open_star_quotient_is_the_deleted_vertex_pair(k):
         pair = SubcomplexPair(k, deleted(k, lab))
         expected = relative_chain_complex(pair)
         for c in (open_star_chain_complex(k, [vi]), open_star_of(whole, vi)):
-            assert (c.offset, c.bases, c.boundaries) == (
-                expected.offset,
-                expected.bases,
-                expected.boundaries,
-            )
+            assert (c.bases, c.boundaries) == (expected.bases, expected.boundaries)
         assert local_homology(k, lab).records() == relative_homology(pair).records()
 
 
@@ -126,7 +122,7 @@ def test_report_builds_one_chain_complex(monkeypatch):
     post_init = ChainComplex.__post_init__
 
     def counting(self):
-        built.append(self.offset)
+        built.append(len(self.bases))
         post_init(self)
 
     monkeypatch.setattr(ChainComplex, "__post_init__", counting)
@@ -137,7 +133,7 @@ def test_report_builds_one_chain_complex(monkeypatch):
     ):
         built.clear()
         obstruction_report(k)
-        assert built == [0]
+        assert built == [k.dim + 1]
 
 
 @few

@@ -37,14 +37,14 @@ from localhom.chains import ChainComplex, open_star_chain_complex
 from localhom.exact import IntegerMatrix, chain_reducer, smith_normal_form
 from localhom.homology import HomologyGroup
 from localhom.verification import EXPECTED_HOMOLOGY
-from test_chains import augmented
+from test_chains import augmented, shifted_down
 from test_link_route import LABELS, complexes, few
 from test_products import product
 
 Z = HomologyGroup(1)
 # The projective plane as one cell per degree: the 2-cell wraps twice
 # around the loop.
-RP2_CELLS = ChainComplex(0, [((0,),), ((0, 1),), ((0, 1, 2),)], [({},), ({},), ({0: 2},)])
+RP2_CELLS = ChainComplex([((0,),), ((0, 1),), ((0, 1, 2),)], [({},), ({},), ({0: 2},)])
 
 
 def reference_homology(c: ChainComplex) -> dict:
@@ -58,7 +58,7 @@ def reference_homology(c: ChainComplex) -> dict:
     ranks.append(0)
     torsions.append(())
     groups = {
-        c.offset + i: HomologyGroup(len(basis) - ranks[i] - ranks[i + 1], torsions[i + 1])
+        i: HomologyGroup(len(basis) - ranks[i] - ranks[i + 1], torsions[i + 1])
         for i, basis in enumerate(c.bases)
     }
     return {d: g for d, g in groups.items() if not g.is_zero()}
@@ -85,12 +85,12 @@ def morse_complex(c: ChainComplex, cells=None) -> ChainComplex:
     """The critical cells of ``c`` (or of ``cells``) with their Morse boundaries."""
     critical, columns = chain_reducer(c.boundaries)(cells)
     bases = [[basis[j] for j in kept] for basis, kept in zip(c.bases, critical)]
-    return ChainComplex(c.offset, bases, columns)
+    return ChainComplex(bases, columns)
 
 
 def _complexes_of(k):
-    yield chain_complex(k), False
-    yield augmented(k), True
+    """The chain complex of ``k`` and its augmentation, one degree up."""
+    return chain_complex(k), augmented(k)
 
 
 pairs = st.tuples(complexes, st.sets(st.sampled_from(LABELS))).map(
@@ -101,8 +101,10 @@ pairs = st.tuples(complexes, st.sets(st.sampled_from(LABELS))).map(
 @few
 @given(complexes)
 def test_homology_equals_the_unreduced_reference(k):
-    for c, reduced in _complexes_of(k):
-        assert homology(c, reduced).nonzero() == reference_homology(c)
+    c, up = _complexes_of(k)
+    assert homology(c).nonzero() == reference_homology(c)
+    assert homology(up).nonzero() == reference_homology(up)
+    assert homology(c, reduced=True).nonzero() == shifted_down(reference_homology(up))
 
 
 @few
@@ -119,7 +121,7 @@ def test_relative_homology_equals_the_reference_and_the_oracle(pair):
 @few
 @given(pairs)
 def test_morse_columns_form_a_chain_complex_with_the_same_homology(pair):
-    for c in (*(c for c, _ in _complexes_of(pair.ambient)), relative_chain_complex(pair)):
+    for c in (*_complexes_of(pair.ambient), relative_chain_complex(pair)):
         morse = morse_complex(c)
         morse.check_boundary_squared()
         assert reference_homology(morse) == reference_homology(c)
@@ -154,7 +156,7 @@ def test_reduction_leaves_the_shared_columns_unedited(pair):
 def test_the_morse_complex_is_a_function_of_the_basis_order(k, image):
     prefixed = relabel(k, {lab: "v." + lab for lab in k.labels})
     moved = relabel(k, dict(zip(LABELS, image)))
-    for (c, _), (same_order, _), (other_order, _) in zip(
+    for c, same_order, other_order in zip(
         _complexes_of(k), _complexes_of(prefixed), _complexes_of(moved)
     ):
         morse = chain_reducer(c.boundaries)()
@@ -321,7 +323,8 @@ def test_closed_complexes_start_from_the_augmentation():
 
 def test_products_reduce_to_few_critical_cells():
     # T^4 as the staircase product of two 3x3 grid tori (12,150 simplices)
-    # keeps one critical cell per Betti number, degrees -1..4.
+    # keeps one critical cell per Betti number: the augmentation's degree 0
+    # is the empty simplex, and degree d + 1 holds T^4's degree d.
     t4 = augmented(product(_grid_torus(3), _grid_torus(3)))
     critical, _ = chain_reducer(t4.boundaries)()
     assert [len(cells) for cells in critical] == [0, 0, 4, 6, 4, 1]
@@ -379,7 +382,7 @@ def test_degrees_without_surviving_cells_skip_the_elimination(monkeypatch):
     )
     c = augmented(hexagon)
     assert chain_reducer(c.boundaries)() == (((), (), (5,)), ((), (), ({},)))
-    assert homology(c, reduced=True).nonzero() == {1: Z}
+    assert homology(chain_complex(hexagon), reduced=True).nonzero() == {1: Z}
     assert calls == []
     # The one-cell projective plane keeps its 2-cell's boundary 2, so its
     # torsion comes from one 1x1 Smith normal form.
