@@ -76,9 +76,10 @@ class ChainComplex:
 
         Each column of one boundary is pushed through the columns of the
         boundary below, so the cost is the number of nonzeros times the
-        column length below, not a dense product.
+        column length below, not a dense product.  Degree-0 columns are
+        empty, so the check starts at degree 2.
         """
-        for i in range(1, len(self.boundaries)):
+        for i in range(2, len(self.boundaries)):
             below = self.boundaries[i - 1]
             for col in self.boundaries[i]:
                 image: dict[int, int] = {}

@@ -11,11 +11,10 @@ order they were added, and each row remembers its coordinates over the
 tagged vectors.  Rows are scaled at a ``±1`` entry where they have one,
 so ``±1`` boundaries mostly stay in ``int``; a ``Fraction`` scale is the
 fallback.  Rank counts the columns that enlarge the span, and each column
-that does not gives a kernel vector from its coordinates.
+that does not gives a kernel vector from its coordinates;
 ``kernel_vectors`` yields those vectors one at a time from sparse
-columns, so a caller that needs only the first few (Mayer-Vietoris keeps
-dim Z - rank B cycles per degree) eliminates no column past the last one
-it draws.
+columns.  Mayer-Vietoris runs both on Morse complexes only, so their
+rows are as few as the critical cells.
 
 Homology needs only the rank and the invariant factors of each boundary,
 and boundaries are sparse with mostly ``±1`` entries.  ``chain_reducer``
@@ -28,7 +27,10 @@ removed by its end, so a call leaves the shared state clean and costs
 work in proportion to its own cells; a reducer is not reentrant.  The
 boundaries of the few critical cells, pushed through the images of the
 paired cells, form a complex with the same homology over Z, and their
-Smith normal form is the whole integer elimination.
+Smith normal form is the whole integer elimination.  The call also
+returns its matching, the removed pairs in order, from which
+``morse.MorseMaps`` reads the chain maps between the complex and its
+Morse complex.
 
 ``smith_normal_form`` is the dense reduction with both transforms.  It
 picks the nonzero entry of least absolute value as the pivot on every
@@ -276,7 +278,10 @@ def chain_reducer(boundaries):
     made critical, with the image of its boundary as its Morse boundary,
     and removed, and the queue runs on.  The critical cells with their
     Morse boundaries form a complex chain-equivalent to the original over
-    Z, torsion included.
+    Z, torsion included.  Each removed pair is recorded as ``(a, b, v)``:
+    the lower cell ``a``, the upper cell ``b`` (both cell numbers) and
+    the entry ``v = <∂b, a> = ±1``.  That matching is all
+    ``morse.MorseMaps`` needs for the lift and the whole flow.
 
     Every cell of a call is removed, paired or critical, so a call
     returns with each cell dead and the queue empty: the next call marks
@@ -285,11 +290,12 @@ def chain_reducer(boundaries):
     out of range raises ``IndexError``) clears the cells it marked first.
     The state is shared, so a reducer is not reentrant.
 
-    Returns ``(critical, columns)``: the basis indices of the critical
-    cells of each degree, ascending, and their Morse boundary columns,
-    ``{row: value}`` with rows indexing the critical cells one degree
-    below.  Both are a fixed function of the input columns and ``cells``;
-    the columns are left as they were.
+    Returns ``(critical, columns, matching)``: the basis indices of the
+    critical cells of each degree, ascending, their Morse boundary
+    columns, ``{row: value}`` with rows indexing the critical cells one
+    degree below, and the pairs in removal order.  All three are a fixed
+    function of the input columns and ``cells``; the columns are left as
+    they were.
     """
     starts = [0]
     for cols in boundaries:
@@ -319,13 +325,13 @@ def chain_reducer(boundaries):
         for r in columns[x]:
             f = base + r
             if alive[f]:
-                live_cofaces[f] -= 1
-                if live_cofaces[f] == 1:
+                n = live_cofaces[f] = live_cofaces[f] - 1
+                if n == 1:
                     queue.append(f)
         for y in cofaces[x]:
             if alive[y]:
-                live_faces[y] -= 1
-                if live_faces[y] == 1:
+                n = live_faces[y] = live_faces[y] - 1
+                if n == 1:
                     queue.append(y)
 
     def image(x: int, c: int, flow: dict) -> dict:
@@ -354,10 +360,11 @@ def chain_reducer(boundaries):
                     live_cofaces[f] += 1
             live_faces[x] = n
 
-    def run(cells) -> tuple[tuple, tuple]:
+    def run(cells) -> tuple[tuple, tuple, tuple]:
         queue.extend(cells)
         critical: list[list[int]] = [[] for _ in boundaries]
         morse: list[list[dict]] = [[] for _ in boundaries]
+        matching: list[tuple[int, int, int]] = []
         # Image of a dead cell over the critical cells of its degree, keyed
         # by their positions there; a cell without an entry flows to zero.
         flow: dict[int, dict] = {}
@@ -375,6 +382,7 @@ def chain_reducer(boundaries):
                     if value == 1 or value == -1:
                         remove(x)
                         remove(base + r)
+                        matching.append((base + r, x, value))
                         # a flows to -<∂b, a> times the flow of ∂b's other
                         # faces; before the first critical cell, that is zero.
                         if flow:
@@ -390,6 +398,7 @@ def chain_reducer(boundaries):
                     if value == 1 or value == -1:
                         remove(x)
                         remove(y)
+                        matching.append((x, y, value))
             for x in unseen:
                 if alive[x]:
                     break
@@ -400,9 +409,9 @@ def chain_reducer(boundaries):
             flow[x] = {len(critical[i]): 1}
             critical[i].append(x - starts[i])
             remove(x)
-        return tuple(map(tuple, critical)), tuple(map(tuple, morse))
+        return tuple(map(tuple, critical)), tuple(map(tuple, morse)), tuple(matching)
 
-    def reduce(cells=None) -> tuple[tuple, tuple]:
+    def reduce(cells=None) -> tuple[tuple, tuple, tuple]:
         if cells is not None:
             cells = tuple(cells)  # read by mark, the queue seed and the unseen scan
         try:

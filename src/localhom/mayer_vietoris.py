@@ -13,16 +13,19 @@ take the boundary of the first piece, and correct it into the
 intersection pair).  Exactness is then pure rank arithmetic, verified at
 every node.
 
-All of it runs on ``exact.RationalEchelon``.  Each pair keeps one echelon
-per degree: the boundaries go in untagged and the chosen cycles tagged,
-so choosing the cycles and expressing a chain in them (the matrix columns
-of every arrow) share one elimination, and the rank of an arrow is the
-dimension of the span of its rows.  The cycles are drawn lazily from the
-sparse boundary columns, and the choice stops once it holds
-dim Z - rank B of them, a count read from the ranks of the boundary
-echelons, so the rest of the kernel is never eliminated.  The echelon
-works in ``int`` on unit leads and in ``Fraction`` only without one;
-neither choice moves the maps.
+Each pair's quotient is checked for ``∂∘∂ = 0`` and reduced once by
+``exact.chain_reducer`` to its discrete Morse complex, and every
+elimination runs over the few critical cells.  Each pair keeps one
+``exact.RationalEchelon`` per degree: the Morse boundaries go in untagged
+and the chosen Morse cycles tagged, so choosing the cycles and expressing
+a chain in them (the matrix columns of every arrow) share one
+elimination, and the rank of an arrow is the dimension of the span of its
+rows.  The reduction's matching gives the way between the two complexes
+(``morse.MorseMaps``): each chosen Morse cycle is lifted once to a cycle
+of the pair, pushed or split at chain level as above, and the result
+flows onto the target pair's Morse complex, where the echelon reads its
+coordinates.  The echelon works in ``int`` on unit leads and in
+``Fraction`` only without one; neither choice moves the maps.
 
 Every piece is a set of ``k``'s simplices in ``k``'s own numbering, and a
 pair's chains are the quotient of two such sets, keyed by ``k``'s index
@@ -33,13 +36,15 @@ cycles and maps, are those of the pair read on its own.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .chains import chain_boundary, quotient_chain_complex
 from .complexes import SimplicialComplex, SubcomplexPair
 from .errors import DecompositionError, InclusionError, UnknownVertexError
-from .exact import RationalEchelon, kernel_vectors
+from .exact import RationalEchelon, chain_reducer, kernel_vectors
+from .morse import MorseMaps
 
 
 def _cells_in(part: SimplicialComplex, k: SimplicialComplex, inside, error) -> frozenset:
@@ -56,71 +61,51 @@ def _cells_in(part: SimplicialComplex, k: SimplicialComplex, inside, error) -> f
 class _PairHomology:
     """Rational homology bases of the pair ``(ambient, sub)`` of cell sets of ``k``.
 
-    The basis in each degree is the simplices of ``k`` in ``ambient - sub``
-    (``ambient`` None is all of ``k``) in ``k``'s order, and chains are
-    keyed by ``k``'s index tuples.  Each degree keeps one echelon: the
-    degree-(n+1) boundary columns go in untagged, then the kernel vectors
-    of the degree-n boundary (in the deterministic order of
-    ``exact.kernel_vectors``), each tagged by its position among the
-    chosen cycles when it enlarges the span.  The choice stops at
-    dim Z_n - rank B_n = |C_n| - rank ∂_n - rank ∂_{n+1} cycles: by then
-    the chosen cycles and the boundaries span Z_n, so no later kernel
-    vector would be chosen.  So every computation that starts from the
-    same pair chooses the same cycles, and expressing a cycle is one
-    reduction against that echelon.
+    The chains are those of ``ambient - sub`` (``ambient`` None is all of
+    ``k``), keyed by ``k``'s index tuples.  The quotient is checked for
+    ``∂∘∂ = 0`` and reduced once with ``exact.chain_reducer``; every
+    elimination then runs over its few critical cells.  Each degree keeps
+    one echelon: the Morse boundary columns out of degree n+1 go in
+    untagged, then the kernel vectors of the Morse boundary out of degree
+    n (in the deterministic order of ``exact.kernel_vectors``), each
+    tagged by its position among the chosen cycles when it enlarges the
+    span.  A chosen Morse cycle is lifted once to a cycle of the pair, and
+    a cycle of the pair is expressed by flowing it onto the Morse complex
+    and reducing it against that echelon.
     """
 
     def __init__(self, k: SimplicialComplex, ambient, sub):
         self.k = k
         self.sub = sub
         self.cc = quotient_chain_complex(k, sub, ambient)
-        self._positions = {
-            n: {s: i for i, s in enumerate(self.cc.basis(n))} for n in self.cc.degrees()
-        }
+        self.cc.check_boundary_squared()
+        reduction = chain_reducer(self.cc.boundaries)()
+        self._critical, self._morse, _ = reduction
+        self._maps = MorseMaps(self.cc.boundaries, reduction)
         self._cycles: dict = {}
         self._echelons: dict = {}
-        self._boundary_ranks: dict = {}
-
-    def _echelon(self, n: int) -> RationalEchelon:
-        """Degree-n echelon, built once from the degree-(n+1) boundary columns.
-
-        Records their rank, rank ∂_{n+1}, before any cycle is added.
-        """
-        if n not in self._echelons:
-            echelon = RationalEchelon()
-            for col in self.cc.columns(n + 1):
-                echelon.add(col)
-            self._echelons[n] = echelon
-            self._boundary_ranks[n] = len(echelon)
-        return self._echelons[n]
 
     def cycles(self, n: int) -> list:
-        """Chosen homology basis at degree n, as integer chain vectors."""
+        """Chosen homology basis at degree n, as relative cycles keyed by simplices."""
         if n not in self._cycles:
-            echelon = self._echelon(n)
-            self._echelon(n - 1)  # records rank ∂_n
-            size = len(self.cc.basis(n))
-            wanted = size - self._boundary_ranks[n - 1] - self._boundary_ranks[n]
+            morse = self._morse
+            echelon = RationalEchelon()
+            for col in morse[n + 1] if n + 1 < len(morse) else ():
+                echelon.add(col)
             chosen = []
-            if wanted:
-                for vec in kernel_vectors(self.cc.columns(n), size):
-                    if echelon.add(dict(enumerate(vec)), tag=len(chosen)):
-                        chosen.append(vec)
-                        if len(chosen) == wanted:
-                            break
-                else:
-                    raise RuntimeError(
-                        f"kernel ran out after {len(chosen)} of {wanted} cycles in degree {n}"
-                    )
+            if 0 <= n < len(morse):
+                basis = self.cc.basis(n)
+                for vec in kernel_vectors(morse[n], len(self._critical[n])):
+                    vec = dict(enumerate(vec))
+                    if echelon.add(vec, tag=len(chosen)):
+                        lifted = self._maps.lift(n, vec)
+                        chosen.append({basis[i]: c for i, c in lifted.items()})
+            self._echelons[n] = echelon
             self._cycles[n] = chosen
         return self._cycles[n]
 
     def rank(self, n: int) -> int:
         return len(self.cycles(n))
-
-    def chain_dict(self, n: int, vec) -> dict:
-        basis = self.cc.basis(n)
-        return {basis[i]: c for i, c in enumerate(vec) if c}
 
     def express(self, n: int, chain: dict) -> list:
         """Coordinates of a relative cycle in the degree-n homology basis.
@@ -128,23 +113,27 @@ class _PairHomology:
         The chosen cycles are independent modulo boundaries, so the
         coordinates are unique.
         """
-        position = self._positions.get(n, {})
-        target = {}
+        basis = self.cc.basis(n)
+        columns = self.cc.columns(n)
+        cells, boundary = {}, {}
         for simplex, coeff in chain.items():
             if coeff == 0:
                 continue
-            if simplex not in position:
+            i = bisect_left(basis, simplex)  # bases keep k's sorted order
+            if i == len(basis) or basis[i] != simplex:
                 raise InclusionError(
                     f"chain touches simplex {self.k.simplex_labels(simplex)} "
                     "outside the relative basis"
                 )
-            target[position[simplex]] = coeff
-        # Choose the cycles first: cycles(n + 1) may have built this echelon
-        # with the boundaries only.
+            cells[i] = coeff
+            for r, value in columns[i].items():
+                boundary[r] = boundary.get(r, 0) + coeff * value
+        if any(boundary.values()):
+            raise InclusionError("chain is not a cycle of the pair")
         rank = self.rank(n)
-        residual, coordinates = self._echelons[n].reduce(target)
+        residual, coordinates = self._echelons[n].reduce(self._maps.flow(n, cells))
         if residual:
-            raise InclusionError("chain is not a cycle in the span of the basis")
+            raise RuntimeError(f"a cycle flowed off the Morse cycles in degree {n}")
         return [coordinates.get(t, Fraction(0)) for t in range(rank)]
 
     def pushed(self, n: int, target: _PairHomology) -> list:
@@ -153,10 +142,8 @@ class _PairHomology:
         The inclusion into the target's quotient drops its subcomplex.
         """
         return [
-            target.express(
-                n, {s: c for s, c in self.chain_dict(n, vec).items() if s not in target.sub}
-            )
-            for vec in self.cycles(n)
+            target.express(n, {s: c for s, c in z.items() if s not in target.sub})
+            for z in self.cycles(n)
         ]
 
 
@@ -382,9 +369,8 @@ def mv_exactness_check(decomposition: MvDecomposition, max_degree: int) -> MvRep
 
     def delta(n: int) -> RationalMap:
         columns = []
-        for vec in total.cycles(n):
-            chain = total.chain_dict(n, vec)
-            columns.append(int_pair.express(n - 1, _connecting_chain(m, chain)))
+        for z in total.cycles(n):
+            columns.append(int_pair.express(n - 1, _connecting_chain(m, z)))
         return RationalMap.from_columns(n, columns, int_pair.rank(n - 1))
 
     phis = {n: phi(n) for n in range(max_degree + 1)}
@@ -400,28 +386,14 @@ def mv_exactness_check(decomposition: MvDecomposition, max_degree: int) -> MvRep
         if n + 1 in deltas and not phis[n].compose(deltas[n + 1]).is_zero():
             raise RuntimeError(f"phi o delta is nonzero in degree {n}")
 
+    phi_rank, psi_rank, delta_rank = (
+        {n: f.rank() for n, f in maps.items()} for maps in (phis, psis, deltas)
+    )
     nodes = []
     for n in range(max_degree + 1):
-        incoming_delta = deltas.get(n + 1)
-        nodes.append(
-            MvNode(
-                n,
-                "H(A&B, C&D)",
-                int_pair.rank(n),
-                incoming_delta.rank() if incoming_delta else 0,
-                phis[n].rank(),
-            )
-        )
-        nodes.append(
-            MvNode(
-                n,
-                "H(A,C) + H(B,D)",
-                left.rank(n) + right.rank(n),
-                phis[n].rank(),
-                psis[n].rank(),
-            )
-        )
-        nodes.append(
-            MvNode(n, "H(K, Y)", total.rank(n), psis[n].rank(), deltas[n].rank())
-        )
+        nodes += [
+            MvNode(n, "H(A&B, C&D)", int_pair.rank(n), delta_rank[n + 1], phi_rank[n]),
+            MvNode(n, "H(A,C) + H(B,D)", left.rank(n) + right.rank(n), phi_rank[n], psi_rank[n]),
+            MvNode(n, "H(K, Y)", total.rank(n), psi_rank[n], delta_rank[n]),
+        ]
     return MvReport(max_degree, tuple(nodes), phis, psis, deltas)

@@ -9,6 +9,8 @@ with no facets denotes the empty complex.
 
 from __future__ import annotations
 
+import codecs
+
 from .complexes import SimplicialComplex
 from .errors import MalformedFacetError, UnwritableLabelError
 
@@ -47,14 +49,21 @@ def to_scx(k: SimplicialComplex) -> str:
 
 
 def read_complex(path) -> SimplicialComplex:
+    """Read a ``.scx`` file, skipping one leading UTF-8 byte-order mark.
+
+    A byte that is not UTF-8 raises ``MalformedFacetError`` naming the byte
+    and its line.
+    """
     with open(path, "rb") as fh:
         data = fh.read()
+    bom = len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0
     try:
-        text = data.decode("utf-8")
+        text = data[bom:].decode("utf-8")
     except UnicodeDecodeError as exc:
+        bad = bom + exc.start
         raise MalformedFacetError(
-            f"byte 0x{data[exc.start]:02x} of {path} is not UTF-8 text",
-            line_number=data.count(b"\n", 0, exc.start) + 1,
+            f"byte 0x{data[bad]:02x} of {path} is not UTF-8 text",
+            line_number=data.count(b"\n", 0, bad) + 1,
         ) from None
     return parse_complex(text)
 

@@ -2,10 +2,11 @@
 
 Everything here is deliberately written from scratch: its own face
 closure, its own boundary matrices, and its own Gaussian elimination over
-the rationals and over GF(2); ``dense`` writes sparse ``{row: value}``
-columns out as the row lists those eliminations read.  Free ranks come
-from rational Betti numbers; the count of even torsion coefficients comes
-from the GF(2) Betti numbers through the universal-coefficient bookkeeping
+the rationals (ranks and null spaces) and over GF(2); ``dense`` writes
+sparse ``{row: value}`` columns out as the row lists those eliminations
+read.  Free ranks come from rational Betti numbers; the count of even
+torsion coefficients comes from the GF(2) Betti numbers through the
+universal-coefficient bookkeeping
 ``b_k(F2) = b_k(Q) + t_k + t_{k-1}`` with ``t_k`` the number of even
 invariant factors in degree k.  ``group_direct_sum`` renormalizes a sum of
 groups to invariant factors through their prime-power parts, for the
@@ -74,6 +75,40 @@ def rank_q(matrix):
                 rows[i] = [x - factor * y for x, y in zip(rows[i], rows[rank])]
         rank += 1
     return rank
+
+
+def null_space(matrix, n_cols):
+    """A basis of the rational null space of a dense matrix with ``n_cols`` columns.
+
+    Gauss-Jordan elimination to reduced row echelon form; each free column
+    ``j`` gives the vector with 1 at ``j`` and, at each pivot column, minus
+    that pivot row's entry in column ``j``.
+    """
+    rows = [[Fraction(x) for x in row] for row in matrix]
+    pivots = []
+    for col in range(n_cols):
+        rank = len(pivots)
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = 1 / rows[rank][col]
+        rows[rank] = [x * inv for x in rows[rank]]
+        for i in range(len(rows)):
+            if i != rank and rows[i][col]:
+                factor = rows[i][col]
+                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[rank])]
+        pivots.append(col)
+    basis = []
+    for j in range(n_cols):
+        if j in pivots:
+            continue
+        vec = [Fraction(0)] * n_cols
+        vec[j] = Fraction(1)
+        for r, p in enumerate(pivots):
+            vec[p] = -rows[r][j]
+        basis.append(vec)
+    return basis
 
 
 def rank_gf2(matrix):

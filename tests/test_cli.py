@@ -1,12 +1,18 @@
 """End-to-end command-line behaviour: output, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from localhom.cli import main
 from localhom.scx import read_complex, write_complex
 from localhom import builtin, cone, wedge
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run(capsys, *argv):
@@ -100,6 +106,43 @@ def test_undecodable_file_is_a_domain_error(capsys, tmp_path):
     assert code == 1 and out == ""
     assert err.startswith("error: line 2: byte 0xff")
     assert "binary.scx" in err and "Traceback" not in err
+
+
+def test_a_byte_order_mark_is_not_part_of_the_first_label(capsys, tmp_path):
+    plain, marked = tmp_path / "plain.scx", tmp_path / "marked.scx"
+    plain.write_bytes(b"a b c\nc d\n")
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    assert read_complex(marked) == read_complex(plain)
+    assert read_complex(marked).labels == ("a", "b", "c", "d")
+    code, out, err = run(capsys, "local", "--in", str(marked), "--vertex", "a")
+    assert (code, err) == (0, "")
+    assert out == run(capsys, "local", "--in", str(plain), "--vertex", "a")[1]
+
+
+def test_a_bad_byte_after_a_byte_order_mark_is_named_with_its_line(capsys, tmp_path):
+    path = tmp_path / "marked.scx"
+    path.write_bytes(b"\xef\xbb\xbfa b c\n\xff d\n")
+    code, out, err = run(capsys, "homology", "--in", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: line 2: byte 0xff")
+    path.write_bytes(b"\xef\xbb\xbf\xfe a b\n")
+    code, out, err = run(capsys, "homology", "--in", str(path))
+    assert code == 1 and err.startswith("error: line 1: byte 0xfe")
+
+
+def test_python_dash_m_runs_the_command_line(capsys):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))}
+    argv = ["homology", "--builtin", "torus7", "--json"]
+    done = subprocess.run(
+        [sys.executable, "-m", "localhom", *argv], capture_output=True, text=True, env=env
+    )
+    code, out, _ = run(capsys, *argv)
+    assert (done.returncode, done.stdout, done.stderr) == (code, out, "")
+    done = subprocess.run(
+        [sys.executable, "-m", "localhom", "homology", "--builtin", "nope"],
+        capture_output=True, text=True, env=env,
+    )
+    assert done.returncode == 1 and "nope" in done.stderr
 
 
 def test_construct_refuses_unwritable_apex_label(capsys, tmp_path):

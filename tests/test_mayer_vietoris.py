@@ -3,7 +3,7 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracle
 from localhom import (
@@ -21,12 +21,7 @@ from localhom import (
     wedge,
 )
 from localhom.errors import DecompositionError, InclusionError, UnknownVertexError
-from localhom.mayer_vietoris import (
-    MvDecomposition,
-    _PairHomology,
-    kernel_vectors,
-    mv_exactness_check,
-)
+from localhom.mayer_vietoris import MvDecomposition, _PairHomology, mv_exactness_check
 from localhom.verification import wedge_decomposition
 from test_link_route import complexes, few
 from test_reduction import _grid_torus
@@ -335,43 +330,6 @@ def test_decomposition_is_a_frozen_dataclass():
         MvDecomposition(k, a, b, b)
 
 
-class _FractionEchelon:
-    """The echelon before integer rows: ``Fraction`` throughout, lead at the least index."""
-
-    def __init__(self):
-        self._rows = []
-
-    def __len__(self):
-        return len(self._rows)
-
-    def reduce(self, vec):
-        residual = {i: F(x) for i, x in vec.items() if x}
-        coordinates = {}
-        for lead, row, row_coordinates in self._rows:
-            c = residual.get(lead)
-            if c:
-                for target, scale, source in ((residual, -c, row), (coordinates, c, row_coordinates)):
-                    for i, y in source.items():
-                        target[i] = target.get(i, 0) + scale * y
-                        if not target[i]:
-                            del target[i]
-        return residual, coordinates
-
-    def add(self, vec, tag=None):
-        return self._store(*self.reduce(vec), tag)
-
-    def _store(self, residual, coordinates, tag):
-        if not residual:
-            return False
-        lead = min(residual)
-        inv = 1 / residual[lead]
-        row_coordinates = {t: -c * inv for t, c in coordinates.items()}
-        if tag is not None:
-            row_coordinates[tag] = inv
-        self._rows.append((lead, {i: x * inv for i, x in residual.items()}, row_coordinates))
-        return True
-
-
 def _grid_torus_halves(n: int) -> MvDecomposition:
     """The n x n grid torus covered by two annuli that overlap in two circles."""
     torus = _grid_torus(n)
@@ -381,9 +339,19 @@ def _grid_torus_halves(n: int) -> MvDecomposition:
     return MvDecomposition(torus, a, b)
 
 
-def test_grid_torus_halves_match_the_fraction_echelon(monkeypatch):
-    m = _grid_torus_halves(8)
-    report = mv_exactness_check(m, 3)
+def test_grid_torus_halves_hold_echelons_over_critical_cells_only(monkeypatch):
+    # Each pair's homology is chosen on its Morse complex: no echelon holds
+    # more rows than its pair has critical cells in that degree, where the
+    # boundary echelons over the full chain groups held up to 129 rows.
+    made = []
+
+    class Recorded(_PairHomology):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr("localhom.mayer_vietoris._PairHomology", Recorded)
+    report = mv_exactness_check(_grid_torus_halves(8), 3)
     assert report.exact
     expected = {
         "H(A&B, C&D)": {0: 2, 1: 2},
@@ -392,37 +360,14 @@ def test_grid_torus_halves_match_the_fraction_echelon(monkeypatch):
     }
     for node in report.nodes:
         assert node.dim == expected[node.node].get(node.degree, 0)
-    # The same sequence with every entry a Fraction and every lead at the
-    # least index chooses the same cycles and gives the same maps.
-    monkeypatch.setattr("localhom.exact.RationalEchelon", _FractionEchelon)
-    monkeypatch.setattr("localhom.mayer_vietoris.RationalEchelon", _FractionEchelon)
-    reference = mv_exactness_check(m, 3)
-    for name in ("phi", "psi", "delta"):
-        assert _pinned(getattr(report, name)) == _pinned(getattr(reference, name))
-    assert report.records() == reference.records()
-
-
-def test_grid_torus_halves_draw_only_the_cycles_they_keep(monkeypatch):
-    # Each degree stops drawing kernel vectors once it holds
-    # dim Z - rank B cycles; drawing the whole kernel took 422 vectors.
-    drawn = []
-
-    def counted(columns, n):
-        for vec in kernel_vectors(columns, n):
-            drawn.append(vec)
-            yield vec
-
-    monkeypatch.setattr("localhom.mayer_vietoris.kernel_vectors", counted)
-    assert mv_exactness_check(_grid_torus_halves(8), 3).exact
-    assert len(drawn) == 127
-
-
-def test_a_kernel_that_runs_out_early_is_refused(monkeypatch):
-    monkeypatch.setattr("localhom.mayer_vietoris.kernel_vectors", lambda columns, n: iter(()))
-    pair = _pair_homology(SubcomplexPair(builtin("sphere(2)"), SimplicialComplex.empty()))
-    assert pair.cycles(1) == []  # nothing is wanted, so nothing is drawn
-    with pytest.raises(RuntimeError, match="in degree 2"):
-        pair.cycles(2)
+    assert len(made) == 4
+    for pair in made:
+        assert pair._echelons
+        for n, echelon in pair._echelons.items():
+            critical = pair._critical[n] if 0 <= n < len(pair._critical) else ()
+            assert len(echelon) <= len(critical), (n, len(echelon), len(critical))
+    # Every degree of the torus keeps one critical cell per Betti number.
+    assert [len(cells) for cells in made[-1]._critical] == [1, 2, 1]
 
 
 @few
@@ -524,3 +469,160 @@ def test_random_covers_are_exact_and_match_relative_homology(m):
     for node in report.nodes:
         ranks = [relative_homology(p).group(node.degree).free_rank for p in pairs[node.node]]
         assert node.dim == sum(ranks), node
+
+
+def _oracle_boundary(chain: dict) -> dict:
+    """The alternating-sign boundary of a chain keyed by sorted label tuples."""
+    out: dict = {}
+    for s, coeff in chain.items():
+        for drop in range(len(s) if len(s) > 1 else 0):
+            face = s[:drop] + s[drop + 1 :]
+            out[face] = out.get(face, 0) + (-1) ** drop * coeff
+    return out
+
+
+class _OraclePair:
+    """Relative cycles and boundaries of ``(x, y)``, sets of label tuples, from dense matrices."""
+
+    def __init__(self, x: set, y: set):
+        self.x, self.y = x, y
+        self._cycles: dict = {}
+
+    def basis(self, n: int) -> list:
+        return sorted(s for s in self.x - self.y if len(s) == n + 1)
+
+    def _matrix(self, n: int) -> list:
+        rows = {s: i for i, s in enumerate(self.basis(n - 1))}
+        columns = [
+            {rows[f]: c for f, c in _oracle_boundary({s: 1}).items() if f in rows}
+            for s in self.basis(n)
+        ]
+        return oracle.dense(columns, len(rows))
+
+    def cycles(self, n: int) -> list:
+        if n not in self._cycles:
+            basis = self.basis(n)
+            vectors = oracle.null_space(self._matrix(n), len(basis))
+            self._cycles[n] = [dict(zip(basis, v)) for v in vectors]
+        return self._cycles[n]
+
+    def boundaries(self, n: int) -> list:
+        basis = self.basis(n)
+        return [dict(zip(basis, col)) for col in zip(*self._matrix(n + 1))]
+
+    def dim(self, n: int) -> int:
+        return len(self.cycles(n)) - oracle.rank_q(self._matrix(n + 1))
+
+
+def _oracle_map_rank(boundaries: list, images: list, keys: list) -> int:
+    """Rank on homology: the span of the images and the boundaries, less the boundaries'."""
+    index = {key: i for i, key in enumerate(keys)}
+
+    def rank(chains):
+        columns = [{index[key]: c for key, c in chain.items() if c} for chain in chains]
+        return oracle.rank_q(oracle.dense(columns, len(keys)))
+
+    return rank(boundaries + images) - rank(boundaries)
+
+
+def _tagged(tag: str, chains: list, sign: int = 1) -> list:
+    return [{(tag, s): sign * c for s, c in chain.items()} for chain in chains]
+
+
+def _oracle_ranks(m: MvDecomposition, max_degree: int) -> dict:
+    """Node dims and the ranks of phi, psi and delta from the oracle's dense algebra.
+
+    The connecting map splits a total cycle preferring ``b``, where the
+    package prefers ``a``; the class it hits is the same.
+    """
+    a, b, k = (oracle.closure(x.label_facets()) for x in (m.a, m.b, m.k))
+    c, d = (oracle.closure(x.label_facets()) for x in (m.c, m.d))
+    inter, left, right, total = (
+        _OraclePair(a & b, c & d), _OraclePair(a, c), _OraclePair(b, d), _OraclePair(k, c | d)
+    )
+    out = {"dims": {}, "phi": {}, "psi": {}, "delta": {0: 0}}
+    for n in range(max_degree + 1):
+        out["dims"][n] = (inter.dim(n), left.dim(n) + right.dim(n), total.dim(n))
+        zs = inter.cycles(n)
+        out["phi"][n] = _oracle_map_rank(
+            _tagged("L", left.boundaries(n)) + _tagged("R", right.boundaries(n)),
+            [
+                {**left_part, **right_part}
+                for left_part, right_part in zip(
+                    _tagged("L", [{s: x for s, x in z.items() if s not in c} for z in zs]),
+                    _tagged("R", [{s: x for s, x in z.items() if s not in d} for z in zs], -1),
+                )
+            ],
+            [("L", s) for s in left.basis(n)] + [("R", s) for s in right.basis(n)],
+        )
+        out["psi"][n] = _oracle_map_rank(
+            total.boundaries(n),
+            [{s: x for s, x in z.items() if s not in c | d}
+             for z in left.cycles(n) + right.cycles(n)],
+            total.basis(n),
+        )
+    for n in range(1, max_degree + 2):
+        images = []
+        for z in total.cycles(n):
+            on_b = _oracle_boundary({s: x for s, x in z.items() if s in b})
+            on_a = _oracle_boundary({s: x for s, x in z.items() if s not in b})
+            w = {}
+            for s in set(on_a) | set(on_b):
+                if s not in c:
+                    w[s] = on_a.get(s, 0)
+                elif s not in d:
+                    w[s] = -on_b.get(s, 0)
+            images.append(w)
+        out["delta"][n] = _oracle_map_rank(inter.boundaries(n - 1), images, inter.basis(n - 1))
+    return out
+
+
+# Closed surfaces and a square, whose vertex splits give connecting maps of rank > 0.
+_SPLIT_BASES = st.sampled_from(
+    [builtin(name) for name in ("octahedron", "rp2_6", "torus7")] + [parse_complex("a b\nb c\nc d\nd a")]
+)
+
+
+@st.composite
+def vertex_split_covers(draw):
+    """``a`` and ``b`` full subcomplexes of ``k`` on a random vertex split.
+
+    The vertices only ``a`` has are not adjacent to those only ``b`` has,
+    so every simplex of ``k`` lies in one piece.  ``c`` and ``d``, when
+    drawn, are full subcomplexes of ``a`` and ``b``.
+    """
+    k = draw(st.one_of(complexes, _SPLIT_BASES))
+    labels = sorted(k.labels)
+    only_a = draw(st.sets(st.sampled_from(labels)))
+    free = [v for v in labels if v not in only_a and not any(
+        k.contains_labelled((u, v)) for u in only_a)]
+    only_b = draw(st.sets(st.sampled_from(free))) if free else set()
+    a, b = (full_subcomplex(k, [v for v in labels if v not in other]) for other in (only_b, only_a))
+    c, d = (
+        full_subcomplex(piece, draw(st.sets(st.sampled_from(piece.labels))))
+        if piece.labels and draw(st.booleans())
+        else None
+        for piece in (a, b)
+    )
+    return MvDecomposition(k, a, b, c, d)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(vertex_split_covers())
+@example(_interleaved_hemispheres())
+@example(
+    MvDecomposition(
+        parse_complex("a b\nb c\nc d\nd a"), parse_complex("d a\na b"), parse_complex("b c\nc d")
+    )
+)
+def test_vertex_split_covers_match_the_oracle_ranks(m):
+    max_degree = m.k.dim + 1
+    report = mv_exactness_check(m, max_degree)
+    assert report.exact
+    expected = _oracle_ranks(m, max_degree)
+    names = ("H(A&B, C&D)", "H(A,C) + H(B,D)", "H(K, Y)")
+    for node in report.nodes:
+        assert node.dim == expected["dims"][node.degree][names.index(node.node)], node
+    for name in ("phi", "psi", "delta"):
+        ranks = {n: f.rank() for n, f in getattr(report, name).items()}
+        assert ranks == expected[name], name

@@ -36,6 +36,7 @@ from localhom import (
 from localhom.chains import ChainComplex, open_star_chain_complex
 from localhom.exact import IntegerMatrix, chain_reducer, smith_normal_form
 from localhom.homology import HomologyGroup
+from localhom.morse import MorseMaps
 from localhom.verification import EXPECTED_HOMOLOGY
 from test_chains import augmented, shifted_down
 from test_link_route import LABELS, complexes, few
@@ -83,7 +84,7 @@ def oracle_counts(c: ChainComplex) -> tuple[list, list]:
 
 def morse_complex(c: ChainComplex, cells=None) -> ChainComplex:
     """The critical cells of ``c`` (or of ``cells``) with their Morse boundaries."""
-    critical, columns = chain_reducer(c.boundaries)(cells)
+    critical, columns, _ = chain_reducer(c.boundaries)(cells)
     bases = [[basis[j] for j in kept] for basis, kept in zip(c.bases, critical)]
     return ChainComplex(bases, columns)
 
@@ -170,6 +171,89 @@ def test_the_morse_complex_is_a_function_of_the_basis_order(k, image):
         assert reference_homology(other) == reference_homology(morse_complex(c))
 
 
+def _boundary(c: ChainComplex, n: int, chain: dict, inside) -> dict:
+    """``∂`` of a degree-n chain of ``c``, dropping faces whose cell number is not ``inside``."""
+    below = sum(map(len, c.bases[: n - 1])) if n else 0
+    out: dict = {}
+    for i, coeff in chain.items():
+        for r, x in c.columns(n)[i].items():
+            if below + r in inside:
+                out[r] = out.get(r, 0) + coeff * x
+    return {r: x for r, x in out.items() if x}
+
+
+def _morse_boundary(columns, morse_chain: dict) -> dict:
+    """``∂_M`` of a Morse chain, from the reducer's Morse boundary columns."""
+    out: dict = {}
+    for p, coeff in morse_chain.items():
+        for q, x in columns[p].items():
+            out[q] = out.get(q, 0) + coeff * x
+    return {q: x for q, x in out.items() if x}
+
+
+def _assert_the_way_back(c: ChainComplex, cells=None) -> None:
+    """ι and π of one reduction: π∘ι is the identity and both commute with the boundaries."""
+    reduction = chain_reducer(c.boundaries)(cells)
+    critical, columns, _ = reduction
+    maps = MorseMaps(c.boundaries, reduction)
+    total = sum(map(len, c.bases))
+    inside = set(range(total) if cells is None else cells)
+    start = 0
+    for n, basis in enumerate(c.bases):
+        for p in range(len(critical[n])):
+            lifted = maps.lift(n, {p: 1})
+            assert maps.flow(n, lifted) == {p: 1}
+            expected = maps.lift(n - 1, columns[n][p]) if n else {}
+            assert _boundary(c, n, lifted, inside) == expected
+        for i in range(len(basis)):
+            if start + i in inside:
+                image = maps.flow(n, {i: 1})
+                flowed = maps.flow(n - 1, _boundary(c, n, {i: 1}, inside)) if n else {}
+                assert flowed == _morse_boundary(columns[n], image)
+        start += len(basis)
+
+
+# A complex and a random face-closed subcomplex: the closure of some of its simplices.
+subcomplex_pairs = complexes.flatmap(
+    lambda k: st.sets(st.sampled_from(sorted(k.all_simplices()))).map(
+        lambda chosen: SubcomplexPair(
+            k, SimplicialComplex.from_index_simplices(k.labels, sorted(chosen))
+        )
+    )
+)
+
+
+@few
+@given(st.one_of(pairs, subcomplex_pairs))
+def test_the_lift_and_the_flow_invert_and_commute_with_the_boundaries(pair):
+    for c in (*_complexes_of(pair.ambient), relative_chain_complex(pair)):
+        _assert_the_way_back(c)
+
+
+@few
+@given(complexes)
+def test_the_lift_and_the_flow_on_each_open_star(k):
+    whole = open_star_chain_complex(k, range(k.n_vertices))
+    for star in _vertex_stars(whole):
+        _assert_the_way_back(whole, star)
+
+
+def test_the_torus_classes_lift_to_cycles():
+    # The fundamental class lifts to every triangle, with signs making it a
+    # cycle, and flows back to the one critical triangle.
+    c = chain_complex(_grid_torus(6))
+    reduction = chain_reducer(c.boundaries)()
+    maps = MorseMaps(c.boundaries, reduction)
+    assert [len(cells) for cells in reduction[0]] == [1, 2, 1]
+    fundamental = maps.lift(2, {0: 1})
+    assert sorted(fundamental) == list(range(len(c.basis(2))))
+    assert _boundary(c, 2, fundamental, range(sum(map(len, c.bases)))) == {}
+    for p in range(2):
+        loop = maps.lift(1, {p: 1})
+        assert _boundary(c, 1, loop, range(sum(map(len, c.bases)))) == {}
+        assert maps.flow(1, loop) == {p: 1}
+
+
 def _vertex_stars(c: ChainComplex) -> list[list[int]]:
     """Each vertex's cells in ``c``, in cell-number order, for the vertices that have some."""
     stars: dict[int, list[int]] = {}
@@ -230,7 +314,7 @@ def test_cells_may_come_as_a_one_shot_iterable():
     star = _vertex_stars(c)[0]
     for cells in (range(sum(map(len, c.bases))), star):
         assert reduce(iter(cells)) == reduce(cells)
-    critical, _ = reduce(star)
+    critical, _, _ = reduce(star)
     assert [len(cells) for cells in critical] == [0, 0, 1]
     assert reduce() == whole
 
@@ -244,7 +328,7 @@ def _star_reduction_peak(n: int) -> int:
     tracemalloc.start()
     try:
         before, _ = tracemalloc.get_traced_memory()
-        critical, _ = reduce(star)
+        critical, _, _ = reduce(star)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -309,14 +393,20 @@ def test_closed_complexes_start_from_the_augmentation():
     # once and vertex 0, the least cell, is made critical.  The Klein
     # bottle then keeps two loops and a 2-cell wrapping twice around one.
     c = chain_complex(builtin("klein8"))
-    assert chain_reducer(c.boundaries)() == (
+    critical, columns, matching = chain_reducer(c.boundaries)()
+    assert (critical, columns) == (
         ((0,), (6, 9), (14,)),
         (({},), ({}, {}), ({1: 2},)),
     )
+    # The other 44 of its 48 cells are matched in pairs.
+    assert len(matching) == 22
+    assert sorted(x for a, b, _ in matching for x in (a, b)) == [
+        x for x in range(48) if x not in (0, 8 + 6, 8 + 9, 32 + 14)
+    ]
     for name in ("klein8", "sphere(2)"):
         # With the augmentation, vertex 0 pairs with its cell instead, and
         # every vertex flows to zero.
-        critical, _ = chain_reducer(augmented(builtin(name)).boundaries)()
+        critical, _, _ = chain_reducer(augmented(builtin(name)).boundaries)()
         assert critical[:2] == ((), ())
         assert homology(chain_complex(builtin(name))).nonzero() == EXPECTED_HOMOLOGY[name]
 
@@ -326,10 +416,10 @@ def test_products_reduce_to_few_critical_cells():
     # keeps one critical cell per Betti number: the augmentation's degree 0
     # is the empty simplex, and degree d + 1 holds T^4's degree d.
     t4 = augmented(product(_grid_torus(3), _grid_torus(3)))
-    critical, _ = chain_reducer(t4.boundaries)()
+    critical, _, _ = chain_reducer(t4.boundaries)()
     assert [len(cells) for cells in critical] == [0, 0, 4, 6, 4, 1]
     t2_rp2 = product(builtin("torus7"), builtin("rp2_6"))
-    critical, _ = chain_reducer(augmented(t2_rp2).boundaries)()
+    critical, _, _ = chain_reducer(augmented(t2_rp2).boundaries)()
     assert sum(map(len, critical)) == 11
     assert homology_of_complex(t2_rp2).nonzero() == {
         0: Z,
@@ -360,9 +450,14 @@ def test_an_entry_of_two_is_not_paired_and_keeps_its_torsion():
     assert chain_reducer(RP2_CELLS.boundaries)() == (
         ((0,), (0,), (0,)),
         (({},), ({},), ({0: 2},)),
+        (),
     )
     with_augmentation = (({},), ({0: 1},), ({},), ({0: 2},))
-    assert chain_reducer(with_augmentation)() == (((), (), (0,), (0,)), ((), (), ({},), ({0: 2},)))
+    assert chain_reducer(with_augmentation)() == (
+        ((), (), (0,), (0,)),
+        ((), (), ({},), ({0: 2},)),
+        ((0, 1, 1),),
+    )
     assert homology(RP2_CELLS).nonzero() == {0: Z, 1: HomologyGroup(0, (2,))}
 
 
@@ -381,7 +476,12 @@ def test_degrees_without_surviving_cells_skip_the_elimination(monkeypatch):
         [(str(i), str((i + 1) % 6)) for i in range(6)]
     )
     c = augmented(hexagon)
-    assert chain_reducer(c.boundaries)() == (((), (), (5,)), ((), (), ({},)))
+    # Cell 0 is the augmentation, 1 to 6 the vertices and 7 to 12 the edges.
+    assert chain_reducer(c.boundaries)() == (
+        ((), (), (5,)),
+        ((), (), ({},)),
+        ((0, 1, 1), (2, 7, 1), (6, 8, 1), (3, 9, 1), (4, 10, 1), (5, 11, 1)),
+    )
     assert homology(chain_complex(hexagon), reduced=True).nonzero() == {1: Z}
     assert calls == []
     # The one-cell projective plane keeps its 2-cell's boundary 2, so its
