@@ -1,11 +1,15 @@
 """Command-line interface.
 
 Subcommands: ``homology``, ``local``, ``construct``, ``check``, ``mv``,
-and ``verify-paper``.  Inputs are facet-list files (``.scx``) or named
-builtin complexes; output is a stable text rendering or, with ``--json``,
-a machine-readable document.  Exit status 0 on success, 1 on domain
-errors (bad file, unknown vertex, failed verification), 2 on usage
-errors.
+and ``verify-paper``, one entry each in ``SUBCOMMANDS``.  Inputs are
+facet-list files (``.scx``) or named builtin complexes; output is a stable
+text rendering or, with ``--json``, a machine-readable document.  Exit
+status 0 on success, 1 on domain errors (bad file, unknown vertex, failed
+verification), 2 on usage errors.
+
+A command builds only the parser of the subcommand its first argument
+names.  Help, usage errors and outputs stay those of the parser with every
+subcommand.
 """
 
 from __future__ import annotations
@@ -179,23 +183,13 @@ def cmd_verify(args) -> int:
     return 1 if failed else 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="localhom",
-        description=(
-            "Exact simplicial homology, local homology, and manifold probing. "
-            f"Builtin complexes: {', '.join(builtin_names())}."
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("homology", help="homology groups of a complex")
+def _homology_arguments(p) -> None:
     _add_input_flags(p)
     p.add_argument("--reduced", action="store_true", help="reduced homology")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_homology)
 
-    p = sub.add_parser("local", help="local homology at one or more vertices")
+
+def _local_arguments(p) -> None:
     _add_input_flags(p)
     target = p.add_mutually_exclusive_group(required=True)
     target.add_argument("--vertex", metavar="LABEL")
@@ -203,9 +197,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--vertices", metavar="L1,L2,...", help="pairwise non-adjacent vertices"
     )
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_local)
 
-    p = sub.add_parser("construct", help="build a complex and write it as .scx")
+
+def _construct_arguments(p) -> None:
     p.add_argument(
         "--kind", required=True, choices=("cone", "wedge", "prism", "union")
     )
@@ -217,14 +211,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--v1", metavar="LABEL", help="wedge base vertex in the first input")
     p.add_argument("--v2", metavar="LABEL", help="wedge base vertex in the second input")
     p.add_argument("--out", required=True, metavar="PATH")
-    p.set_defaults(func=cmd_construct)
 
-    p = sub.add_parser("check", help="manifold obstruction report")
+
+def _check_arguments(p) -> None:
     _add_input_flags(p)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("mv", help="Mayer-Vietoris exactness over the rationals")
+
+def _mv_arguments(p) -> None:
     p.add_argument("--in", dest="in_path", required=True, metavar="PATH")
     p.add_argument("--a", required=True, metavar="PATH")
     p.add_argument("--b", required=True, metavar="PATH")
@@ -232,20 +226,65 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", metavar="PATH")
     p.add_argument("--max-degree", type=int, metavar="K")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_mv)
 
-    p = sub.add_parser(
-        "verify-paper", help="run the built-in verification suite"
-    )
+
+def _verify_arguments(p) -> None:
     p.add_argument("--only", metavar="ID", help="run one check by id or alias")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_verify)
 
+
+# name -> (help, the function adding its arguments, the function running it),
+# in the order ``--help`` lists them.
+SUBCOMMANDS = {
+    "homology": ("homology groups of a complex", _homology_arguments, cmd_homology),
+    "local": ("local homology at one or more vertices", _local_arguments, cmd_local),
+    "construct": (
+        "build a complex and write it as .scx",
+        _construct_arguments,
+        cmd_construct,
+    ),
+    "check": ("manifold obstruction report", _check_arguments, cmd_check),
+    "mv": ("Mayer-Vietoris exactness over the rationals", _mv_arguments, cmd_mv),
+    "verify-paper": (
+        "run the built-in verification suite",
+        _verify_arguments,
+        cmd_verify,
+    ),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``localhom`` parser: only ``command``'s subparser when it names one.
+
+    Anything else (None, ``-h``, an unknown name) gets every subparser, for
+    the top-level help and its usage errors.
+    """
+    parser = argparse.ArgumentParser(
+        prog="localhom",
+        description=(
+            "Exact simplicial homology, local homology, and manifold probing. "
+            f"Builtin complexes: {', '.join(builtin_names())}."
+        ),
+    )
+    if command in SUBCOMMANDS:
+        # The top-level "unrecognized arguments" error prints the usage line,
+        # which must still name all six.  On the full parser a metavar would
+        # also rename "argument command" in its errors, so it gets none.
+        names, metavar = [command], "{" + ",".join(SUBCOMMANDS) + "}"
+    else:
+        names, metavar = list(SUBCOMMANDS), None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        help_text, add_arguments, run = SUBCOMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        add_arguments(p)
+        p.set_defaults(func=run)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
     except LocalhomError as exc:

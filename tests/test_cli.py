@@ -1,18 +1,24 @@
 """End-to-end command-line behaviour: output, exit codes, determinism."""
 
+import argparse
+import contextlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from localhom.cli import main
+from localhom.cli import SUBCOMMANDS, build_parser, main
 from localhom.scx import read_complex, write_complex
 from localhom import builtin, cone, wedge
 
-SRC = str(Path(__file__).resolve().parents[1] / "src")
+ROOT = Path(__file__).resolve().parents[1]
+SRC = str(ROOT / "src")
 
 
 def run(capsys, *argv):
@@ -130,7 +136,8 @@ def test_a_bad_byte_after_a_byte_order_mark_is_named_with_its_line(capsys, tmp_p
     assert code == 1 and err.startswith("error: line 1: byte 0xfe")
 
 
-def test_python_dash_m_runs_the_command_line(capsys):
+def test_python_dash_m_runs_the_command_line(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))}
     argv = ["homology", "--builtin", "torus7", "--json"]
     done = subprocess.run(
@@ -138,6 +145,13 @@ def test_python_dash_m_runs_the_command_line(capsys):
     )
     code, out, _ = run(capsys, *argv)
     assert (done.returncode, done.stdout, done.stderr) == (code, out, "")
+    done = subprocess.run(
+        [sys.executable, "-m", "localhom", "--help"], capture_output=True, text=True, env=env
+    )
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    captured = capsys.readouterr()
+    assert (done.returncode, done.stdout, done.stderr) == (exc.value.code, captured.out, captured.err)
     done = subprocess.run(
         [sys.executable, "-m", "localhom", "homology", "--builtin", "nope"],
         capture_output=True, text=True, env=env,
@@ -296,3 +310,77 @@ def test_byte_identical_output_across_runs(capsys):
     one = run(capsys, "homology", "--builtin", "klein8", "--json")
     two = run(capsys, "homology", "--builtin", "klein8", "--json")
     assert one == two
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["homology", "--builtin", "torus7", "--json"], ["check", "--builtin", "torus7", "--bogus"]],
+)
+def test_main_without_arguments_reads_sys_argv(monkeypatch, capsys, argv):
+    """The console script calls ``main()``, which parses ``sys.argv[1:]``."""
+
+    def outcome(*args):
+        try:
+            code = main(*args)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    expected = outcome(argv)
+    monkeypatch.setattr(sys, "argv", ["localhom", *argv])
+    assert outcome() == expected
+
+
+def _parse(parser, argv):
+    """``vars`` of the parsed namespace, or the exit code and what was printed."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
+
+
+def _subcommand_flags() -> list[str]:
+    flags = set()
+    for _, add_arguments, _ in SUBCOMMANDS.values():
+        p = argparse.ArgumentParser(add_help=False)
+        add_arguments(p)
+        flags.update(s for action in p._actions for s in action.option_strings)
+    return sorted(flags)
+
+
+_TOKENS = st.sampled_from(
+    [*SUBCOMMANDS, *_subcommand_flags(), "-h", "--help"]
+    + ["torus7", "x", "0", "-1", "a,b", "k.scx"]
+    + ["nonsense", "hom", "--bogus", "--js", "--", "-", "--in=k.scx", "--max-degree=2"]
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    st.one_of(
+        st.lists(_TOKENS, max_size=7),
+        st.builds(
+            lambda name, rest: [name, *rest],
+            st.sampled_from(list(SUBCOMMANDS)),
+            st.lists(_TOKENS, max_size=7),
+        ),
+    )
+)
+def test_the_invoked_subcommands_parser_parses_as_the_full_one(argv):
+    one = build_parser(argv[0] if argv else None)
+    assert _parse(one, argv) == _parse(build_parser(), argv)
+
+
+@pytest.mark.parametrize("name", SUBCOMMANDS)
+def test_a_subcommand_name_builds_only_its_parser(name):
+    (sub,) = [a for a in build_parser(name)._actions if isinstance(a, argparse._SubParsersAction)]
+    assert list(sub.choices) == [name]
+
+
+def test_readme_command_line_block_lists_every_subcommand():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```", 2)[1]
+    assert set(re.findall(r"^localhom (\S+)", block, flags=re.M)) == set(SUBCOMMANDS)

@@ -24,7 +24,13 @@ hemispheres relabelled so no piece's labels are contiguous in k's, and a
 path cover whose ``c`` meets ``b`` outside ``d``), recorded before
 Mayer-Vietoris numbered every piece in ``k``.  Constructed complexes are written to
 ``.scx`` files under relative names, so the ``complex`` field does not
-depend on where the test runs.
+depend on where the test runs.  ``tests/data/cli_usage_golden.json`` holds
+the exit code, stdout and stderr of the help texts (top level and each
+subcommand) and of one command per kind of usage error (no subcommand, an
+unknown or abbreviated one, a missing or clashing input, a missing target,
+an unknown flag before and after the input, a bad choice, a bad integer,
+a trailing argument), at 80 columns; it was recorded while ``main`` still
+built every subcommand's parser on every call.
 """
 
 import json
@@ -56,6 +62,7 @@ GOLDEN = DATA / "local_cli_golden.json"
 HOMOLOGY_GOLDEN = DATA / "homology_cli_golden.json"
 VERIFY_GOLDEN = DATA / "verify_paper_golden.json"
 MV_GOLDEN = DATA / "mv_cli_golden.json"
+USAGE_GOLDEN = DATA / "cli_usage_golden.json"
 
 
 def corpus() -> dict:
@@ -208,3 +215,43 @@ def test_mv_output_is_byte_identical_to_the_recorded_output(
 ):
     monkeypatch.chdir(tmp_path)
     assert_matches(mv_outputs(capsys), MV_GOLDEN)
+
+
+SUBCOMMANDS = ("homology", "local", "construct", "check", "mv", "verify-paper")
+USAGE_CASES = [
+    [],
+    ["--help"],
+    ["-h"],
+    ["-h", "homology"],
+    *([name, "--help"] for name in SUBCOMMANDS),
+    ["nonsense"],
+    ["hom"],
+    ["homology"],
+    ["homology", "--builtin", "x", "--in", "y"],
+    ["local", "--builtin", "torus7"],
+    ["check", "--bogus"],
+    ["check", "--builtin", "torus7", "--bogus"],
+    ["construct", "--kind", "bad"],
+    ["mv", "--in", "k.scx", "--a", "a.scx", "--b", "b.scx", "--max-degree", "x"],
+    ["homology", "--builtin", "torus7", "extra"],
+]
+
+
+def usage_outputs(capsys) -> dict[str, dict]:
+    """Exit code, stdout and stderr of every help and usage-error case."""
+    found = {}
+    for argv in USAGE_CASES:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        found[" ".join(argv)] = {"code": code, "stdout": captured.out, "stderr": captured.err}
+    return found
+
+
+def test_help_and_usage_errors_are_byte_identical_to_the_recorded_output(
+    monkeypatch, capsys
+):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
+    assert_matches(usage_outputs(capsys), USAGE_GOLDEN)
