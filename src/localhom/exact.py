@@ -28,9 +28,9 @@ work in proportion to its own cells; a reducer is not reentrant.  The
 boundaries of the few critical cells, pushed through the images of the
 paired cells, form a complex with the same homology over Z, and their
 Smith normal form is the whole integer elimination.  The call also
-returns its matching, the removed pairs in order, from which
-``morse.MorseMaps`` reads the chain maps between the complex and its
-Morse complex.
+returns its matching, the removed pairs in order, and the images it
+recorded, from which ``morse.MorseMaps`` reads the chain maps between
+the complex and its Morse complex.
 
 ``smith_normal_form`` is the dense reduction with both transforms.  It
 picks the nonzero entry of least absolute value as the pivot on every
@@ -271,7 +271,8 @@ def chain_reducer(boundaries):
       and the other faces of ``b`` are removed already, so the image of
       ``a`` is recorded once, over the critical cells found so far;
     - a collapse removes a cell whose only live coface is ``b``, together
-      with ``b``.  No later face lookup meets the lower cell.
+      with ``b``.  No later face lookup meets the lower cell, so its image
+      is left to ``morse.MorseMaps``.
 
     Upper cells of pairs flow to zero.  When the queue empties, the least
     live cell has no live face, as its faces are numbered below it: it is
@@ -280,8 +281,9 @@ def chain_reducer(boundaries):
     Morse boundaries form a complex chain-equivalent to the original over
     Z, torsion included.  Each removed pair is recorded as ``(a, b, v)``:
     the lower cell ``a``, the upper cell ``b`` (both cell numbers) and
-    the entry ``v = <∂b, a> = ±1``.  That matching is all
-    ``morse.MorseMaps`` needs for the lift and the whole flow.
+    the entry ``v = <∂b, a> = ±1``.  With the images recorded on the way,
+    that matching is what ``morse.MorseMaps`` reads the lift and the whole
+    flow from.
 
     Every cell of a call is removed, paired or critical, so a call
     returns with each cell dead and the queue empty: the next call marks
@@ -290,12 +292,14 @@ def chain_reducer(boundaries):
     out of range raises ``IndexError``) clears the cells it marked first.
     The state is shared, so a reducer is not reentrant.
 
-    Returns ``(critical, columns, matching)``: the basis indices of the
-    critical cells of each degree, ascending, their Morse boundary
+    Returns ``(critical, columns, matching, flow)``: the basis indices of
+    the critical cells of each degree, ascending, their Morse boundary
     columns, ``{row: value}`` with rows indexing the critical cells one
-    degree below, and the pairs in removal order.  All three are a fixed
-    function of the input columns and ``cells``; the columns are left as
-    they were.
+    degree below, the pairs in removal order, and the flow recorded on
+    the way, ``{cell: {position: value}}``: each critical cell to itself
+    and each coreduction's lower cell with a nonzero image to that image,
+    over the critical cells of its degree.  All four are a fixed function
+    of the input columns and ``cells``; the columns are left as they were.
     """
     starts = [0]
     for cols in boundaries:
@@ -334,16 +338,6 @@ def chain_reducer(boundaries):
                 if n == 1:
                     queue.append(y)
 
-    def image(x: int, c: int, flow: dict) -> dict:
-        """``c`` times the flow of ``∂x``."""
-        out: dict = {}
-        base = below[x]
-        for r, value in columns[x].items():
-            target = flow.get(base + r)
-            if target:
-                _add_multiple(out, c * value, target)
-        return out
-
     def mark(cells) -> None:
         for x in cells:
             if not 0 <= x < total:
@@ -360,13 +354,16 @@ def chain_reducer(boundaries):
                     live_cofaces[f] += 1
             live_faces[x] = n
 
-    def run(cells) -> tuple[tuple, tuple, tuple]:
+    def run(cells) -> tuple[tuple, tuple, tuple, dict]:
         queue.extend(cells)
         critical: list[list[int]] = [[] for _ in boundaries]
         morse: list[list[dict]] = [[] for _ in boundaries]
         matching: list[tuple[int, int, int]] = []
-        # Image of a dead cell over the critical cells of its degree, keyed
-        # by their positions there; a cell without an entry flows to zero.
+        # Image of a critical cell or a coreduction's lower cell over the
+        # critical cells of its degree, keyed by their positions there; a
+        # cell without an entry counts as zero.  Collapses get no entry: a
+        # collapse's lower cell is no face of a later coreduction or
+        # critical cell, and ``morse.MorseMaps`` fills their images in.
         flow: dict[int, dict] = {}
         unseen = iter(cells)
         while True:
@@ -386,7 +383,7 @@ def chain_reducer(boundaries):
                         # a flows to -<∂b, a> times the flow of ∂b's other
                         # faces; before the first critical cell, that is zero.
                         if flow:
-                            target = image(x, -value, flow)
+                            target = _flow_of(columns[x], base, -value, flow)
                             if target:
                                 flow[base + r] = target
                         continue
@@ -405,13 +402,13 @@ def chain_reducer(boundaries):
             else:
                 break
             i = bisect_right(starts, x) - 1
-            morse[i].append(image(x, 1, flow))
+            morse[i].append(_flow_of(columns[x], below[x], 1, flow))
             flow[x] = {len(critical[i]): 1}
             critical[i].append(x - starts[i])
             remove(x)
-        return tuple(map(tuple, critical)), tuple(map(tuple, morse)), tuple(matching)
+        return tuple(map(tuple, critical)), tuple(map(tuple, morse)), tuple(matching), flow
 
-    def reduce(cells=None) -> tuple[tuple, tuple, tuple]:
+    def reduce(cells=None) -> tuple[tuple, tuple, tuple, dict]:
         if cells is not None:
             cells = tuple(cells)  # read by mark, the queue seed and the unseen scan
         try:
@@ -488,6 +485,21 @@ class RationalEchelon:
         row = {i: x * scale for i, x in residual.items()}
         self._rows.append((lead, row, row_coordinates))
         return True
+
+
+def _flow_of(chain: dict, base: int, c, flow: dict) -> dict:
+    """``c`` times the flow of ``chain``, whose entry ``r`` is at cell ``base + r``.
+
+    ``flow`` maps cell numbers to their images over the critical cells; a
+    cell without an entry flows to zero, and so does a zero entry.  The
+    flow of a boundary column is the image of the cell's boundary.
+    """
+    out: dict = {}
+    for r, value in chain.items():
+        target = flow.get(base + r)
+        if target and value:
+            _add_multiple(out, c * value, target)
+    return out
 
 
 def _add_multiple(target: dict, c, source: dict) -> None:

@@ -178,12 +178,12 @@ def homology(c: ChainComplex, reduced: bool = False) -> HomologySummary:
 
 
 def _groups(morse, offset: int) -> dict[int, HomologyGroup]:
-    """Nonzero groups of a reduction ``(critical, columns, matching)``, degree ``offset`` first.
+    """Nonzero groups of a ``chain_reducer`` reduction, degree ``offset`` first.
 
     Each boundary's Smith normal form runs on its nonzero rows and columns
     only, and not at all on a zero boundary.
     """
-    critical, boundaries, _ = morse
+    critical, boundaries, _, _ = morse
     ranks = [0] * (len(boundaries) + 1)
     torsions = [()] * (len(boundaries) + 1)
     for i, columns in enumerate(boundaries):

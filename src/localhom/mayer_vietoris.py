@@ -20,11 +20,11 @@ elimination runs over the few critical cells.  Each pair keeps one
 and the chosen Morse cycles tagged, so choosing the cycles and expressing
 a chain in them (the matrix columns of every arrow) share one
 elimination, and the rank of an arrow is the dimension of the span of its
-rows.  The reduction's matching gives the way between the two complexes
-(``morse.MorseMaps``): each chosen Morse cycle is lifted once to a cycle
-of the pair, pushed or split at chain level as above, and the result
-flows onto the target pair's Morse complex, where the echelon reads its
-coordinates.  The echelon works in ``int`` on unit leads and in
+rows.  The reduction's matching and images give the way between the two
+complexes (``morse.MorseMaps``): each chosen Morse cycle is lifted once
+to a cycle of the pair, pushed or split at chain level as above, and the
+result flows onto the target pair's Morse complex, where the echelon
+reads its coordinates.  The echelon works in ``int`` on unit leads and in
 ``Fraction`` only without one; neither choice moves the maps.
 
 Every piece is a set of ``k``'s simplices in ``k``'s own numbering, and a
@@ -80,7 +80,7 @@ class _PairHomology:
         self.cc = quotient_chain_complex(k, sub, ambient)
         self.cc.check_boundary_squared()
         reduction = chain_reducer(self.cc.boundaries)()
-        self._critical, self._morse, _ = reduction
+        self._critical, self._morse, _, _ = reduction
         self._maps = MorseMaps(self.cc.boundaries, reduction)
         self._cycles: dict = {}
         self._echelons: dict = {}

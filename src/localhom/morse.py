@@ -1,21 +1,24 @@
 """The way between a chain complex and its discrete Morse complex.
 
 ``exact.chain_reducer`` returns, with the critical cells and their Morse
-boundaries, the matching it removed.  ``MorseMaps`` reads the two chain
-maps off that matching (Harker, Mischaikow, Mrozek and Nanda, "Discrete
-Morse theoretic algorithms for computing homology of complexes and maps",
-FoCM 14, 2014; Mrozek and Batko, "Coreduction homology algorithm", DCG
-41, 2009): the lift ι of a Morse chain to a chain of the complex and the
-flow π of a chain onto the Morse complex.  Mayer-Vietoris chooses its
-homology bases on the Morse complexes and travels between the pairs
-through these maps.
+boundaries, the matching it removed and the images it recorded on the
+way.  ``MorseMaps`` reads the two chain maps off them (Harker, Mischaikow,
+Mrozek and Nanda, "Discrete Morse theoretic algorithms for computing
+homology of complexes and maps", FoCM 14, 2014; Mrozek and Batko,
+"Coreduction homology algorithm", DCG 41, 2009): the lift ι of a Morse
+chain to a chain of the complex and the flow π of a chain onto the Morse
+complex.  The reducer records π of the critical cells and the
+coreductions; ``MorseMaps`` adds the collapses in one pass over the
+matching.  Mayer-Vietoris chooses its homology bases on the Morse
+complexes and travels between the pairs through these maps.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from itertools import chain
 
-from .exact import _add_multiple
+from .exact import _flow_of
 
 
 class MorseMaps:
@@ -33,27 +36,39 @@ class MorseMaps:
       lower cell.  So ``∂ι(c) = ι(∂_M c)``, and a Morse cycle lifts to a
       cycle.
     - ``flow`` (π) maps a critical cell to itself, an upper cell to zero
-      and a lower cell ``a`` of ``b`` to ``-v·Σ_{f≠a} <∂b, f>·π(f)``.  A
-      collapse's other faces die after it, so images are computed on
-      demand, on an explicit stack, and memoised.  ``π(∂x) = ∂_M π(x)``
-      and ``π(ι(z)) = z``.
+      and a lower cell ``a`` of ``b`` to ``-v·Σ_{f≠a} <∂b, f>·π(f)``.  The
+      reducer records π of the critical cells and the coreductions; the
+      collapses are filled in once, here.  ``π(∂x) = ∂_M π(x)`` and
+      ``π(ι(z)) = z``.
 
     Cells outside a reduced cell set count as absent, as in the reducer.
     """
 
     def __init__(self, boundaries, reduction) -> None:
-        critical, _, self._matching = reduction
+        critical, _, self._matching, flow = reduction
         self._critical = critical
         self._starts = [0]
         for cols in boundaries:
             self._starts.append(self._starts[-1] + len(cols))
-        self._columns = list(chain.from_iterable(boundaries))
-        self._lower = {a: (b, v) for a, b, v in self._matching}
-        # π of each cell met so far, over the critical cells of its degree.
-        self._images = {
-            start + i: {p: 1} for start, cells in zip(self._starts, critical)
-            for p, i in enumerate(cells)
-        }
+        self._columns = columns = list(chain.from_iterable(boundaries))
+        # π of each cell over the critical cells of its degree; a cell
+        # without an entry flows to zero.  A collapse's lower cell had one
+        # live coface when it was removed, so it is no face of a later
+        # coreduction's upper cell or of a critical cell, and the reducer's
+        # images are final.  Walking the pairs last removed first, the
+        # faces of a collapse's upper cell that die after it are met
+        # before it; those that died before it are critical cells, upper
+        # cells or coreductions' lower cells.  A coreduction whose image is
+        # zero has no entry, and the walk finds zero again.  ``a`` itself
+        # has no entry yet, so the sum over ``∂b`` leaves it out.
+        self._images = images = dict(flow)
+        starts = self._starts
+        for a, b, v in reversed(self._matching):
+            if a not in images:
+                degree = bisect_right(starts, b) - 1  # b's rows index the degree below
+                image = _flow_of(columns[b], starts[degree - 1], -v, images)
+                if image:
+                    images[a] = image
 
     def lift(self, degree: int, morse_chain: dict) -> dict:
         """ι of a Morse chain of ``degree``, as a chain of the complex."""
@@ -75,38 +90,4 @@ class MorseMaps:
 
     def flow(self, degree: int, chain: dict) -> dict:
         """π of a chain of ``degree``, as a Morse chain."""
-        start = self._starts[degree]
-        out: dict = {}
-        for i, c in chain.items():
-            image = self._image(start + i, start)
-            if c and image:
-                _add_multiple(out, c, image)
-        return out
-
-    def _image(self, x: int, base: int) -> dict:
-        """π of cell ``x``, whose degree starts at cell number ``base``."""
-        images, lower, columns = self._images, self._lower, self._columns
-        stack = [x]
-        while stack:
-            a = stack[-1]
-            if a in images:
-                stack.pop()
-                continue
-            if a not in lower:  # an upper cell, or one outside the reduced set
-                images[a] = {}
-                stack.pop()
-                continue
-            b, v = lower[a]
-            faces = [(base + r, value) for r, value in columns[b].items() if base + r != a]
-            pending = [f for f, _ in faces if f not in images]
-            if pending:
-                stack.extend(pending)
-                continue
-            image: dict = {}
-            for f, value in faces:
-                if images[f]:
-                    _add_multiple(image, -v * value, images[f])
-            images[a] = image
-            stack.pop()
-        return images[x]
-
+        return _flow_of(chain, self._starts[degree], 1, self._images)

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from localhom.cli import SUBCOMMANDS, build_parser, main
 from localhom.scx import read_complex, write_complex
-from localhom import builtin, cone, wedge
+from localhom import builtin, cone, disjoint_union, wedge
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = str(ROOT / "src")
@@ -229,6 +229,35 @@ def test_construct_missing_flags(capsys, tmp_path):
     assert code == 2 and "--v1" in err
 
 
+def test_construct_union_of_builtins_and_of_files(capsys, tmp_path):
+    union_path = tmp_path / "union.scx"
+    code, out, _ = run(
+        capsys,
+        "construct", "--kind", "union", "--builtin", "torus7",
+        "--builtin2", "rp2_6", "--out", str(union_path),
+    )
+    assert code == 0 and out == f"wrote {union_path}\n"
+    assert read_complex(union_path) == disjoint_union(builtin("torus7"), builtin("rp2_6"))
+    write_complex(tmp_path / "a.scx", builtin("octahedron"))
+    write_complex(tmp_path / "b.scx", builtin("interval"))
+    code, _, _ = run(
+        capsys,
+        "construct", "--kind", "union", "--in", str(tmp_path / "a.scx"),
+        "--in2", str(tmp_path / "b.scx"), "--out", str(union_path),
+    )
+    assert code == 0
+    assert read_complex(union_path) == disjoint_union(builtin("octahedron"), builtin("interval"))
+
+
+def test_construct_union_without_a_second_input_is_a_usage_error(capsys, tmp_path):
+    out_path = tmp_path / "x.scx"
+    code, out, err = run(
+        capsys, "construct", "--kind", "union", "--builtin", "torus7", "--out", str(out_path),
+    )
+    assert (code, out, err) == (2, "", "construct: --kind union requires --in2 or --builtin2\n")
+    assert not out_path.exists()
+
+
 def test_construct_prism_writes_ambient(capsys, tmp_path):
     path = tmp_path / "prism.scx"
     code, _, _ = run(
@@ -246,6 +275,58 @@ def test_check_json(capsys):
     payload = json.loads(out)
     assert payload["overall"] == "consistent_with_closed_n_manifold"
     assert payload["inferred_dimension"] == 2
+
+
+def test_check_an_empty_file(capsys, tmp_path):
+    path = tmp_path / "empty.scx"
+    path.write_text("")
+    code, out, _ = run(capsys, "check", "--in", str(path))
+    assert code == 0
+    assert out == (
+        "CONSISTENT WITH A CLOSED MANIFOLD (no vertices)\n"
+        "pseudomanifold: pure=True ridges(exactly 2)=True strongly_connected=True\n"
+    )
+    code, out, _ = run(capsys, "check", "--in", str(path), "--json")
+    assert code == 0
+    assert json.loads(out) == {
+        "complex": str(path),
+        "inferred_dimension": None,
+        "overall": "consistent_with_closed_n_manifold",
+        "pseudomanifold": {
+            "closed_mode": True,
+            "pure": True,
+            "ridge_condition": True,
+            "strongly_connected": True,
+        },
+        "reason": None,
+        "vertices": [],
+        "witness": None,
+        "witness_vertex": None,
+    }
+
+
+# Three triangles on the edge a b: the vertex probe passes every vertex,
+# and the verdict ignores the failed ridge condition it prints.
+FIN = "a b c\na b d\na c d\nb c d\na b x\n"
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 1: the verdict reads vertices only and ignores the ridge condition",
+)
+def test_the_fin_and_its_cone_are_not_manifolds(capsys, tmp_path):
+    fin = tmp_path / "fin.scx"
+    fin.write_text(FIN)
+    fin_cone = tmp_path / "fin_cone.scx"
+    write_complex(fin_cone, cone(read_complex(fin), "p"))
+    verdicts = []
+    for path in (fin, fin_cone):
+        code, out, _ = run(capsys, "check", "--in", str(path), "--json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["pseudomanifold"]["ridge_condition"] is False
+        verdicts.append(payload["overall"])
+    assert verdicts == ["not_a_manifold", "not_a_manifold"]
 
 
 def test_mv_subcommand(capsys, tmp_path):

@@ -353,11 +353,35 @@ def test_unknown_builtin():
 
 
 def test_corrupted_builtin_fails_self_check():
+    # Each corruption passes every check before the one it is meant to
+    # trip.  The f-vector fixes the Euler characteristic and torus7's 21
+    # edges, so those need no check of their own.
+    kept = OCTAHEDRON_TEXT.splitlines()
     # Drop one facet: the f-vector no longer matches.
-    mangled = parse_complex("\n".join(OCTAHEDRON_TEXT.splitlines()[:-1]))
-    with pytest.raises(BuiltinIntegrityError):
+    mangled = parse_complex("\n".join(kept[:-1]))
+    with pytest.raises(BuiltinIntegrityError, match=r"f-vector \(6, 12, 7\) differs"):
         verify_builtin("octahedron", mangled)
-    # Break the surface condition: an extra triangle overloads an edge.
-    pinched = parse_complex(OCTAHEDRON_TEXT + "1 2 4\n")
-    with pytest.raises(BuiltinIntegrityError):
-        verify_builtin("octahedron", pinched)
+    # Eight triangles over eleven edges and the edge 5 6 on its own: the
+    # octahedron's f-vector, but not a pure 2-dimensional complex.
+    with_free_edge = parse_complex("\n".join([*kept[:5], "1 2 4", "2 3 4", "2 4 5", "5 6"]))
+    assert with_free_edge.f_vector() == (6, 12, 8)
+    with pytest.raises(BuiltinIntegrityError, match="not a pure 2-dimensional complex"):
+        verify_builtin("octahedron", with_free_edge)
+    # Trade two triangles for two others on the same vertices: the f-vector
+    # holds, but the edge 1 2 now lies in three triangles.
+    overloaded = parse_complex("\n".join([*kept[:6], "1 2 4", "2 3 4"]))
+    assert overloaded.f_vector() == (6, 12, 8)
+    with pytest.raises(
+        BuiltinIntegrityError, match=r"edge \('1', '2'\) lies in 3 triangles, expected 2"
+    ):
+        verify_builtin("octahedron", overloaded)
+    # A 10-vertex sphere with two pairs of far-apart vertices identified:
+    # the Klein bottle's f-vector, every edge in two triangles, but the
+    # link of a pinch point is two circles.
+    pinched = parse_complex(
+        "1 2 3\n1 2 6\n1 3 5\n1 5 7\n1 6 7\n2 3 7\n2 4 7\n2 4 8\n"
+        "2 6 8\n3 4 5\n3 4 6\n3 6 8\n3 7 8\n4 5 6\n4 7 8\n5 6 7\n"
+    )
+    assert pinched.f_vector() == (8, 24, 16)
+    with pytest.raises(BuiltinIntegrityError, match="link of vertex '4' is disconnected"):
+        verify_builtin("klein8", pinched)

@@ -223,7 +223,7 @@ def _morse_core(rows, columns):
     the core is the dense Morse boundary between the critical rows and
     columns.
     """
-    critical, morse, _ = chain_reducer([({},) * rows, columns])()
+    critical, morse, _, _ = chain_reducer([({},) * rows, columns])()
     return len(columns) - len(critical[1]), _matrix(len(critical[0]), morse[1])
 
 

@@ -5,7 +5,9 @@ Morse boundaries, and runs the Smith normal form on those alone.  A
 reference written here runs the Smith normal form on every whole dense
 boundary instead, sharing no code with that path; random complexes,
 random relative pairs, open stars and ``tests/oracle.py`` tie the two
-together.  One reducer serves many calls: each call must answer as a
+together.  The flow π of ``morse.MorseMaps`` is compared the same way
+with ``reference_flow``, which finds each image on demand from the
+matching alone.  One reducer serves many calls: each call must answer as a
 fresh reducer would, and reducing one open star must allocate nothing
 sized by the whole complex.
 """
@@ -84,7 +86,7 @@ def oracle_counts(c: ChainComplex) -> tuple[list, list]:
 
 def morse_complex(c: ChainComplex, cells=None) -> ChainComplex:
     """The critical cells of ``c`` (or of ``cells``) with their Morse boundaries."""
-    critical, columns, _ = chain_reducer(c.boundaries)(cells)
+    critical, columns, _, _ = chain_reducer(c.boundaries)(cells)
     bases = [[basis[j] for j in kept] for basis, kept in zip(c.bases, critical)]
     return ChainComplex(bases, columns)
 
@@ -191,15 +193,68 @@ def _morse_boundary(columns, morse_chain: dict) -> dict:
     return {q: x for q, x in out.items() if x}
 
 
+def reference_flow(c: ChainComplex, critical, matching) -> list[dict]:
+    """π of every cell of ``c``, read off the critical cells and the matching alone.
+
+    A critical cell flows to itself, a lower cell ``a`` of ``(a, b, v)`` to
+    ``-v·Σ_{f≠a} <∂b, f>·π(f)`` and every other cell to zero.  Each image
+    is found on demand: an explicit stack holds a lower cell until the
+    other faces of its upper cell have theirs.
+    """
+    starts = [0]
+    for basis in c.bases:
+        starts.append(starts[-1] + len(basis))
+    columns = [col for n in c.degrees() for col in c.columns(n)]
+    lower = {a: (b, v) for a, b, v in matching}
+    images = {
+        start + i: {p: 1} for start, cells in zip(starts, critical) for p, i in enumerate(cells)
+    }
+    out = []
+    for n in c.degrees():
+        base = starts[n]  # an upper cell's faces are in the degree of its lower cell
+        for x in range(base, starts[n + 1]):
+            stack = [x]
+            while stack:
+                a = stack[-1]
+                if a in images:
+                    stack.pop()
+                    continue
+                if a not in lower:  # an upper cell, or one outside the reduced set
+                    images[a] = {}
+                    stack.pop()
+                    continue
+                b, v = lower[a]
+                faces = [(base + r, value) for r, value in columns[b].items() if base + r != a]
+                pending = [f for f, _ in faces if f not in images]
+                if pending:
+                    stack.extend(pending)
+                    continue
+                image: dict = {}
+                for f, value in faces:
+                    for q, y in images[f].items():
+                        image[q] = image.get(q, 0) - v * value * y
+                images[a] = {q: y for q, y in image.items() if y}
+                stack.pop()
+            out.append(images[x])
+    return out
+
+
 def _assert_the_way_back(c: ChainComplex, cells=None) -> None:
-    """ι and π of one reduction: π∘ι is the identity and both commute with the boundaries."""
+    """ι and π of one reduction: π∘ι is the identity and both commute with the boundaries.
+
+    π of every cell also equals the reference's.
+    """
     reduction = chain_reducer(c.boundaries)(cells)
-    critical, columns, _ = reduction
+    critical, columns, matching, _ = reduction
     maps = MorseMaps(c.boundaries, reduction)
     total = sum(map(len, c.bases))
     inside = set(range(total) if cells is None else cells)
+    reference = reference_flow(c, critical, matching)
     start = 0
     for n, basis in enumerate(c.bases):
+        assert [maps.flow(n, {i: 1}) for i in range(len(basis))] == reference[
+            start : start + len(basis)
+        ]
         for p in range(len(critical[n])):
             lifted = maps.lift(n, {p: 1})
             assert maps.flow(n, lifted) == {p: 1}
@@ -314,7 +369,7 @@ def test_cells_may_come_as_a_one_shot_iterable():
     star = _vertex_stars(c)[0]
     for cells in (range(sum(map(len, c.bases))), star):
         assert reduce(iter(cells)) == reduce(cells)
-    critical, _, _ = reduce(star)
+    critical, _, _, _ = reduce(star)
     assert [len(cells) for cells in critical] == [0, 0, 1]
     assert reduce() == whole
 
@@ -328,7 +383,7 @@ def _star_reduction_peak(n: int) -> int:
     tracemalloc.start()
     try:
         before, _ = tracemalloc.get_traced_memory()
-        critical, _, _ = reduce(star)
+        critical, _, _, _ = reduce(star)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -393,7 +448,7 @@ def test_closed_complexes_start_from_the_augmentation():
     # once and vertex 0, the least cell, is made critical.  The Klein
     # bottle then keeps two loops and a 2-cell wrapping twice around one.
     c = chain_complex(builtin("klein8"))
-    critical, columns, matching = chain_reducer(c.boundaries)()
+    critical, columns, matching, _ = chain_reducer(c.boundaries)()
     assert (critical, columns) == (
         ((0,), (6, 9), (14,)),
         (({},), ({}, {}), ({1: 2},)),
@@ -406,7 +461,7 @@ def test_closed_complexes_start_from_the_augmentation():
     for name in ("klein8", "sphere(2)"):
         # With the augmentation, vertex 0 pairs with its cell instead, and
         # every vertex flows to zero.
-        critical, _, _ = chain_reducer(augmented(builtin(name)).boundaries)()
+        critical, _, _, _ = chain_reducer(augmented(builtin(name)).boundaries)()
         assert critical[:2] == ((), ())
         assert homology(chain_complex(builtin(name))).nonzero() == EXPECTED_HOMOLOGY[name]
 
@@ -416,10 +471,10 @@ def test_products_reduce_to_few_critical_cells():
     # keeps one critical cell per Betti number: the augmentation's degree 0
     # is the empty simplex, and degree d + 1 holds T^4's degree d.
     t4 = augmented(product(_grid_torus(3), _grid_torus(3)))
-    critical, _, _ = chain_reducer(t4.boundaries)()
+    critical, _, _, _ = chain_reducer(t4.boundaries)()
     assert [len(cells) for cells in critical] == [0, 0, 4, 6, 4, 1]
     t2_rp2 = product(builtin("torus7"), builtin("rp2_6"))
-    critical, _, _ = chain_reducer(augmented(t2_rp2).boundaries)()
+    critical, _, _, _ = chain_reducer(augmented(t2_rp2).boundaries)()
     assert sum(map(len, critical)) == 11
     assert homology_of_complex(t2_rp2).nonzero() == {
         0: Z,
@@ -451,12 +506,16 @@ def test_an_entry_of_two_is_not_paired_and_keeps_its_torsion():
         ((0,), (0,), (0,)),
         (({},), ({},), ({0: 2},)),
         (),
+        {0: {0: 1}, 1: {0: 1}, 2: {0: 1}},
     )
     with_augmentation = (({},), ({0: 1},), ({},), ({0: 2},))
     assert chain_reducer(with_augmentation)() == (
         ((), (), (0,), (0,)),
         ((), (), ({},), ({0: 2},)),
         ((0, 1, 1),),
+        # Every pair is a coreduction before the first critical cell, so
+        # only the critical cells have an image.
+        {2: {0: 1}, 3: {0: 1}},
     )
     assert homology(RP2_CELLS).nonzero() == {0: Z, 1: HomologyGroup(0, (2,))}
 
@@ -481,6 +540,7 @@ def test_degrees_without_surviving_cells_skip_the_elimination(monkeypatch):
         ((), (), (5,)),
         ((), (), ({},)),
         ((0, 1, 1), (2, 7, 1), (6, 8, 1), (3, 9, 1), (4, 10, 1), (5, 11, 1)),
+        {12: {0: 1}},
     )
     assert homology(chain_complex(hexagon), reduced=True).nonzero() == {1: Z}
     assert calls == []
