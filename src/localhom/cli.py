@@ -7,9 +7,10 @@ text rendering or, with ``--json``, a machine-readable document.  Exit
 status 0 on success, 1 on domain errors (bad file, unknown vertex, failed
 verification), 2 on usage errors.
 
-A command builds only the parser of the subcommand its first argument
-names.  Help, usage errors and outputs stay those of the parser with every
-subcommand.
+A command whose first argument names a subcommand is parsed by that
+subcommand's parser alone.  Every other argument list, and a command that
+leaves arguments over, goes to the full parser, so help, usage errors and
+outputs stay those of the parser with every subcommand.
 """
 
 from __future__ import annotations
@@ -95,28 +96,30 @@ def cmd_local(args) -> int:
 
 
 def cmd_construct(args) -> int:
+    # What ``--kind`` needs is checked before any input is read.
+    has_second = args.builtin2 is not None or args.in2 is not None
+    missing = None
+    if args.kind == "cone" and args.apex is None:
+        missing = "--kind cone requires --apex LABEL"
+    elif args.kind == "wedge" and (not has_second or args.v1 is None or args.v2 is None):
+        missing = "--kind wedge requires --in2/--builtin2, --v1 and --v2"
+    elif args.kind == "union" and not has_second:
+        missing = "--kind union requires --in2 or --builtin2"
+    if missing is not None:
+        sys.stderr.write(f"construct: {missing}\n")
+        return 2
+
     _, primary = _load_input(args)
     secondary = None
     if args.builtin2 is not None:
         secondary = builtin(args.builtin2)
     elif args.in2 is not None:
         secondary = read_complex(args.in2)
-
-    def usage(message: str) -> int:
-        sys.stderr.write(f"construct: {message}\n")
-        return 2
-
     if args.kind == "cone":
-        if args.apex is None:
-            return usage("--kind cone requires --apex LABEL")
         result = cone(primary, args.apex)
     elif args.kind == "wedge":
-        if secondary is None or args.v1 is None or args.v2 is None:
-            return usage("--kind wedge requires --in2/--builtin2, --v1 and --v2")
         result = wedge(primary, args.v1, secondary, args.v2)
     elif args.kind == "union":
-        if secondary is None:
-            return usage("--kind union requires --in2 or --builtin2")
         result = disjoint_union(primary, secondary)
     else:  # prism
         result = prism_product(primary).ambient
@@ -197,6 +200,11 @@ def _local_arguments(p) -> None:
         "--vertices", metavar="L1,L2,...", help="pairwise non-adjacent vertices"
     )
     p.add_argument("--json", action="store_true")
+    # Fixed as Python 3.10-3.12 print it at 80 columns (3.13 wraps inside a group).
+    p.usage = (
+        "%(prog)s [-h] (--builtin NAME | --in PATH)\n"
+        "                      (--vertex LABEL | --vertices L1,L2,...) [--json]"
+    )
 
 
 def _construct_arguments(p) -> None:
@@ -211,6 +219,13 @@ def _construct_arguments(p) -> None:
     p.add_argument("--v1", metavar="LABEL", help="wedge base vertex in the first input")
     p.add_argument("--v2", metavar="LABEL", help="wedge base vertex in the second input")
     p.add_argument("--out", required=True, metavar="PATH")
+    # Fixed as Python 3.10-3.12 print it at 80 columns (3.13 wraps inside a group).
+    p.usage = (
+        "%(prog)s [-h] --kind {cone,wedge,prism,union}\n"
+        "                          (--builtin NAME | --in PATH)\n"
+        "                          [--in2 PATH | --builtin2 NAME] [--apex LABEL]\n"
+        "                          [--v1 LABEL] [--v2 LABEL] --out PATH"
+    )
 
 
 def _check_arguments(p) -> None:
@@ -253,12 +268,16 @@ SUBCOMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The ``localhom`` parser: only ``command``'s subparser when it names one.
+def _subcommand(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    """``parser`` with subcommand ``name``'s arguments, ``command`` and ``func``."""
+    _, add_arguments, run = SUBCOMMANDS[name]
+    add_arguments(parser)
+    parser.set_defaults(command=name, func=run)
+    return parser
 
-    Anything else (None, ``-h``, an unknown name) gets every subparser, for
-    the top-level help and its usage errors.
-    """
+
+def build_parser() -> argparse.ArgumentParser:
+    """The full ``localhom`` parser, with every subcommand's parser."""
     parser = argparse.ArgumentParser(
         prog="localhom",
         description=(
@@ -266,25 +285,29 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
             f"Builtin complexes: {', '.join(builtin_names())}."
         ),
     )
-    if command in SUBCOMMANDS:
-        # The top-level "unrecognized arguments" error prints the usage line,
-        # which must still name all six.  On the full parser a metavar would
-        # also rename "argument command" in its errors, so it gets none.
-        names, metavar = [command], "{" + ",".join(SUBCOMMANDS) + "}"
-    else:
-        names, metavar = list(SUBCOMMANDS), None
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in names:
-        help_text, add_arguments, run = SUBCOMMANDS[name]
-        p = sub.add_parser(name, help=help_text)
-        add_arguments(p)
-        p.set_defaults(func=run)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, _, _) in SUBCOMMANDS.items():
+        _subcommand(sub.add_parser(name, help=help_text), name)
     return parser
 
 
+def parse_command(argv: list[str]) -> argparse.Namespace:
+    """The namespace ``build_parser().parse_args(argv)`` gives, or its exit.
+
+    A first argument naming a subcommand is parsed by that subcommand's
+    parser alone.  Anything else, and a command that leaves arguments over,
+    goes to the full parser, which prints the help or the usage error.
+    """
+    if argv and argv[0] in SUBCOMMANDS:
+        parser = _subcommand(argparse.ArgumentParser(prog=f"localhom {argv[0]}"), argv[0])
+        args, extras = parser.parse_known_args(argv[1:])
+        if not extras:
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    args = parse_command(sys.argv[1:] if argv is None else list(argv))
     try:
         return args.func(args)
     except LocalhomError as exc:

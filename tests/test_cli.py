@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from localhom.cli import SUBCOMMANDS, build_parser, main
+from localhom.cli import SUBCOMMANDS, build_parser, main, parse_command
 from localhom.scx import read_complex, write_complex
 from localhom import builtin, cone, disjoint_union, wedge
 
@@ -229,6 +229,35 @@ def test_construct_missing_flags(capsys, tmp_path):
     assert code == 2 and "--v1" in err
 
 
+WEDGE_USAGE = "--kind wedge requires --in2/--builtin2, --v1 and --v2"
+
+
+@pytest.mark.parametrize(
+    "kind, flags, message",
+    [
+        ("cone", [], "--kind cone requires --apex LABEL"),
+        ("wedge", ["--v1", "a", "--v2", "b"], WEDGE_USAGE),
+        ("wedge", ["--in2", "SECOND", "--v1", "a"], WEDGE_USAGE),
+        ("union", [], "--kind union requires --in2 or --builtin2"),
+    ],
+    ids=["cone", "wedge-without-second", "wedge-without-v2", "union"],
+)
+@pytest.mark.parametrize("bad", ["missing", "undecodable"])
+def test_construct_checks_its_flags_before_reading_any_input(
+    capsys, tmp_path, kind, flags, message, bad
+):
+    path = tmp_path / f"{bad}.scx"
+    if bad == "undecodable":
+        path.write_bytes(b"a b c\n\xff\xfe d\n")
+    flags = [str(path) if flag == "SECOND" else flag for flag in flags]
+    out_path = tmp_path / "x.scx"
+    code, out, err = run(
+        capsys, "construct", "--kind", kind, "--in", str(path), *flags, "--out", str(out_path)
+    )
+    assert (code, out, err) == (2, "", f"construct: {message}\n")
+    assert not out_path.exists()
+
+
 def test_construct_union_of_builtins_and_of_files(capsys, tmp_path):
     union_path = tmp_path / "union.scx"
     code, out, _ = run(
@@ -413,12 +442,12 @@ def test_main_without_arguments_reads_sys_argv(monkeypatch, capsys, argv):
     assert outcome() == expected
 
 
-def _parse(parser, argv):
-    """``vars`` of the parsed namespace, or the exit code and what was printed."""
+def _parse(parse, argv):
+    """``vars`` of ``parse(argv)``'s namespace, or the exit code and what was printed."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            return vars(parser.parse_args(argv))
+            return vars(parse(argv))
         except SystemExit as exc:
             return exc.code, out.getvalue(), err.getvalue()
 
@@ -432,9 +461,19 @@ def _subcommand_flags() -> list[str]:
     return sorted(flags)
 
 
+# One complete command per subcommand; parsing it leaves no argument over.
+COMPLETE = {
+    "homology": ["homology", "--builtin", "torus7", "--json"],
+    "local": ["local", "--in", "k.scx", "--vertices", "a,b"],
+    "construct": ["construct", "--kind", "prism", "--builtin", "torus7", "--out", "k.scx"],
+    "check": ["check", "--in", "k.scx"],
+    "mv": ["mv", "--in", "k.scx", "--a", "a.scx", "--b", "b.scx", "--max-degree", "2"],
+    "verify-paper": ["verify-paper", "--only", "x"],
+}
+
 _TOKENS = st.sampled_from(
     [*SUBCOMMANDS, *_subcommand_flags(), "-h", "--help"]
-    + ["torus7", "x", "0", "-1", "a,b", "k.scx"]
+    + ["torus7", "x", "0", "-1", "a,b", "k.scx", "extra"]
     + ["nonsense", "hom", "--bogus", "--js", "--", "-", "--in=k.scx", "--max-degree=2"]
 )
 
@@ -448,17 +487,40 @@ _TOKENS = st.sampled_from(
             st.sampled_from(list(SUBCOMMANDS)),
             st.lists(_TOKENS, max_size=7),
         ),
+        st.builds(
+            lambda command, rest: [*command, *rest],
+            st.sampled_from(list(COMPLETE.values())),
+            st.lists(_TOKENS, max_size=3),
+        ),
     )
 )
 def test_the_invoked_subcommands_parser_parses_as_the_full_one(argv):
-    one = build_parser(argv[0] if argv else None)
-    assert _parse(one, argv) == _parse(build_parser(), argv)
+    assert _parse(parse_command, argv) == _parse(build_parser().parse_args, argv)
 
 
 @pytest.mark.parametrize("name", SUBCOMMANDS)
-def test_a_subcommand_name_builds_only_its_parser(name):
-    (sub,) = [a for a in build_parser(name)._actions if isinstance(a, argparse._SubParsersAction)]
-    assert list(sub.choices) == [name]
+def test_a_subcommand_constructs_one_argument_parser(monkeypatch, name):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    args = parse_command(COMPLETE[name])
+    assert args.command == name and len(built) == 1
+
+
+@pytest.mark.skipif(sys.version_info >= (3, 13), reason="3.13 wraps usage inside a group")
+@pytest.mark.parametrize("name", ["local", "construct"])
+def test_a_fixed_usage_line_is_the_one_argparse_generates(monkeypatch, name):
+    monkeypatch.setenv("COLUMNS", "80")  # the width the fixed lines were taken at
+    parser = argparse.ArgumentParser(prog=f"localhom {name}")
+    SUBCOMMANDS[name][1](parser)
+    fixed = parser.format_usage()
+    parser.usage = None
+    assert fixed == parser.format_usage()
 
 
 def test_readme_command_line_block_lists_every_subcommand():
