@@ -1,20 +1,8 @@
-"""Exact integer matrices, Smith normal form, the Morse reduction and rational echelons.
+"""Exact integer matrices, Smith normal form and the Morse reduction.
 
 All arithmetic uses Python's arbitrary-precision integers, so there is no
 overflow at any size; intermediate entries in a Smith reduction can grow
 well past 64 bits even for small boundary matrices.
-
-Every rational elimination (the Mayer-Vietoris cycles, their coordinates
-and the ranks of the maps) goes through one ``RationalEchelon``: sparse
-``{index: value}`` vectors are reduced against the stored rows in the
-order they were added, and each row remembers its coordinates over the
-tagged vectors.  Rows are scaled at a ``±1`` entry where they have one,
-so ``±1`` boundaries mostly stay in ``int``; a ``Fraction`` scale is the
-fallback.  Rank counts the columns that enlarge the span, and each column
-that does not gives a kernel vector from its coordinates;
-``kernel_vectors`` yields those vectors one at a time from sparse
-columns.  Mayer-Vietoris runs both on Morse complexes only, so their
-rows are as few as the critical cells.
 
 Homology needs only the rank and the invariant factors of each boundary,
 and boundaries are sparse with mostly ``±1`` entries.  ``chain_reducer``
@@ -32,11 +20,16 @@ returns its matching, the removed pairs in order, and the images it
 recorded, from which ``morse.MorseMaps`` reads the chain maps between
 the complex and its Morse complex.
 
-``smith_normal_form`` is the dense reduction with both transforms.  It
-picks the nonzero entry of least absolute value as the pivot on every
-round (ties broken by row-major position), which keeps entry growth modest
-and makes the reduction fully deterministic.  ``determinant`` is the only
-other dense routine.
+``smith_normal_form`` is the dense reduction with both transforms, and
+the one elimination of the package: homology reads ranks and invariant
+factors off it, and Mayer-Vietoris its cycle and generator bases and the
+ranks of its maps.  It picks the nonzero entry of least absolute value as
+the pivot on every round (ties broken by row-major position), which keeps
+entry growth modest and makes the reduction fully deterministic.
+``matrix_of_columns`` writes sparse columns out as its input, and gives
+none for a zero matrix, whose transforms are identities;
+``unimodular_inverse`` inverts a transform with it.  ``determinant`` is
+the only other dense routine.
 """
 
 from __future__ import annotations
@@ -44,8 +37,6 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
-from math import lcm
 
 from .errors import DimensionMismatchError
 
@@ -250,6 +241,28 @@ def smith_normal_form(a: IntegerMatrix) -> SnfResult:
     )
 
 
+def matrix_of_columns(columns, rows: int) -> IntegerMatrix | None:
+    """The ``rows`` x ``len(columns)`` matrix of sparse ``{row: value}`` columns.
+
+    A matrix with no nonzero entry is its own Smith normal form, with
+    identity transforms, so it is never reduced: the result is None, and
+    callers read the identity.
+    """
+    if not any(any(col.values()) for col in columns):
+        return None
+    entries = [[0] * len(columns) for _ in range(rows)]
+    for j, col in enumerate(columns):
+        for i, x in col.items():
+            entries[i][j] = x
+    return IntegerMatrix(rows, len(columns), entries)
+
+
+def unimodular_inverse(w: IntegerMatrix) -> IntegerMatrix:
+    """Inverse of a unimodular matrix: ``u'·w·v' = I``, so ``w⁻¹ = v'·u'``."""
+    snf = smith_normal_form(w)
+    return snf.v @ snf.u
+
+
 def chain_reducer(boundaries):
     """Number a chain complex's cells once; returns ``reduce(cells=None)``.
 
@@ -430,63 +443,6 @@ def chain_reducer(boundaries):
     return reduce
 
 
-class RationalEchelon:
-    """Incremental echelon form of a span of sparse ``{index: value}`` vectors.
-
-    A stored row is the residual of an added vector scaled to 1 at its
-    lead, so it is zero at the lead of every earlier row, and reducing in
-    insertion order clears every lead.  The lead is the least index where
-    the residual is ``±1``, an entry that is its own inverse, so integer
-    rows, residuals and coordinates stay ``int``; with no unit entry it is
-    the least index, scaled by a ``Fraction``.  A row also carries its
-    coordinates over the tagged vectors, modulo the untagged.
-    """
-
-    def __init__(self) -> None:
-        self._rows: list[tuple[int, dict, dict]] = []  # (lead, row, coordinates)
-
-    def __len__(self) -> int:
-        """Dimension of the span."""
-        return len(self._rows)
-
-    def reduce(self, vec) -> tuple[dict, dict]:
-        """Returns ``(residual, coordinates)``.
-
-        ``vec`` equals ``residual`` plus the sum of ``coordinates[t]``
-        times the vector tagged ``t``, modulo the untagged vectors; the
-        residual is zero exactly when ``vec`` lies in the span.
-        """
-        residual = {i: x for i, x in vec.items() if x}
-        coordinates: dict = {}
-        for lead, row, row_coordinates in self._rows:
-            c = residual.get(lead)
-            if c:
-                _add_multiple(residual, -c, row)
-                if row_coordinates:
-                    _add_multiple(coordinates, c, row_coordinates)
-        return residual, coordinates
-
-    def add(self, vec, tag=None) -> bool:
-        """Add ``vec`` (tagged ``tag`` unless None); True when the span grows."""
-        return self._store(*self.reduce(vec), tag)
-
-    def _store(self, residual: dict, coordinates: dict, tag) -> bool:
-        if not residual:
-            return False
-        lead = min((i for i, x in residual.items() if x == 1 or x == -1), default=None)
-        if lead is None:
-            lead = min(residual)
-            scale = Fraction(1) / residual[lead]
-        else:
-            scale = residual[lead]
-        row_coordinates = {t: -c * scale for t, c in coordinates.items()}
-        if tag is not None:
-            row_coordinates[tag] = scale
-        row = {i: x * scale for i, x in residual.items()}
-        self._rows.append((lead, row, row_coordinates))
-        return True
-
-
 def _flow_of(chain: dict, base: int, c, flow: dict) -> dict:
     """``c`` times the flow of ``chain``, whose entry ``r`` is at cell ``base + r``.
 
@@ -510,29 +466,3 @@ def _add_multiple(target: dict, c, source: dict) -> None:
             target[i] = z
         else:
             del target[i]
-
-
-def kernel_vectors(columns, n: int):
-    """Yield a basis of the rational null space of ``n`` sparse columns, lazily.
-
-    ``columns`` is an iterable of ``{row: value}`` columns, consumed in
-    order.  The columns enter one echelon; each column that depends on the
-    earlier ones gives the relation ``e_j - sum of its coordinates`` times
-    their least common denominator, which leaves content 1.  These are the
-    free-column vectors of the reduced row echelon form, in column order,
-    with a positive entry at the free column itself, as length-``n``
-    tuples.  Vector ``j`` depends only on columns up to ``j``, so it is
-    yielded as soon as column ``j`` is read, and a caller that stops early
-    reads no further column.
-    """
-    echelon = RationalEchelon()
-    for j, col in enumerate(columns):
-        residual, coordinates = echelon.reduce(col)
-        if echelon._store(residual, coordinates, j):
-            continue
-        scale = lcm(*(c.denominator for c in coordinates.values()))
-        vec = [0] * n
-        for t, c in coordinates.items():
-            vec[t] = -(c * scale).numerator
-        vec[j] = scale
-        yield tuple(vec)

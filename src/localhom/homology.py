@@ -40,7 +40,7 @@ from .chains import (
 from .complexes import SimplicialComplex, SubcomplexPair
 from .constructions import link
 from .errors import AdjacentVerticesError, ChainComplexError, LocalhomError
-from .exact import IntegerMatrix, chain_reducer, smith_normal_form
+from .exact import chain_reducer, matrix_of_columns, smith_normal_form
 
 
 @dataclass(frozen=True, repr=False)
@@ -180,21 +180,16 @@ def homology(c: ChainComplex, reduced: bool = False) -> HomologySummary:
 def _groups(morse, offset: int) -> dict[int, HomologyGroup]:
     """Nonzero groups of a ``chain_reducer`` reduction, degree ``offset`` first.
 
-    Each boundary's Smith normal form runs on its nonzero rows and columns
-    only, and not at all on a zero boundary.
+    Each Morse boundary's Smith normal form, skipped on a zero boundary,
+    gives its rank and invariant factors.
     """
     critical, boundaries, _, _ = morse
     ranks = [0] * (len(boundaries) + 1)
     torsions = [()] * (len(boundaries) + 1)
     for i, columns in enumerate(boundaries):
-        live = [col for col in columns if col]
-        if live:
-            rows = {r: n for n, r in enumerate(sorted({r for col in live for r in col}))}
-            entries = [[0] * len(live) for _ in rows]
-            for j, col in enumerate(live):
-                for r, x in col.items():
-                    entries[rows[r]][j] = x
-            snf = smith_normal_form(IntegerMatrix(len(rows), len(live), entries))
+        matrix = matrix_of_columns(columns, len(critical[i - 1]) if i else 0)
+        if matrix is not None:
+            snf = smith_normal_form(matrix)
             ranks[i] = snf.rank
             torsions[i] = snf.invariant_factors
     groups = {}

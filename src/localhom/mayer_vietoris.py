@@ -1,4 +1,4 @@
-"""Mayer-Vietoris exactness checking over the rationals.
+"""Mayer-Vietoris exactness checking on integral homology bases.
 
 For a complex covered by two subcomplexes ``k = a | b`` with distinguished
 subcomplexes ``c <= a`` and ``d <= b``, the long exact sequence
@@ -6,26 +6,24 @@ subcomplexes ``c <= a`` and ``d <= b``, the long exact sequence
     ... -> H_n(a&b, c&d) -> H_n(a,c) + H_n(b,d) -> H_n(k, c|d)
         -> H_{n-1}(a&b, c&d) -> ...
 
-is built explicitly with rational coefficients: the two arrows induced by
-inclusions, and the connecting map through the chain-level zig-zag (split
-a relative cycle into a piece carried by ``a`` and one carried by ``b``,
-take the boundary of the first piece, and correct it into the
-intersection pair).  Exactness is then pure rank arithmetic, verified at
-every node.
+is built explicitly on the free parts of the groups: the two arrows
+induced by inclusions, and the connecting map through the chain-level
+zig-zag (split a relative cycle into a piece carried by ``a`` and one
+carried by ``b``, take the boundary of the first piece, and correct it
+into the intersection pair).  Torsion is zero over Q, so exactness is
+rank arithmetic over Q, verified at every node.
 
 Each pair's quotient is checked for ``∂∘∂ = 0`` and reduced once by
-``exact.chain_reducer`` to its discrete Morse complex, and every
-elimination runs over the few critical cells.  Each pair keeps one
-``exact.RationalEchelon`` per degree: the Morse boundaries go in untagged
-and the chosen Morse cycles tagged, so choosing the cycles and expressing
-a chain in them (the matrix columns of every arrow) share one
-elimination, and the rank of an arrow is the dimension of the span of its
-rows.  The reduction's matching and images give the way between the two
-complexes (``morse.MorseMaps``): each chosen Morse cycle is lifted once
-to a cycle of the pair, pushed or split at chain level as above, and the
-result flows onto the target pair's Morse complex, where the echelon
-reads its coordinates.  The echelon works in ``int`` on unit leads and in
-``Fraction`` only without one; neither choice moves the maps.
+``exact.chain_reducer`` to its discrete Morse complex, and its bases are
+read off the Smith normal forms of the few critical cells' boundaries
+(Kaczynski, Mischaikow and Mrozek, *Computational Homology*, 2004,
+ch. 3): the same integer elimination homology runs, with its transforms.
+The reduction's matching and images give the way between the two
+complexes (``morse.MorseMaps``): each free generator is lifted once to a
+cycle of the pair, pushed or split at chain level as above, and the
+result flows onto the target pair's Morse complex, where the transforms
+read its integer coordinates.  The rank of an arrow is the rank of its
+Smith normal form.
 
 Every piece is a set of ``k``'s simplices in ``k``'s own numbering, and a
 pair's chains are the quotient of two such sets, keyed by ``k``'s index
@@ -38,12 +36,11 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .chains import chain_boundary, quotient_chain_complex
 from .complexes import SimplicialComplex, SubcomplexPair
 from .errors import DecompositionError, InclusionError, UnknownVertexError
-from .exact import RationalEchelon, chain_reducer, kernel_vectors
+from .exact import chain_reducer, matrix_of_columns, smith_normal_form, unimodular_inverse
 from .morse import MorseMaps
 
 
@@ -58,20 +55,37 @@ def _cells_in(part: SimplicialComplex, k: SimplicialComplex, inside, error) -> f
     return cells
 
 
+def _smith(columns, rows: int):
+    """Smith normal form of sparse columns; None for a zero matrix (identity transforms)."""
+    matrix = matrix_of_columns(columns, rows)
+    return None if matrix is None else smith_normal_form(matrix)
+
+
+def _times(rows, chain: dict, size: int) -> list:
+    """``rows`` times a sparse ``chain`` of ``size`` entries; ``rows`` None is the identity."""
+    if rows is None:
+        return [chain.get(i, 0) for i in range(size)]
+    return [sum(row[i] * c for i, c in chain.items()) for row in rows]
+
+
 class _PairHomology:
-    """Rational homology bases of the pair ``(ambient, sub)`` of cell sets of ``k``.
+    """Free homology bases of the pair ``(ambient, sub)`` of cell sets of ``k``.
 
     The chains are those of ``ambient - sub`` (``ambient`` None is all of
     ``k``), keyed by ``k``'s index tuples.  The quotient is checked for
-    ``∂∘∂ = 0`` and reduced once with ``exact.chain_reducer``; every
-    elimination then runs over its few critical cells.  Each degree keeps
-    one echelon: the Morse boundary columns out of degree n+1 go in
-    untagged, then the kernel vectors of the Morse boundary out of degree
-    n (in the deterministic order of ``exact.kernel_vectors``), each
-    tagged by its position among the chosen cycles when it enlarges the
-    span.  A chosen Morse cycle is lifted once to a cycle of the pair, and
-    a cycle of the pair is expressed by flowing it onto the Morse complex
-    and reducing it against that echelon.
+    ``∂∘∂ = 0`` and reduced once with ``exact.chain_reducer``, and each
+    degree's basis is read off Smith normal forms over its critical cells.
+    With ``u·D_n·v = d`` of rank ``r`` for the Morse boundary out of degree
+    n, the columns of ``v`` from ``r`` on are a basis of the Morse cycles,
+    and ``v⁻¹`` gives a cycle's coordinates in it, zero before ``r``.  The
+    Morse boundary into degree n in that basis is ``B = (v⁻¹·D_{n+1})[r:]``;
+    with ``u_B·B·v_B = d_B`` of rank ``r_B``, the columns of ``v[:, r:]·u_B⁻¹``
+    generate the homology and ``u_B`` gives a cycle's coordinates in them.
+    Those from ``r_B`` on are free; the others are boundaries or torsion.
+    A zero boundary is not reduced: its transforms are identities.  Each
+    free generator is lifted once to a cycle of the pair, and a cycle of
+    the pair is expressed by flowing it onto the Morse complex and
+    applying ``v⁻¹`` and ``u_B``.
     """
 
     def __init__(self, k: SimplicialComplex, ambient, sub):
@@ -83,26 +97,38 @@ class _PairHomology:
         self._critical, self._morse, _, _ = reduction
         self._maps = MorseMaps(self.cc.boundaries, reduction)
         self._cycles: dict = {}
-        self._echelons: dict = {}
+        self._coordinates: dict = {}
 
     def cycles(self, n: int) -> list:
-        """Chosen homology basis at degree n, as relative cycles keyed by simplices."""
+        """Chosen free homology basis at degree n, as relative cycles keyed by simplices."""
         if n not in self._cycles:
-            morse = self._morse
-            echelon = RationalEchelon()
-            for col in morse[n + 1] if n + 1 < len(morse) else ():
-                echelon.add(col)
-            chosen = []
-            if 0 <= n < len(morse):
-                basis = self.cc.basis(n)
-                for vec in kernel_vectors(morse[n], len(self._critical[n])):
-                    vec = dict(enumerate(vec))
-                    if echelon.add(vec, tag=len(chosen)):
-                        lifted = self._maps.lift(n, vec)
-                        chosen.append({basis[i]: c for i, c in lifted.items()})
-            self._echelons[n] = echelon
-            self._cycles[n] = chosen
+            basis = self.cc.basis(n)
+            self._cycles[n] = [
+                {basis[i]: c for i, c in self._maps.lift(n, z).items()}
+                for z in self._generators(n)
+            ]
         return self._cycles[n]
+
+    def _generators(self, n: int) -> list:
+        """The free generators of degree n as Morse cycles; keeps the coordinate transforms."""
+        critical, morse = self._critical, self._morse
+        inside = 0 <= n < len(critical)
+        size = len(critical[n]) if inside else 0
+        d = _smith(morse[n], len(critical[n - 1]) if n else 0) if inside else None
+        r = d.rank if d else 0
+        to_cycles = unimodular_inverse(d.v).entries if d else None
+        up = morse[n + 1] if inside and n + 1 < len(morse) else ()
+        b = _smith([dict(enumerate(_times(to_cycles, col, size)[r:])) for col in up], size - r)
+        r_b = b.rank if b else 0
+        self._coordinates[n] = (size, r, to_cycles, r_b, b.u.entries if b else None)
+        from_cycles = d.v.entries if d else None
+        from_generators = unimodular_inverse(b.u).entries if b else None
+        generators = []
+        for j in range(r_b, size - r):
+            g = _times(from_generators, {j: 1}, size - r)  # column j of u_B⁻¹
+            z = _times(from_cycles, {r + i: x for i, x in enumerate(g)}, size)
+            generators.append(dict(enumerate(z)))
+        return generators
 
     def rank(self, n: int) -> int:
         return len(self.cycles(n))
@@ -110,8 +136,8 @@ class _PairHomology:
     def express(self, n: int, chain: dict) -> list:
         """Coordinates of a relative cycle in the degree-n homology basis.
 
-        The chosen cycles are independent modulo boundaries, so the
-        coordinates are unique.
+        The chosen cycles are a basis modulo boundaries and torsion, so
+        the integer coordinates are unique.
         """
         basis = self.cc.basis(n)
         columns = self.cc.columns(n)
@@ -130,11 +156,12 @@ class _PairHomology:
                 boundary[r] = boundary.get(r, 0) + coeff * value
         if any(boundary.values()):
             raise InclusionError("chain is not a cycle of the pair")
-        rank = self.rank(n)
-        residual, coordinates = self._echelons[n].reduce(self._maps.flow(n, cells))
-        if residual:
+        self.cycles(n)
+        size, r, to_cycles, r_b, to_generators = self._coordinates[n]
+        y = _times(to_cycles, self._maps.flow(n, cells), size)
+        if any(y[:r]):
             raise RuntimeError(f"a cycle flowed off the Morse cycles in degree {n}")
-        return [coordinates.get(t, Fraction(0)) for t in range(rank)]
+        return _times(to_generators, dict(enumerate(y[r:])), size - r)[r_b:]
 
     def pushed(self, n: int, target: _PairHomology) -> list:
         """Target coordinates of each chosen degree-n cycle under inclusion.
@@ -149,7 +176,10 @@ class _PairHomology:
 
 @dataclass(frozen=True)
 class RationalMap:
-    """Matrix of a map between rational homology groups in chosen bases."""
+    """Matrix of a map between rational homology groups in chosen bases.
+
+    The bases are free generators over Z, so the entries are integers.
+    """
 
     degree: int
     entries: tuple
@@ -158,15 +188,13 @@ class RationalMap:
 
     @classmethod
     def from_columns(cls, degree: int, columns: list, rows: int) -> "RationalMap":
-        entries = tuple(
-            tuple(Fraction(columns[j][i]) for j in range(len(columns)))
-            for i in range(rows)
-        )
+        entries = tuple(tuple(col[i] for col in columns) for i in range(rows))
         return cls(degree, entries, rows, len(columns))
 
     def rank(self) -> int:
-        echelon = RationalEchelon()
-        return sum(echelon.add(dict(enumerate(row))) for row in self.entries)
+        """Rank over Q, that of the transpose, whose columns are the rows."""
+        snf = _smith([dict(enumerate(row)) for row in self.entries], self.cols)
+        return snf.rank if snf else 0
 
     def is_zero(self) -> bool:
         return all(x == 0 for row in self.entries for x in row)

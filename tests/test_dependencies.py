@@ -2,6 +2,8 @@
 and its public surface changes only on purpose."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -124,3 +126,13 @@ def test_public_names_are_pinned_and_resolve():
 
     assert localhom.__all__ == PUBLIC_NAMES
     assert [name for name in PUBLIC_NAMES if not hasattr(localhom, name)] == []
+
+
+def test_the_command_line_imports_no_rational_arithmetic():
+    # Every elimination is over the integers, so a cold start of the CLI
+    # pays for neither ``fractions`` nor the ``decimal`` it imports.
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH"))))}
+    code = "import sys, localhom.cli; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")

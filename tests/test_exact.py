@@ -2,23 +2,21 @@
 
 import copy
 import random
-from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm
+from math import gcd
 
 import pytest
 
 import oracle
-from localhom import builtin, chain_complex
 from localhom.errors import DimensionMismatchError
 from localhom.exact import (
     IntegerMatrix,
-    RationalEchelon,
     chain_reducer,
     determinant,
-    kernel_vectors,
     multiply,
+    matrix_of_columns,
     smith_normal_form,
+    unimodular_inverse,
 )
 
 # Boundary of the triangle a-b-c as sparse columns ab, ac, bc over rows a, b, c.
@@ -41,16 +39,22 @@ def _columns(rows: int, cols: int, entry) -> list[dict]:
     return columns
 
 
-def _rank(columns) -> int:
-    """Rank over the rationals: the dimension of one echelon holding the columns."""
-    echelon = RationalEchelon()
-    for col in columns:
-        echelon.add(col)
-    return len(echelon)
+def _smith(rows: int, columns):
+    """Smith normal form of sparse columns, None for a zero matrix, as the package reads them."""
+    a = matrix_of_columns(columns, rows)
+    return None if a is None else smith_normal_form(a)
 
 
-def _kernel(columns) -> list[tuple[int, ...]]:
-    return list(kernel_vectors(columns, len(columns)))
+def _rank(rows: int, columns) -> int:
+    snf = _smith(rows, columns)
+    return snf.rank if snf else 0
+
+
+def _kernel(rows: int, columns) -> list[tuple[int, ...]]:
+    """The kernel basis Smith normal form gives: the columns of ``v`` from the rank on."""
+    snf = _smith(rows, columns)
+    v = snf.v if snf else IntegerMatrix.identity(len(columns))
+    return [tuple(row[j] for row in v.entries) for j in range(snf.rank if snf else 0, v.cols)]
 
 
 def test_zero_matrix_is_already_normal():
@@ -91,12 +95,12 @@ def test_multiply_dimension_mismatch():
 
 
 def test_rank_of_diagonal():
-    assert _rank([{0: 2}, {}]) == 1  # diag(2, 0)
+    assert _rank(2, [{0: 2}, {}]) == 1  # diag(2, 0)
 
 
 def test_kernel_of_triangle_boundary():
     # Solving the 3x3 system by hand gives the alternating 3-cycle.
-    assert _kernel(TRIANGLE_D1) == [(1, -1, 1)]
+    assert _kernel(3, TRIANGLE_D1) == [(1, -1, 1)]
 
 
 # The 2x4 matrix [[2, 4, 6, 0], [0, 2, 2, 2]].
@@ -104,8 +108,9 @@ TWO_BY_FOUR = [{0: 2}, {0: 4, 1: 2}, {0: 6, 1: 2}, {1: 2}]
 
 
 def test_kernel_vectors_are_primitive_and_deterministic():
-    basis = _kernel(TWO_BY_FOUR)
-    assert basis == _kernel(TWO_BY_FOUR)
+    basis = _kernel(2, TWO_BY_FOUR)
+    assert basis == _kernel(2, TWO_BY_FOUR)
+    assert len(basis) == 2
     for vec in basis:
         assert gcd(*vec) == 1
         assert any(vec)
@@ -114,31 +119,13 @@ def test_kernel_vectors_are_primitive_and_deterministic():
         assert all(x == 0 for x in (sum(r * x for r, x in zip(row, vec)) for row in rows))
 
 
-# The rows [6, 3, 2] and [1, 2, -4], and [[4, 6, 0], [0, 0, 0]].
-FRACTIONAL_CASES = [
-    (1, [{0: 6}, {0: 3}, {0: 2}]),
-    (1, [{0: 1}, {0: 2}, {0: -4}]),
-    (2, [{0: 4}, {0: 6}, {}]),
-]
-
-
-def test_kernel_vectors_clear_fractional_coordinates():
-    # Column 1 is 1/2 of column 0 and column 2 is 1/3 of it; the integer
-    # coordinates of a unit lead need no clearing.
-    assert [_kernel(columns) for _, columns in FRACTIONAL_CASES] == [
-        [(-1, 2, 0), (-1, 0, 3)],
-        [(-2, 1, 0), (4, 0, 1)],
-        [(-3, 2, 0), (0, 0, 1)],
-    ]
-
-
 def test_empty_shapes():
     for rows, cols in [(0, 0), (0, 3), (3, 0)]:
         a = IntegerMatrix.zeros(rows, cols)
         res = smith_normal_form(a)
         assert res.d == a
-        assert _rank([{} for _ in range(cols)]) == 0
-    assert _kernel([{}, {}]) == [(1, 0), (0, 1)]  # a 0x2 matrix
+        assert matrix_of_columns([{} for _ in range(cols)], rows) is None
+    assert _kernel(0, [{}, {}]) == [(1, 0), (0, 1)]  # a 0x2 matrix
 
 
 def test_determinant_matches_cofactor_expansion():
@@ -193,7 +180,7 @@ def test_snf_random_properties():
         assert diag[: len(nonzero)] == tuple(nonzero), "zeros must come last"
         for x, y in zip(nonzero, nonzero[1:]):
             assert y % x == 0
-        assert _rank(columns) == len(nonzero)
+        assert oracle.rank_q(a.entries) == len(nonzero)
         t_nonzero = [x for x in smith_normal_form(a.transpose()).diagonal if x]
         assert t_nonzero == nonzero
 
@@ -348,48 +335,6 @@ def test_matrix_immutability_and_validation():
         determinant(IntegerMatrix.zeros(2, 3))
 
 
-def _clear_denominators(vec) -> tuple[int, ...]:
-    """Scale a rational vector to primitive integer form (content 1)."""
-    scale = lcm(*(x.denominator for x in vec))
-    ints = [int(x * scale) for x in vec]
-    content = gcd(*ints)
-    return tuple(x // content for x in ints)
-
-
-def _rref_kernel_reference(n_rows, columns):
-    """Kernel basis from a dense ``Fraction`` reduced row echelon form.
-
-    One vector per free column, in column order: 1 at the free column and
-    minus the free column's entry in each pivot row at that row's pivot
-    column, cleared to integer entries of content 1.
-    """
-    n_cols = len(columns)
-    rows = [[Fraction(x) for x in row] for row in oracle.dense(columns, n_rows)]
-    pivots = []
-    for c in range(n_cols):
-        r = len(pivots)
-        pivot_row = next((i for i in range(r, n_rows) if rows[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        rows[r] = [x / rows[r][c] for x in rows[r]]
-        for i in range(n_rows):
-            if i != r and rows[i][c] != 0:
-                factor = rows[i][c]
-                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-    basis = []
-    for free in range(n_cols):
-        if free in pivots:
-            continue
-        vec = [Fraction(0)] * n_cols
-        vec[free] = Fraction(1)
-        for r, c in enumerate(pivots):
-            vec[c] = -rows[r][free]
-        basis.append(_clear_denominators(vec))
-    return basis
-
-
 def _seeded_rational_cases(seed=11, count=300):
     """``(rows, columns)`` of every shape up to 7x7, empty and all-zero ones included."""
     rng = random.Random(seed)
@@ -403,73 +348,6 @@ def _seeded_rational_cases(seed=11, count=300):
 
         cases.append((rows, _columns(rows, cols, entry)))
     return cases
-
-
-def test_rank_matches_the_oracle_on_seeded_matrices():
-    for rows, columns in _seeded_rational_cases():
-        assert _rank(columns) == oracle.rank_q(oracle.dense(columns, rows))
-
-
-def test_kernel_matches_the_dense_rref_reference_on_seeded_matrices():
-    for rows, columns in _seeded_rational_cases():
-        basis = _kernel(columns)
-        assert basis == _rref_kernel_reference(rows, columns)
-        assert len(basis) == len(columns) - _rank(columns)
-
-
-def test_rank_and_kernel_of_rank_deficient_products():
-    # Products of thin factors have rank at most the inner dimension, so
-    # most columns are dependent and their relations are non-trivial.
-    rng = random.Random(13)
-    for _ in range(100):
-        inner = rng.randint(0, 3)
-        left = [[rng.randint(-3, 3) for _ in range(inner)] for _ in range(6)]
-        right = [[rng.randint(-3, 3) for _ in range(7)] for _ in range(inner)]
-        # Column j of left @ right, its zero entries included.
-        columns = [
-            {i: sum(x * right[k][j] for k, x in enumerate(row)) for i, row in enumerate(left)}
-            for j in range(7)
-        ]
-        assert _rank(columns) == oracle.rank_q(oracle.dense(columns, 6)) <= inner
-        assert _kernel(columns) == _rref_kernel_reference(6, columns)
-
-
-def test_reduce_recovers_each_vector_from_its_coordinates():
-    rng = random.Random(17)
-    for _ in range(200):
-        dim = rng.randint(0, 6)
-        echelon = RationalEchelon()
-        tagged = {}
-        for t in range(rng.randint(0, 6)):
-            vec = {i: Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for i in range(dim)}
-            if echelon.add(vec, tag=t):
-                tagged[t] = vec
-        assert len(echelon) == len(tagged)
-        for _ in range(5):
-            vec = {i: Fraction(rng.randint(-3, 3)) for i in range(dim) if rng.random() < 0.6}
-            residual, coords = echelon.reduce(vec)
-            assert set(coords) <= set(tagged)
-            rebuilt = dict(residual)
-            for t, c in coords.items():
-                for i, x in tagged[t].items():
-                    rebuilt[i] = rebuilt.get(i, 0) + c * x
-            assert {i: x for i, x in rebuilt.items() if x} == {i: x for i, x in vec.items() if x}
-            dense = [[v.get(i, 0) for i in range(dim)] for v in [*tagged.values(), vec]]
-            assert bool(residual) == (oracle.rank_q(dense) > len(tagged))
-
-
-def test_reduce_coordinates_are_taken_modulo_untagged_vectors():
-    echelon = RationalEchelon()
-    assert echelon.add({0: 1, 1: -1})  # untagged, a boundary say
-    assert echelon.add({0: 1, 2: 2}, tag="z")
-    assert not echelon.add({1: 1, 2: 2}, tag="dependent")
-    residual, coords = echelon.reduce({0: 3, 1: -1, 2: 4})
-    # (3, -1, 4) = 2 * (1, 0, 2) + (1, -1, 0)
-    assert residual == {} and coords == {"z": Fraction(2)}
-    residual, coords = echelon.reduce({0: 2, 1: 1})
-    # (2, 1, 0) = (0, 0, -6) + 3 * (1, 0, 2) - (1, -1, 0)
-    assert residual == {2: Fraction(-6)} and coords == {"z": Fraction(3)}
-    assert len(echelon) == 2
 
 
 def _seeded_non_unit_cases(seed=19, count=200):
@@ -488,61 +366,61 @@ def _seeded_non_unit_cases(seed=19, count=200):
     return cases
 
 
-def test_non_unit_leads_fall_back_to_fractions():
-    echelon = RationalEchelon()
-    assert echelon.add({0: 2, 1: 3}, tag="x")
-    # No entry is a unit, so the lead is the least index, scaled by 1/2.
-    residual, coords = echelon.reduce({0: 1})
-    assert residual == {1: Fraction(-3, 2)} and coords == {"x": Fraction(1, 2)}
-    for rows, columns in _seeded_non_unit_cases():
-        assert _rank(columns) == oracle.rank_q(oracle.dense(columns, rows))
-        assert _kernel(columns) == _rref_kernel_reference(rows, columns)
+def test_rank_matches_the_oracle_on_seeded_matrices():
+    for rows, columns in _seeded_rational_cases() + _seeded_non_unit_cases():
+        assert _rank(rows, columns) == oracle.rank_q(oracle.dense(columns, rows))
 
 
-def test_unit_leads_keep_integer_rows_residuals_and_coordinates():
-    # The torus's boundaries go in untagged and its cycles tagged, as in a
-    # Mayer-Vietoris pair; a residual has a unit entry at every step, so no
-    # row, residual or coordinate may become a Fraction.
-    cc = chain_complex(builtin("torus7"))
-    echelon = RationalEchelon()
-    for col in cc.columns(2):
-        echelon.add(col)
-    chosen = 0
-    for vec in kernel_vectors(cc.columns(1), len(cc.basis(1))):
-        chosen += echelon.add(dict(enumerate(vec)), tag=chosen)
-    assert (len(echelon), chosen) == (15, 2)
-    rng = random.Random(23)
-    edges = len(cc.basis(1))
-    seen_coordinates = 0
-    for vec in [*cc.columns(2), *({i: rng.choice([1, -1]) for i in range(edges)
-                                    if rng.random() < 0.5} for _ in range(50))]:
-        residual, coords = echelon.reduce(vec)
-        assert all(type(x) is int for x in residual.values())
-        assert all(type(x) is int for x in coords.values())
-        seen_coordinates += bool(coords)
-    assert seen_coordinates > 0
+def _assert_kernel_basis(rows: int, columns) -> None:
+    """The Smith kernel basis spans the oracle's null space, with content-1 vectors."""
+    basis = _kernel(rows, columns)
+    matrix = oracle.dense(columns, rows)
+    reference = oracle.null_space(matrix, len(columns))
+    assert len(basis) == len(reference) == len(columns) - _rank(rows, columns)
+    for vec in basis:
+        assert gcd(*vec) == 1
+        assert all(sum(x * y for x, y in zip(row, vec)) == 0 for row in matrix)
+    assert oracle.rank_q([list(v) for v in basis + reference]) == len(reference)
 
 
-def test_kernel_vectors_yield_the_kernel_basis():
-    # The seeded cases are compared with the same reference above.
-    for rows, columns in [(3, TRIANGLE_D1), (2, TWO_BY_FOUR), *FRACTIONAL_CASES]:
-        assert _kernel(columns) == _rref_kernel_reference(rows, columns)
+def test_kernel_matches_the_dense_rref_reference_on_seeded_matrices():
+    for rows, columns in _seeded_rational_cases() + _seeded_non_unit_cases():
+        _assert_kernel_basis(rows, columns)
 
 
-def test_kernel_vectors_read_no_column_past_the_vector_drawn():
-    # Columns 0 to 2 are independent; column 3 is the first that depends
-    # on the earlier ones, so the first vector needs four columns only.
-    columns = [{0: 1}, {1: 2}, {0: 1, 2: 1}, {0: 2, 1: 2}, {2: 1}, {1: 1}]
-    read = []
+def test_rank_and_kernel_of_rank_deficient_products():
+    # Products of thin factors have rank at most the inner dimension, so
+    # most columns are dependent and their relations are non-trivial.
+    rng = random.Random(13)
+    for _ in range(100):
+        inner = rng.randint(0, 3)
+        left = [[rng.randint(-3, 3) for _ in range(inner)] for _ in range(6)]
+        right = [[rng.randint(-3, 3) for _ in range(7)] for _ in range(inner)]
+        # Column j of left @ right, its zero entries included.
+        columns = [
+            {i: sum(x * right[k][j] for k, x in enumerate(row)) for i, row in enumerate(left)}
+            for j in range(7)
+        ]
+        assert _rank(6, columns) == oracle.rank_q(oracle.dense(columns, 6)) <= inner
+        _assert_kernel_basis(6, columns)
 
-    def counted():
-        for col in columns:
-            read.append(col)
-            yield col
 
-    vectors = kernel_vectors(counted(), len(columns))
-    assert read == []
-    assert next(vectors) == (-2, -1, 0, 1, 0, 0)
-    assert len(read) == 4
-    assert next(vectors) == (1, 0, -1, 0, 1, 0)
-    assert len(read) == 5
+def test_matrix_of_columns_is_the_dense_matrix_and_none_when_zero():
+    rng = random.Random(29)
+    for _ in range(100):
+        rows, columns = _random_matrix(rng)
+        a = _matrix(rows, columns)
+        zero = a == IntegerMatrix.zeros(a.rows, a.cols)
+        assert matrix_of_columns(columns, rows) == (None if zero else a)
+    # Stored zeros are zeros.
+    assert matrix_of_columns([{0: 0}, {1: 0}], 2) is None
+
+
+def test_unimodular_inverse_inverts_smith_transforms():
+    rng = random.Random(31)
+    for _ in range(100):
+        rows, columns = _random_matrix(rng)
+        res = smith_normal_form(_matrix(rows, columns))
+        for w in (res.u, res.v):
+            assert w @ unimodular_inverse(w) == IntegerMatrix.identity(w.rows)
+            assert unimodular_inverse(w) @ w == IntegerMatrix.identity(w.rows)

@@ -1,6 +1,7 @@
 """Mayer-Vietoris exactness and inclusion-induced maps."""
 
-from fractions import Fraction as F
+import functools
+import random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -18,9 +19,11 @@ from localhom import (
     prism_product,
     relabel,
     relative_homology,
+    star,
     wedge,
 )
 from localhom.errors import DecompositionError, InclusionError, UnknownVertexError
+from localhom.exact import smith_normal_form
 from localhom.mayer_vietoris import MvDecomposition, _PairHomology, mv_exactness_check
 from localhom.verification import wedge_decomposition
 from test_link_route import complexes, few
@@ -75,10 +78,11 @@ def test_wedge_cover_middle_map_is_an_isomorphism():
 
 
 def test_wedge_cover_for_torsion_surface():
-    report = mv_exactness_check(wedge_decomposition(builtin("rp2_6"), "1"), 3)
-    assert report.exact
-    middle = report.psi[2]
-    assert (middle.rows, middle.cols, middle.rank()) == (2, 2, 2)
+    for name in ("rp2_6", "klein8"):
+        report = mv_exactness_check(wedge_decomposition(builtin(name), "1"), 3)
+        assert report.exact, name
+        middle = report.psi[2]
+        assert (middle.rows, middle.cols, middle.rank()) == (2, 2, 2), name
 
 
 def _correction_path_cover() -> MvDecomposition:
@@ -186,9 +190,9 @@ def test_local_homology_agrees_with_wedge_mv_computation():
 
 
 def _pinned(maps) -> dict:
-    """Each map as ``(rows, cols, entries)``, its entries checked to be Fractions."""
+    """Each map as ``(rows, cols, entries)``, its entries checked to be ints."""
     for m in maps.values():
-        assert all(type(x) is F for row in m.entries for x in row)
+        assert all(type(x) is int for row in m.entries for x in row)
     return {n: (m.rows, m.cols, m.entries) for n, m in maps.items()}
 
 
@@ -200,13 +204,13 @@ def test_pinned_maps_of_the_octahedron_hemispheres():
     lower = full_subcomplex(oct_, ["2", "3", "4", "5", "6"])
     report = mv_exactness_check(MvDecomposition(oct_, upper, lower), 3)
     assert _pinned(report.phi) == {
-        0: (2, 1, ((F(1),), (F(-1),))),
+        0: (2, 1, ((1,), (-1,))),
         1: (0, 1, ()),
         2: (0, 0, ()),
         3: (0, 0, ()),
     }
     assert _pinned(report.psi) == {
-        0: (1, 2, ((F(1), F(1)),)),
+        0: (1, 2, ((1, 1),)),
         1: (0, 0, ()),
         2: (1, 0, ((),)),
         3: (0, 0, ()),
@@ -214,7 +218,7 @@ def test_pinned_maps_of_the_octahedron_hemispheres():
     assert _pinned(report.delta) == {
         0: (0, 1, ()),
         1: (1, 0, ((),)),
-        2: (1, 1, ((F(-1),),)),
+        2: (1, 1, ((-1,),)),
         3: (0, 0, ()),
         4: (0, 0, ()),
     }
@@ -231,12 +235,12 @@ def test_pinned_maps_of_the_wedge_cover():
     assert _pinned(report.psi) == {
         0: (0, 0, ()),
         1: (1, 0, ((),)),
-        2: (2, 2, ((F(1), F(0)), (F(0), F(1)))),
+        2: (2, 2, ((1, 0), (0, 1))),
         3: (0, 0, ()),
     }
     assert _pinned(report.delta) == {
         0: (0, 0, ()),
-        1: (1, 1, ((F(-1),),)),
+        1: (1, 1, ((-1,),)),
         2: (0, 2, ()),
         3: (0, 0, ()),
         4: (0, 0, ()),
@@ -248,13 +252,13 @@ def test_pinned_maps_of_the_interleaved_hemispheres():
     # is k's order restricted; the entries match the octahedron's.
     report = mv_exactness_check(_interleaved_hemispheres(), 3)
     assert _pinned(report.phi) == {
-        0: (2, 1, ((F(1),), (F(-1),))),
+        0: (2, 1, ((1,), (-1,))),
         1: (0, 1, ()),
         2: (0, 0, ()),
         3: (0, 0, ()),
     }
     assert _pinned(report.psi) == {
-        0: (1, 2, ((F(1), F(1)),)),
+        0: (1, 2, ((1, 1),)),
         1: (0, 0, ()),
         2: (1, 0, ((),)),
         3: (0, 0, ()),
@@ -262,7 +266,7 @@ def test_pinned_maps_of_the_interleaved_hemispheres():
     assert _pinned(report.delta) == {
         0: (0, 1, ()),
         1: (1, 0, ((),)),
-        2: (1, 1, ((F(-1),),)),
+        2: (1, 1, ((-1,),)),
         3: (0, 0, ()),
         4: (0, 0, ()),
     }
@@ -274,7 +278,7 @@ def test_pinned_maps_of_the_correction_path():
     assert _pinned(report.psi) == {0: (0, 0, ()), 1: (1, 0, ((),)), 2: (0, 0, ())}
     assert _pinned(report.delta) == {
         0: (0, 0, ()),
-        1: (1, 1, ((F(-1),),)),
+        1: (1, 1, ((-1,),)),
         2: (0, 0, ()),
         3: (0, 0, ()),
     }
@@ -286,10 +290,44 @@ def test_pinned_maps_of_a_point_into_the_sphere():
     whole = SubcomplexPair(s2, SimplicialComplex.empty())
     maps = {n: induced_map(point, whole, n) for n in range(3)}
     assert _pinned(maps) == {
-        0: (1, 1, ((F(1),),)),
+        0: (1, 1, ((1,),)),
         1: (0, 0, ()),
         2: (1, 0, ((),)),
     }
+
+
+def test_pinned_maps_of_rp2_as_a_moebius_band_and_a_disk():
+    # The disk is the closed star of vertex 1 and the Moebius band its
+    # complement; their common boundary circle wraps twice around the
+    # band's core, so phi carries a 2 in degree 1.  The Morse boundary of
+    # RP^2 into degree 1 is nonzero (its Z/2), so the total pair's degree-1
+    # basis comes from a Smith normal form of rank 1 and has no free class.
+    rp2 = builtin("rp2_6")
+    report = mv_exactness_check(MvDecomposition(rp2, deleted(rp2, "1"), star(rp2, "1")), 3)
+    assert report.exact
+    assert _pinned(report.phi) == {
+        0: (2, 1, ((1,), (-1,))),
+        1: (1, 1, ((2,),)),
+        2: (0, 0, ()),
+        3: (0, 0, ()),
+    }
+    assert _pinned(report.psi) == {
+        0: (1, 2, ((1, 1),)),
+        1: (0, 1, ()),
+        2: (0, 0, ()),
+        3: (0, 0, ()),
+    }
+    assert _pinned(report.delta) == {
+        0: (0, 1, ()),
+        1: (1, 0, ((),)),
+        2: (1, 0, ((),)),
+        3: (0, 0, ()),
+        4: (0, 0, ()),
+    }
+    total = _pair_homology(SubcomplexPair(rp2, SimplicialComplex.empty()))
+    assert total.rank(1) == 0
+    size, r, _, r_b, to_generators = total._coordinates[1]
+    assert (size, r, r_b) == (1, 0, 1) and to_generators is not None
 
 
 def test_express_rejects_a_chain_that_is_not_a_cycle():
@@ -340,17 +378,24 @@ def _grid_torus_halves(n: int) -> MvDecomposition:
 
 
 def test_grid_torus_halves_hold_echelons_over_critical_cells_only(monkeypatch):
-    # Each pair's homology is chosen on its Morse complex: no echelon holds
-    # more rows than its pair has critical cells in that degree, where the
-    # boundary echelons over the full chain groups held up to 129 rows.
-    made = []
+    # Each pair's homology is chosen on its Morse complex: every degree's
+    # transforms act on its critical cells, and no Smith normal form of the
+    # check is larger than a degree's critical cells, where the chain groups
+    # hold up to 192 cells.
+    made, shapes = [], []
 
     class Recorded(_PairHomology):
         def __init__(self, *args):
             super().__init__(*args)
             made.append(self)
 
+    def recorded_snf(a):
+        shapes.append((a.rows, a.cols))
+        return smith_normal_form(a)
+
     monkeypatch.setattr("localhom.mayer_vietoris._PairHomology", Recorded)
+    monkeypatch.setattr("localhom.mayer_vietoris.smith_normal_form", recorded_snf)
+    monkeypatch.setattr("localhom.exact.smith_normal_form", recorded_snf)
     report = mv_exactness_check(_grid_torus_halves(8), 3)
     assert report.exact
     expected = {
@@ -362,10 +407,14 @@ def test_grid_torus_halves_hold_echelons_over_critical_cells_only(monkeypatch):
         assert node.dim == expected[node.node].get(node.degree, 0)
     assert len(made) == 4
     for pair in made:
-        assert pair._echelons
-        for n, echelon in pair._echelons.items():
+        assert pair._coordinates
+        for n, (size, r, to_cycles, _, to_generators) in pair._coordinates.items():
             critical = pair._critical[n] if 0 <= n < len(pair._critical) else ()
-            assert len(echelon) <= len(critical), (n, len(echelon), len(critical))
+            assert size == len(critical), (n, size, len(critical))
+            assert to_cycles is None or len(to_cycles) == size
+            assert to_generators is None or len(to_generators) == size - r
+    assert max(len(b) for b in made[-1].cc.bases) == 192
+    assert shapes and max(map(max, shapes)) <= 2
     # Every degree of the torus keeps one critical cell per Betti number.
     assert [len(cells) for cells in made[-1]._critical] == [1, 2, 1]
 
@@ -433,6 +482,17 @@ def _label_union(k1: SimplicialComplex, k2: SimplicialComplex) -> SimplicialComp
     return SimplicialComplex.from_label_facets(k1.label_facets() + k2.label_facets())
 
 
+def _facet_split(draw, k: SimplicialComplex) -> tuple:
+    """``k``'s facets drawn into ``a``, ``b`` or both, at least one into both."""
+    facets = k.label_facets()
+    sides = draw(st.lists(st.sampled_from((1, 2, 3)), min_size=len(facets), max_size=len(facets)))
+    sides[draw(st.sampled_from(range(len(facets))))] = 3
+    return tuple(
+        SimplicialComplex.from_label_facets(f for f, side in zip(facets, sides) if side & bit)
+        for bit in (1, 2)
+    )
+
+
 @st.composite
 def covers(draw):
     """``k`` split facet by facet into ``a``, ``b`` or both; ``c``, ``d`` empty or deleted stars.
@@ -440,13 +500,7 @@ def covers(draw):
     At least one facet goes to both sides, so the two facet sets overlap.
     """
     k = draw(complexes)
-    facets = k.label_facets()
-    sides = draw(st.lists(st.sampled_from((1, 2, 3)), min_size=len(facets), max_size=len(facets)))
-    sides[draw(st.sampled_from(range(len(facets))))] = 3
-    a, b = (
-        SimplicialComplex.from_label_facets(f for f, side in zip(facets, sides) if side & bit)
-        for bit in (1, 2)
-    )
+    a, b = _facet_split(draw, k)
     v = draw(st.sampled_from(sorted(set(a.labels) & set(b.labels))))
     c = deleted(a, v) if draw(st.booleans()) else None
     d = deleted(b, v) if draw(st.booleans()) else None
@@ -469,6 +523,71 @@ def test_random_covers_are_exact_and_match_relative_homology(m):
     for node in report.nodes:
         ranks = [relative_homology(p).group(node.degree).free_rank for p in pairs[node.node]]
         assert node.dim == sum(ranks), node
+
+
+_RP2, _KLEIN = builtin("rp2_6"), builtin("klein8")
+# Complexes with torsion in their homology or in that of their pieces.
+_TORSION_BASES = [
+    _RP2,
+    _KLEIN,
+    wedge(_RP2, "1", _KLEIN, "1"),
+    cone(_RP2, "apex"),
+]
+
+
+@functools.cache
+def _betti(facets: tuple) -> list:
+    return oracle.betti_numbers(facets, oracle.rank_q)
+
+
+@st.composite
+def torsion_covers(draw):
+    """A relabelled torsion complex split facet by facet into ``a``, ``b``; ``c = d`` empty.
+
+    Relabelling reorders the cells, and with them the Morse boundaries and
+    their Smith transforms.
+    """
+    k = draw(st.sampled_from(_TORSION_BASES))
+    k = relabel(k, dict(zip(k.labels, draw(st.permutations(k.labels)))))
+    return MvDecomposition(k, *_facet_split(draw, k))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(torsion_covers())
+def test_facet_splits_of_torsion_complexes_match_the_oracle_betti_numbers(m):
+    report = mv_exactness_check(m, m.k.dim + 1)
+    assert report.exact
+    pieces = {
+        "H(A&B, C&D)": [_label_intersection(m.a, m.b)],
+        "H(A,C) + H(B,D)": [m.a, m.b],
+        "H(K, Y)": [m.k],
+    }
+    for node in report.nodes:
+        betti = [_betti(tuple(p.label_facets())) for p in pieces[node.node]]
+        assert node.dim == sum(b[node.degree] for b in betti if node.degree < len(b)), node
+    for piece in (m.a, m.b, m.k):
+        _assert_unit_coordinates(piece)
+
+
+def _assert_unit_coordinates(k: SimplicialComplex) -> None:
+    """Each chosen cycle of ``k`` has coordinates ``e_i`` in its own basis."""
+    pair = _pair_homology(SubcomplexPair(k, SimplicialComplex.empty()))
+    for n in range(k.dim + 1):
+        coordinates = [pair.express(n, z) for z in pair.cycles(n)]
+        size = len(coordinates)
+        assert coordinates == [[int(i == j) for j in range(size)] for i in range(size)], (k, n)
+
+
+def test_chosen_cycles_have_unit_coordinates_in_relabelled_torsion_wedges():
+    # Relabelling reorders the Morse boundaries; on these wedges it gives
+    # degree-1 row transforms u_B that are not their own inverses, so
+    # generators read off u_B in place of u_B⁻¹ would show here.
+    rng = random.Random(5)
+    for base in (wedge(_RP2, "1", _KLEIN, "1"), wedge(_KLEIN, "1", _KLEIN, "1")):
+        for _ in range(8):
+            labels = list(base.labels)
+            shuffled = dict(zip(labels, rng.sample(labels, len(labels))))
+            _assert_unit_coordinates(relabel(base, shuffled))
 
 
 def _oracle_boundary(chain: dict) -> dict:
