@@ -7,8 +7,19 @@ classifies vertices by their local homology to locate non-manifold points.
 
 The function ``homology`` is re-exported here under its submodule's name,
 so ``import localhom.homology as m`` binds the function, not the module;
-``importlib.import_module("localhom.homology")`` returns the module.
+``importlib.import_module("localhom.homology")`` returns the module.  So
+``homology`` is imported here, eagerly: the binding holds because this file
+imports the submodule before anything else can, and an import of the
+submodule by a later first access would set the package attribute to the
+module.
+
+The Mayer-Vietoris and probe names, and the submodules ``mayer_vietoris``,
+``morse`` and ``probe``, load on first access (PEP 562).  Importing the
+package, or running a command that needs neither, then costs only the
+homology path.  Every other name is imported here.
 """
+
+from importlib import import_module
 
 from .complexes import SimplicialComplex, SubcomplexPair
 from .constructions import (
@@ -38,14 +49,6 @@ from .homology import (
     local_homology_via_link,
     reduced_homology,
     relative_homology,
-)
-from .mayer_vietoris import MvDecomposition, RationalMap, induced_map, mv_exactness_check
-from .probe import (
-    ObstructionReport,
-    VertexVerdict,
-    obstruction_report,
-    pseudomanifold_check,
-    vertex_verdict,
 )
 from .scx import parse_complex, read_complex, to_scx, write_complex
 
@@ -95,3 +98,32 @@ __all__ = [
     "wedge",
     "write_complex",
 ]
+
+# name -> the submodule that defines it, imported on the name's first access.
+_LAZY = {
+    "MvDecomposition": "mayer_vietoris",
+    "RationalMap": "mayer_vietoris",
+    "induced_map": "mayer_vietoris",
+    "mv_exactness_check": "mayer_vietoris",
+    "ObstructionReport": "probe",
+    "VertexVerdict": "probe",
+    "obstruction_report": "probe",
+    "pseudomanifold_check": "probe",
+    "vertex_verdict": "probe",
+    "mayer_vietoris": "mayer_vietoris",
+    "morse": "morse",
+    "probe": "probe",
+}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = import_module(f"{__name__}.{_LAZY[name]}")
+    value = module if _LAZY[name] == name else getattr(module, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(globals().keys() | _LAZY.keys())

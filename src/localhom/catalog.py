@@ -15,7 +15,6 @@ plane), ``klein8`` (an 8-vertex Klein bottle), and ``interval``.
 
 from __future__ import annotations
 
-from importlib import resources
 from itertools import combinations
 
 from .complexes import SimplicialComplex
@@ -35,6 +34,8 @@ def _interval() -> SimplicialComplex:
 
 
 def _data_complex(filename: str) -> SimplicialComplex:
+    from importlib import resources  # tens of ms cold, and only data files need it
+
     text = resources.files("localhom.data").joinpath(filename).read_text("utf-8")
     return parse_complex(text)
 

@@ -11,6 +11,11 @@ A command whose first argument names a subcommand is parsed by that
 subcommand's parser alone.  Every other argument list, and a command that
 leaves arguments over, goes to the full parser, so help, usage errors and
 outputs stay those of the parser with every subcommand.
+
+Each command imports the modules only it runs when it runs: ``check``
+the probe, ``mv`` Mayer-Vietoris (and its Morse maps), ``verify-paper``
+the verification suite.  A process that runs ``homology``, ``local`` or
+``construct`` never loads them.
 """
 
 from __future__ import annotations
@@ -29,10 +34,7 @@ from .homology import (
     local_homology,
     local_homology_multi,
 )
-from .mayer_vietoris import MvDecomposition, mv_exactness_check
-from .probe import obstruction_report
 from .scx import read_complex, write_complex
-from .verification import run_checks
 
 
 def _emit(text: str) -> None:
@@ -129,6 +131,8 @@ def cmd_construct(args) -> int:
 
 
 def cmd_check(args) -> int:
+    from .probe import obstruction_report
+
     source, k = _load_input(args)
     report = obstruction_report(k)
     if args.json:
@@ -142,6 +146,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_mv(args) -> int:
+    from .mayer_vietoris import MvDecomposition, mv_exactness_check
+
     k = read_complex(args.in_path)
     a = read_complex(args.a)
     b = read_complex(args.b)
@@ -159,6 +165,8 @@ def cmd_mv(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verification import run_checks
+
     results = run_checks(args.only)
     failed = [r for r in results if not r.passed]
     if args.json:

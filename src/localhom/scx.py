@@ -61,9 +61,12 @@ def read_complex(path) -> SimplicialComplex:
         text = data[bom:].decode("utf-8")
     except UnicodeDecodeError as exc:
         bad = bom + exc.start
+        # The bad byte sits on the line of a character put in its place,
+        # with lines ended as parse_complex's str.splitlines() ends them.
+        before = data[bom:bad].decode("utf-8") + "?"
         raise MalformedFacetError(
             f"byte 0x{data[bad]:02x} of {path} is not UTF-8 text",
-            line_number=data.count(b"\n", 0, bad) + 1,
+            line_number=len(before.splitlines()),
         ) from None
     return parse_complex(text)
 

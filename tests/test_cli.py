@@ -134,6 +134,13 @@ def test_a_bad_byte_after_a_byte_order_mark_is_named_with_its_line(capsys, tmp_p
     path.write_bytes(b"\xef\xbb\xbf\xfe a b\n")
     code, out, err = run(capsys, "homology", "--in", str(path))
     assert code == 1 and err.startswith("error: line 1: byte 0xfe")
+    # Lone carriage returns end lines for parse_complex, so they count here too.
+    path.write_bytes(b"a b\rc d\r\xff e\r")
+    code, out, err = run(capsys, "homology", "--in", str(path))
+    assert code == 1 and err.startswith("error: line 3: byte 0xff")
+    path.write_bytes(b"a b\rc c\r")
+    code, out, err = run(capsys, "homology", "--in", str(path))
+    assert code == 1 and err.startswith("error: line 2: ")
 
 
 def test_python_dash_m_runs_the_command_line(monkeypatch, capsys):

@@ -128,11 +128,82 @@ def test_public_names_are_pinned_and_resolve():
     assert [name for name in PUBLIC_NAMES if not hasattr(localhom, name)] == []
 
 
+def _fresh_python(code: str, cwd=None) -> str:
+    """Standard output of ``code`` run by a new ``python -S`` on this checkout.
+
+    ``-S`` keeps ``site`` out: it may import modules (``importlib.resources``
+    among them) that the package itself should not need.
+    """
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH"))))}
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env, cwd=cwd
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    return done.stdout
+
+
+def test_public_names_resolve_in_a_fresh_interpreter():
+    # Some names load on first access, which the test above cannot see
+    # once other tests have imported every module.
+    out = _fresh_python(
+        "import localhom\n"
+        "print(set(localhom.__all__) <= set(dir(localhom)))\n"
+        "names = {}\n"
+        "exec('from localhom import *', names)\n"
+        "print(sorted(set(names) - {'__builtins__'}) == sorted(localhom.__all__), len(localhom.__all__))\n"
+        "try:\n"
+        "    localhom.nope\n"
+        "except AttributeError as exc:\n"
+        "    print(exc)\n"
+    )
+    assert out == f"True\nTrue {len(PUBLIC_NAMES)}\nmodule 'localhom' has no attribute 'nope'\n"
+    out = _fresh_python(
+        "import localhom.probe, localhom\n"
+        "from localhom.homology import homology\n"
+        "print(localhom.homology is homology)\n"
+        "print([localhom.probe.__name__, localhom.mayer_vietoris.__name__, localhom.morse.__name__])\n"
+        "print(localhom.vertex_verdict is localhom.probe.vertex_verdict)\n"
+    )
+    assert out == (
+        "True\n['localhom.probe', 'localhom.mayer_vietoris', 'localhom.morse']\nTrue\n"
+    )
+
+
 def test_the_command_line_imports_no_rational_arithmetic():
     # Every elimination is over the integers, so a cold start of the CLI
     # pays for neither ``fractions`` nor the ``decimal`` it imports.
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH"))))}
     code = "import sys, localhom.cli; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
-    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+    assert _fresh_python(code) == "[]\n"
+
+
+def test_a_cold_command_loads_only_the_modules_it_runs(tmp_path):
+    (tmp_path / "k.scx").write_text("a b c\nb c d\n")
+    (tmp_path / "a.scx").write_text("a b c\n")
+    (tmp_path / "b.scx").write_text("b c d\n")
+    commands = [
+        ["homology", "--in", "k.scx", "--json"],
+        ["check", "--in", "k.scx", "--json"],
+        ["mv", "--in", "k.scx", "--a", "a.scx", "--b", "b.scx", "--json"],
+    ]
+    # One process runs the commands in turn and prints, after the import and
+    # after each command, which of the watched modules are newly loaded.
+    code = (
+        "import contextlib, io, sys\n"
+        "watched = {'localhom.mayer_vietoris', 'localhom.morse', 'localhom.probe',\n"
+        "           'localhom.verification', 'importlib.resources'}\n"
+        "import localhom.cli\n"
+        "seen = watched & set(sys.modules)\n"
+        "print(sorted(seen))\n"
+        f"for argv in {commands!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert localhom.cli.main(argv) == 0\n"
+        "    print(sorted(watched & set(sys.modules) - seen))\n"
+        "    seen = watched & set(sys.modules)\n"
+    )
+    assert _fresh_python(code, cwd=tmp_path).splitlines() == [
+        "[]",
+        "[]",
+        "['localhom.probe']",
+        "['localhom.mayer_vietoris', 'localhom.morse']",
+    ]
