@@ -60,7 +60,6 @@ __all__ = [
     "HomologyGroup",
     "HomologySummary",
     "MvDecomposition",
-    "RationalMap",
     "ObstructionReport",
     "VertexVerdict",
     "apex_local_homology_formula",
@@ -102,7 +101,6 @@ __all__ = [
 # name -> the submodule that defines it, imported on the name's first access.
 _LAZY = {
     "MvDecomposition": "mayer_vietoris",
-    "RationalMap": "mayer_vietoris",
     "induced_map": "mayer_vietoris",
     "mv_exactness_check": "mayer_vietoris",
     "ObstructionReport": "probe",

@@ -15,6 +15,7 @@ plane), ``klein8`` (an 8-vertex Klein bottle), and ``interval``.
 
 from __future__ import annotations
 
+import os
 from itertools import combinations
 
 from .complexes import SimplicialComplex
@@ -34,10 +35,9 @@ def _interval() -> SimplicialComplex:
 
 
 def _data_complex(filename: str) -> SimplicialComplex:
-    from importlib import resources  # tens of ms cold, and only data files need it
-
-    text = resources.files("localhom.data").joinpath(filename).read_text("utf-8")
-    return parse_complex(text)
+    path = os.path.join(os.path.dirname(__file__), "data", filename)
+    with open(path, encoding="utf-8") as handle:
+        return parse_complex(handle.read())
 
 
 def _is_connected(k: SimplicialComplex) -> bool:

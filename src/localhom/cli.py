@@ -45,8 +45,8 @@ def _emit_json(payload) -> None:
     _emit(json.dumps(payload, indent=2, sort_keys=True))
 
 
-def _add_input_flags(parser, required=True):
-    group = parser.add_mutually_exclusive_group(required=required)
+def _add_input_flags(parser):
+    group = parser.add_mutually_exclusive_group(required=True)
     group.add_argument("--builtin", metavar="NAME", help="named complex")
     group.add_argument("--in", dest="in_path", metavar="PATH", help="facet-list file")
 
@@ -318,10 +318,7 @@ def main(argv=None) -> int:
     args = parse_command(sys.argv[1:] if argv is None else list(argv))
     try:
         return args.func(args)
-    except LocalhomError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
-    except OSError as exc:
+    except (LocalhomError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

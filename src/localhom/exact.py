@@ -88,6 +88,13 @@ class IntegerMatrix:
     def diagonal(self) -> tuple[int, ...]:
         return tuple(self.entries[i][i] for i in range(min(self.rows, self.cols)))
 
+    def is_zero(self) -> bool:
+        return not any(map(any, self.entries))
+
+    def rank(self) -> int:
+        """Rank over Q; a zero matrix is not reduced."""
+        return 0 if self.is_zero() else smith_normal_form(self).rank
+
 
 def multiply(a: IntegerMatrix, b: IntegerMatrix) -> IntegerMatrix:
     """Exact matrix product; raises on incompatible shapes."""

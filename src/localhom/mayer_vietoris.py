@@ -6,12 +6,13 @@ subcomplexes ``c <= a`` and ``d <= b``, the long exact sequence
     ... -> H_n(a&b, c&d) -> H_n(a,c) + H_n(b,d) -> H_n(k, c|d)
         -> H_{n-1}(a&b, c&d) -> ...
 
-is built explicitly on the free parts of the groups: the two arrows
-induced by inclusions, and the connecting map through the chain-level
-zig-zag (split a relative cycle into a piece carried by ``a`` and one
-carried by ``b``, take the boundary of the first piece, and correct it
-into the intersection pair).  Torsion is zero over Q, so exactness is
-rank arithmetic over Q, verified at every node.
+is built explicitly on the free parts of the integral homology groups:
+the two arrows induced by inclusions, and the connecting map through the
+chain-level zig-zag (split a relative cycle into a piece carried by ``a``
+and one carried by ``b``, take the boundary of the first piece, and
+correct it into the intersection pair).  Each arrow is an
+``exact.IntegerMatrix`` in free generators.  Torsion is zero over Q, so
+exactness is rank arithmetic over Q, verified at every node.
 
 Each pair's quotient is checked for ``∂∘∂ = 0`` and reduced once by
 ``exact.chain_reducer`` to its discrete Morse complex, and its bases are
@@ -40,7 +41,13 @@ from dataclasses import dataclass, field
 from .chains import chain_boundary, quotient_chain_complex
 from .complexes import SimplicialComplex, SubcomplexPair
 from .errors import DecompositionError, InclusionError, UnknownVertexError
-from .exact import chain_reducer, matrix_of_columns, smith_normal_form, unimodular_inverse
+from .exact import (
+    IntegerMatrix,
+    chain_reducer,
+    matrix_of_columns,
+    smith_normal_form,
+    unimodular_inverse,
+)
 from .morse import MorseMaps
 
 
@@ -174,47 +181,16 @@ class _PairHomology:
         ]
 
 
-@dataclass(frozen=True)
-class RationalMap:
-    """Matrix of a map between rational homology groups in chosen bases.
-
-    The bases are free generators over Z, so the entries are integers.
-    """
-
-    degree: int
-    entries: tuple
-    rows: int
-    cols: int
-
-    @classmethod
-    def from_columns(cls, degree: int, columns: list, rows: int) -> "RationalMap":
-        entries = tuple(tuple(col[i] for col in columns) for i in range(rows))
-        return cls(degree, entries, rows, len(columns))
-
-    def rank(self) -> int:
-        """Rank over Q, that of the transpose, whose columns are the rows."""
-        snf = _smith([dict(enumerate(row)) for row in self.entries], self.cols)
-        return snf.rank if snf else 0
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for row in self.entries for x in row)
-
-    def compose(self, other: "RationalMap") -> "RationalMap":
-        """self after other (matrix product self @ other)."""
-        entries = tuple(
-            tuple(
-                sum(self.entries[i][k] * other.entries[k][j] for k in range(self.cols))
-                for j in range(other.cols)
-            )
-            for i in range(self.rows)
-        )
-        return RationalMap(other.degree, entries, self.rows, other.cols)
+def _matrix(columns: list, rows: int) -> IntegerMatrix:
+    """The ``rows`` x ``len(columns)`` matrix of dense integer ``columns``."""
+    return IntegerMatrix(rows, len(columns), [[col[i] for col in columns] for i in range(rows)])
 
 
-def induced_map(source: SubcomplexPair, target: SubcomplexPair, degree: int) -> RationalMap:
-    """Matrix of the inclusion-induced map on rational homology.
+def induced_map(source: SubcomplexPair, target: SubcomplexPair, degree: int) -> IntegerMatrix:
+    """Matrix of the inclusion-induced map between the free parts of integral homology.
 
-    Both pairs are numbered in ``target.ambient``.
+    Its columns are the target coordinates of the source's free
+    generators.  Both pairs are numbered in ``target.ambient``.
     """
     k = target.ambient
     error = InclusionError("source ambient is not contained in target ambient")
@@ -224,7 +200,7 @@ def induced_map(source: SubcomplexPair, target: SubcomplexPair, degree: int) -> 
     sub = _cells_in(source.sub, k, target_sub.__contains__, error)
     sp = _PairHomology(k, ambient, sub)
     tp = _PairHomology(k, None, target_sub)
-    return RationalMap.from_columns(degree, sp.pushed(degree, tp), tp.rank(degree))
+    return _matrix(sp.pushed(degree, tp), tp.rank(degree))
 
 
 @dataclass(frozen=True, slots=True)
@@ -384,34 +360,34 @@ def mv_exactness_check(decomposition: MvDecomposition, max_degree: int) -> MvRep
     right = _PairHomology(m.k, b, d)
     total = _PairHomology(m.k, None, c | d)
 
-    def phi(n: int) -> RationalMap:
+    def phi(n: int) -> IntegerMatrix:
         columns = [
             into_a + [-x for x in into_b]
             for into_a, into_b in zip(int_pair.pushed(n, left), int_pair.pushed(n, right))
         ]
-        return RationalMap.from_columns(n, columns, left.rank(n) + right.rank(n))
+        return _matrix(columns, left.rank(n) + right.rank(n))
 
-    def psi(n: int) -> RationalMap:
+    def psi(n: int) -> IntegerMatrix:
         columns = left.pushed(n, total) + right.pushed(n, total)
-        return RationalMap.from_columns(n, columns, total.rank(n))
+        return _matrix(columns, total.rank(n))
 
-    def delta(n: int) -> RationalMap:
+    def delta(n: int) -> IntegerMatrix:
         columns = []
         for z in total.cycles(n):
             columns.append(int_pair.express(n - 1, _connecting_chain(m, z)))
-        return RationalMap.from_columns(n, columns, int_pair.rank(n - 1))
+        return _matrix(columns, int_pair.rank(n - 1))
 
     phis = {n: phi(n) for n in range(max_degree + 1)}
     psis = {n: psi(n) for n in range(max_degree + 1)}
     deltas = {n: delta(n) for n in range(max_degree + 2) if n >= 1}
-    deltas[0] = RationalMap(0, (), 0, total.rank(0))
+    deltas[0] = IntegerMatrix.zeros(0, total.rank(0))
 
     for n in range(max_degree + 1):
-        if not psis[n].compose(phis[n]).is_zero():
+        if not (psis[n] @ phis[n]).is_zero():
             raise RuntimeError(f"psi o phi is nonzero in degree {n}")
-        if not deltas[n].compose(psis[n]).is_zero():
+        if not (deltas[n] @ psis[n]).is_zero():
             raise RuntimeError(f"delta o psi is nonzero in degree {n}")
-        if n + 1 in deltas and not phis[n].compose(deltas[n + 1]).is_zero():
+        if n + 1 in deltas and not (phis[n] @ deltas[n + 1]).is_zero():
             raise RuntimeError(f"phi o delta is nonzero in degree {n}")
 
     phi_rank, psi_rank, delta_rank = (

@@ -22,7 +22,6 @@ PUBLIC_NAMES = [
     "HomologyGroup",
     "HomologySummary",
     "MvDecomposition",
-    "RationalMap",
     "ObstructionReport",
     "VertexVerdict",
     "apex_local_homology_formula",
@@ -185,6 +184,7 @@ def test_a_cold_command_loads_only_the_modules_it_runs(tmp_path):
         ["homology", "--in", "k.scx", "--json"],
         ["check", "--in", "k.scx", "--json"],
         ["mv", "--in", "k.scx", "--a", "a.scx", "--b", "b.scx", "--json"],
+        ["homology", "--builtin", "torus7", "--json"],
     ]
     # One process runs the commands in turn and prints, after the import and
     # after each command, which of the watched modules are newly loaded.
@@ -206,4 +206,5 @@ def test_a_cold_command_loads_only_the_modules_it_runs(tmp_path):
         "[]",
         "['localhom.probe']",
         "['localhom.mayer_vietoris', 'localhom.morse']",
+        "[]",
     ]

@@ -368,7 +368,12 @@ def _seeded_non_unit_cases(seed=19, count=200):
 
 def test_rank_matches_the_oracle_on_seeded_matrices():
     for rows, columns in _seeded_rational_cases() + _seeded_non_unit_cases():
-        assert _rank(rows, columns) == oracle.rank_q(oracle.dense(columns, rows))
+        matrix = oracle.dense(columns, rows)
+        expected = oracle.rank_q(matrix)
+        assert _rank(rows, columns) == expected
+        dense = IntegerMatrix(rows, len(columns), matrix)
+        assert dense.rank() == expected
+        assert dense.is_zero() == (expected == 0)
 
 
 def _assert_kernel_basis(rows: int, columns) -> None:

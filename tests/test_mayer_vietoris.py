@@ -23,7 +23,7 @@ from localhom import (
     wedge,
 )
 from localhom.errors import DecompositionError, InclusionError, UnknownVertexError
-from localhom.exact import smith_normal_form
+from localhom.exact import IntegerMatrix, smith_normal_form
 from localhom.mayer_vietoris import MvDecomposition, _PairHomology, mv_exactness_check
 from localhom.verification import wedge_decomposition
 from test_link_route import complexes, few
@@ -190,8 +190,9 @@ def test_local_homology_agrees_with_wedge_mv_computation():
 
 
 def _pinned(maps) -> dict:
-    """Each map as ``(rows, cols, entries)``, its entries checked to be ints."""
+    """Each map as ``(rows, cols, entries)``, checked to be an integer matrix of ints."""
     for m in maps.values():
+        assert isinstance(m, IntegerMatrix)
         assert all(type(x) is int for row in m.entries for x in row)
     return {n: (m.rows, m.cols, m.entries) for n, m in maps.items()}
 
