@@ -91,7 +91,7 @@ _CATALOG = {
 
 _ALIASES = {f"sphere{n}": f"sphere({n})" for n in range(5)}
 
-CLOSED_SURFACES = ("sphere(2)", "octahedron", "torus7", "rp2_6", "klein8")
+CLOSED_SURFACES = tuple(name for name, (_, _, closed) in _CATALOG.items() if closed)
 
 
 def builtin_names() -> list[str]:

@@ -14,8 +14,8 @@ cell itself, as reducer input, for reduced homology.  A quotient complex
 takes its basis from sets of a complex's simplices, so the pieces of a
 cover share one numbering.  The open-star complex is the quotient by the simplices that
 miss a vertex set, the one complex local homology is read from (over
-every vertex, the whole chain complex).  The range check in validation
-runs once per degree, over all its rows.
+every vertex, the whole chain complex).  Building a chain complex runs the
+range check once per degree, over all its rows, and then ∂∘∂ = 0.
 """
 
 from __future__ import annotations
@@ -34,8 +34,8 @@ class ChainComplex:
     ``bases[i]`` holds the simplices of degree ``i`` and ``boundaries[i]``
     maps degree ``i`` to the degree below, one ``{row: value}`` column per
     basis simplex (the bottom boundary goes to the zero group, so its
-    columns are empty).  The columns are shared, not copied: nothing may
-    edit them in place.
+    columns are empty).  Building one checks the shapes and ``∂∘∂ = 0``.
+    The columns are shared, not copied: nothing may edit them in place.
     """
 
     bases: tuple[tuple[Simplex, ...], ...]
@@ -56,6 +56,7 @@ class ChainComplex:
                     f"boundary at degree {i} needs {len(self.bases[i])} columns "
                     f"with rows below {below}"
                 )
+        self.check_boundary_squared()
 
     @property
     def top_degree(self) -> int:

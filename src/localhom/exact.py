@@ -102,9 +102,9 @@ def multiply(a: IntegerMatrix, b: IntegerMatrix) -> IntegerMatrix:
         raise DimensionMismatchError(
             f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}"
         )
-    bt = b.transpose().entries
+    columns = list(zip(*b.entries)) if b.rows else [()] * b.cols
     out = [
-        [sum(x * y for x, y in zip(row, col)) for col in bt] for row in a.entries
+        [sum(x * y for x, y in zip(row, col)) for col in columns] for row in a.entries
     ]
     return IntegerMatrix(a.rows, b.cols, out)
 

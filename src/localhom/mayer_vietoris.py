@@ -36,6 +36,7 @@ cycles and maps, are those of the pair read on its own.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 from .chains import chain_boundary, quotient_chain_complex
@@ -75,13 +76,16 @@ def _times(rows, chain: dict, size: int) -> list:
     return [sum(row[i] * c for i, c in chain.items()) for row in rows]
 
 
+_Degree = namedtuple("_Degree", "cycles size r to_cycles r_b to_generators")
+
+
 class _PairHomology:
     """Free homology bases of the pair ``(ambient, sub)`` of cell sets of ``k``.
 
     The chains are those of ``ambient - sub`` (``ambient`` None is all of
-    ``k``), keyed by ``k``'s index tuples.  The quotient is checked for
-    ``∂∘∂ = 0`` and reduced once with ``exact.chain_reducer``, and each
-    degree's basis is read off Smith normal forms over its critical cells.
+    ``k``), keyed by ``k``'s index tuples.  The quotient (checked for
+    ``∂∘∂ = 0`` when built) is reduced once with ``exact.chain_reducer``, and
+    each degree's basis is read off Smith normal forms over its critical cells.
     With ``u·D_n·v = d`` of rank ``r`` for the Morse boundary out of degree
     n, the columns of ``v`` from ``r`` on are a basis of the Morse cycles,
     and ``v⁻¹`` gives a cycle's coordinates in it, zero before ``r``.  The
@@ -89,35 +93,25 @@ class _PairHomology:
     with ``u_B·B·v_B = d_B`` of rank ``r_B``, the columns of ``v[:, r:]·u_B⁻¹``
     generate the homology and ``u_B`` gives a cycle's coordinates in them.
     Those from ``r_B`` on are free; the others are boundaries or torsion.
-    A zero boundary is not reduced: its transforms are identities.  Each
-    free generator is lifted once to a cycle of the pair, and a cycle of
-    the pair is expressed by flowing it onto the Morse complex and
-    applying ``v⁻¹`` and ``u_B``.
+    A zero boundary is not reduced: its transforms are identities (None).
+    Each degree is worked out once into a ``_Degree`` record in ``_degrees``:
+    its free generators lifted to cycles of the pair, and the ``v⁻¹`` and
+    ``u_B`` that ``express`` applies to a cycle flowed onto the Morse complex.
     """
 
     def __init__(self, k: SimplicialComplex, ambient, sub):
         self.k = k
         self.sub = sub
         self.cc = quotient_chain_complex(k, sub, ambient)
-        self.cc.check_boundary_squared()
         reduction = chain_reducer(self.cc.boundaries)()
         self._critical, self._morse, _, _ = reduction
         self._maps = MorseMaps(self.cc.boundaries, reduction)
-        self._cycles: dict = {}
-        self._coordinates: dict = {}
+        self._degrees: dict[int, _Degree] = {}
 
-    def cycles(self, n: int) -> list:
-        """Chosen free homology basis at degree n, as relative cycles keyed by simplices."""
-        if n not in self._cycles:
-            basis = self.cc.basis(n)
-            self._cycles[n] = [
-                {basis[i]: c for i, c in self._maps.lift(n, z).items()}
-                for z in self._generators(n)
-            ]
-        return self._cycles[n]
-
-    def _generators(self, n: int) -> list:
-        """The free generators of degree n as Morse cycles; keeps the coordinate transforms."""
+    def degree(self, n: int) -> _Degree:
+        """The record of degree n, worked out on first use."""
+        if n in self._degrees:
+            return self._degrees[n]
         critical, morse = self._critical, self._morse
         inside = 0 <= n < len(critical)
         size = len(critical[n]) if inside else 0
@@ -127,18 +121,22 @@ class _PairHomology:
         up = morse[n + 1] if inside and n + 1 < len(morse) else ()
         b = _smith([dict(enumerate(_times(to_cycles, col, size)[r:])) for col in up], size - r)
         r_b = b.rank if b else 0
-        self._coordinates[n] = (size, r, to_cycles, r_b, b.u.entries if b else None)
         from_cycles = d.v.entries if d else None
         from_generators = unimodular_inverse(b.u).entries if b else None
-        generators = []
+        basis, cycles = self.cc.basis(n), []
         for j in range(r_b, size - r):
             g = _times(from_generators, {j: 1}, size - r)  # column j of u_B⁻¹
             z = _times(from_cycles, {r + i: x for i, x in enumerate(g)}, size)
-            generators.append(dict(enumerate(z)))
-        return generators
+            cycles.append({basis[i]: c for i, c in self._maps.lift(n, dict(enumerate(z))).items()})
+        self._degrees[n] = _Degree(cycles, size, r, to_cycles, r_b, b.u.entries if b else None)
+        return self._degrees[n]
+
+    def cycles(self, n: int) -> list:
+        """Chosen free homology basis at degree n, as relative cycles keyed by simplices."""
+        return self.degree(n).cycles
 
     def rank(self, n: int) -> int:
-        return len(self.cycles(n))
+        return len(self.degree(n).cycles)
 
     def express(self, n: int, chain: dict) -> list:
         """Coordinates of a relative cycle in the degree-n homology basis.
@@ -163,8 +161,7 @@ class _PairHomology:
                 boundary[r] = boundary.get(r, 0) + coeff * value
         if any(boundary.values()):
             raise InclusionError("chain is not a cycle of the pair")
-        self.cycles(n)
-        size, r, to_cycles, r_b, to_generators = self._coordinates[n]
+        _, size, r, to_cycles, r_b, to_generators = self.degree(n)
         y = _times(to_cycles, self._maps.flow(n, cells), size)
         if any(y[:r]):
             raise RuntimeError(f"a cycle flowed off the Morse cycles in degree {n}")

@@ -94,6 +94,13 @@ def test_multiply_dimension_mismatch():
         multiply(a, a)
 
 
+def test_multiply_through_an_empty_middle_keeps_the_outer_shape():
+    # With no rows, b still has b.cols (empty) columns, so the product has them too.
+    zeros = IntegerMatrix.zeros
+    assert multiply(zeros(2, 0), zeros(0, 3)) == zeros(2, 3)
+    assert multiply(zeros(0, 2), zeros(2, 0)) == zeros(0, 0)
+
+
 def test_rank_of_diagonal():
     assert _rank(2, [{0: 2}, {}]) == 1  # diag(2, 0)
 

@@ -327,8 +327,8 @@ def test_pinned_maps_of_rp2_as_a_moebius_band_and_a_disk():
     }
     total = _pair_homology(SubcomplexPair(rp2, SimplicialComplex.empty()))
     assert total.rank(1) == 0
-    size, r, _, r_b, to_generators = total._coordinates[1]
-    assert (size, r, r_b) == (1, 0, 1) and to_generators is not None
+    record = total.degree(1)
+    assert (record.size, record.r, record.r_b) == (1, 0, 1) and record.to_generators is not None
 
 
 def test_express_rejects_a_chain_that_is_not_a_cycle():
@@ -408,8 +408,8 @@ def test_grid_torus_halves_hold_echelons_over_critical_cells_only(monkeypatch):
         assert node.dim == expected[node.node].get(node.degree, 0)
     assert len(made) == 4
     for pair in made:
-        assert pair._coordinates
-        for n, (size, r, to_cycles, _, to_generators) in pair._coordinates.items():
+        assert pair._degrees
+        for n, (_, size, r, to_cycles, _, to_generators) in pair._degrees.items():
             critical = pair._critical[n] if 0 <= n < len(pair._critical) else ()
             assert size == len(critical), (n, size, len(critical))
             assert to_cycles is None or len(to_cycles) == size

@@ -14,6 +14,7 @@ from localhom import (
     vertex_verdict,
     wedge,
 )
+from localhom.catalog import CLOSED_SURFACES
 from localhom.errors import UnknownVertexError
 from localhom.homology import HomologyGroup
 from localhom.probe import (
@@ -24,8 +25,6 @@ from localhom.probe import (
     NOT_A_MANIFOLD,
     NOT_LOCALLY_EUCLIDEAN,
 )
-
-CLOSED_SURFACES = ["sphere(2)", "octahedron", "torus7", "rp2_6", "klein8"]
 
 
 def test_octahedron_vertex_is_interior():

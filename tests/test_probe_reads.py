@@ -23,6 +23,7 @@ from localhom import (
     vertex_verdict,
 )
 from localhom.chains import ChainComplex
+from localhom.cli import main
 from localhom.homology import open_stars
 from localhom.probe import NOT_LOCALLY_EUCLIDEAN
 from test_link_route import complexes, facet_lists, few
@@ -149,7 +150,9 @@ def test_fixed_flags_and_dimensions():
     assert vertex_verdict(FIXED[2], "d").dimension == 1
 
 
-def test_report_builds_one_chain_complex_and_no_facet_index(monkeypatch):
+@pytest.fixture
+def counts(monkeypatch):
+    """Chain complexes built and ∂∘∂ = 0 passes run, counted from here on."""
     counts = {"build": 0, "check": 0}
     post_init = ChainComplex.__post_init__
     check = ChainComplex.check_boundary_squared
@@ -164,6 +167,10 @@ def test_report_builds_one_chain_complex_and_no_facet_index(monkeypatch):
 
     monkeypatch.setattr(ChainComplex, "__post_init__", counted_post_init)
     monkeypatch.setattr(ChainComplex, "check_boundary_squared", counted_check)
+    return counts
+
+
+def test_report_builds_one_chain_complex_and_no_facet_index(counts):
     k = parse_complex("a b c\na b d\na c d\nb c d\nd e")
     report = obstruction_report(k)
     assert counts == {"build": 1, "check": 1}
@@ -171,6 +178,25 @@ def test_report_builds_one_chain_complex_and_no_facet_index(monkeypatch):
     assert report.flags.as_tuple() == (False, True, True)
     k.facets()
     assert "_facets" in k.__dict__
+
+
+def test_each_command_checks_each_chain_complex_it_builds_once(counts, tmp_path, capsys):
+    for name, text in (("k", "a b c\nb c d\n"), ("a", "a b c\n"), ("b", "b c d\n")):
+        (tmp_path / f"{name}.scx").write_text(text)
+    files = [str(tmp_path / f"{name}.scx") for name in "kab"]
+    commands = [
+        (["homology", "--builtin", "torus7"], 1),
+        (["homology", "--builtin", "torus7", "--reduced"], 1),
+        (["check", "--builtin", "klein8"], 1),
+        (["local", "--builtin", "octahedron", "--vertex", "1"], 1),
+        (["local", "--builtin", "octahedron", "--vertices", "1,6"], 1),
+        (["mv", "--in", files[0], "--a", files[1], "--b", files[2]], 4),
+    ]
+    for argv, builds in commands:
+        counts.update(build=0, check=0)
+        assert main([*argv, "--json"]) == 0, argv
+        assert counts == {"build": builds, "check": builds}, argv
+    capsys.readouterr()
 
 
 def test_the_homology_name_is_the_function_and_the_module_is_imported():
