@@ -2,10 +2,15 @@
 
 Subcommands: ``homology``, ``local``, ``construct``, ``check``, ``mv``,
 and ``verify-paper``, one entry each in ``SUBCOMMANDS``.  Inputs are
-facet-list files (``.scx``) or named builtin complexes; output is a stable
-text rendering or, with ``--json``, a machine-readable document.  Exit
-status 0 on success, 1 on domain errors (bad file, unknown vertex, failed
-verification), 2 on usage errors.
+facet-list files (``.scx``) or named builtin complexes.  Exit status 0 on
+success, 1 on domain errors (bad file, unknown vertex, failed
+verification, a failed write), 2 on usage errors.
+
+A command returns its exit code, its JSON payload (``None`` for
+``construct``) and its text lines, and writes nothing to stdout.  ``main``
+alone writes stdout: the payload as sorted, indented JSON under ``--json``,
+the lines otherwise.  So text and ``--json`` are two renderings of one
+result, and a failed write is a domain error like any other.
 
 A command whose first argument names a subcommand is parsed by that
 subcommand's parser alone.  Every other argument list, and a command that
@@ -23,6 +28,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from .catalog import builtin, builtin_names
 from .complexes import SimplicialComplex
@@ -37,67 +43,52 @@ from .homology import (
 from .scx import read_complex, write_complex
 
 
-def _emit(text: str) -> None:
-    sys.stdout.write(text if text.endswith("\n") else text + "\n")
-
-
-def _emit_json(payload) -> None:
-    _emit(json.dumps(payload, indent=2, sort_keys=True))
-
-
 def _add_input_flags(parser):
     group = parser.add_mutually_exclusive_group(required=True)
     group.add_argument("--builtin", metavar="NAME", help="named complex")
     group.add_argument("--in", dest="in_path", metavar="PATH", help="facet-list file")
 
 
+def _read(name: str | None, path: str | None) -> SimplicialComplex:
+    """The builtin complex ``name`` or, without one, the one in the file at ``path``."""
+    return builtin(name) if name is not None else read_complex(path)
+
+
 def _load_input(args) -> tuple[str, SimplicialComplex]:
-    if args.builtin is not None:
-        return args.builtin, builtin(args.builtin)
-    return args.in_path, read_complex(args.in_path)
+    source = args.builtin if args.builtin is not None else args.in_path
+    return source, _read(args.builtin, args.in_path)
 
 
-def _homology_payload(source: str, summary: HomologySummary) -> dict:
+def _homology_payload(source: str, summary: HomologySummary, **subject) -> dict:
     return {
         "complex": source,
         "reduced": summary.reduced,
         "euler_characteristic": summary.euler_characteristic,
         "groups": summary.records(),
+        **subject,
     }
 
 
-def cmd_homology(args) -> int:
+def cmd_homology(args) -> tuple[int, dict | None, list[str]]:
     source, k = _load_input(args)
     summary = homology_of_complex(k, reduced=args.reduced)
-    if args.json:
-        _emit_json(_homology_payload(source, summary))
-        return 0
-    for line in summary.lines():
-        _emit(line)
-    _emit(f"chi = {summary.euler_characteristic}")
-    return 0
+    lines = [*summary.lines(), f"chi = {summary.euler_characteristic}"]
+    return 0, _homology_payload(source, summary), lines
 
 
-def cmd_local(args) -> int:
+def cmd_local(args) -> tuple[int, dict | None, list[str]]:
     source, k = _load_input(args)
     if args.vertex is not None:
         summary = local_homology(k, args.vertex)
-        subject = {"vertex": args.vertex}
+        payload = _homology_payload(source, summary, vertex=args.vertex)
     else:
         labels = [tok for tok in args.vertices.split(",") if tok]
         summary = local_homology_multi(k, labels)
-        subject = {"vertices": labels}
-    if args.json:
-        payload = _homology_payload(source, summary)
-        payload.update(subject)
-        _emit_json(payload)
-        return 0
-    for line in summary.lines():
-        _emit(line)
-    return 0
+        payload = _homology_payload(source, summary, vertices=labels)
+    return 0, payload, summary.lines()
 
 
-def cmd_construct(args) -> int:
+def cmd_construct(args) -> tuple[int, dict | None, list[str]]:
     # What ``--kind`` needs is checked before any input is read.
     has_second = args.builtin2 is not None or args.in2 is not None
     missing = None
@@ -109,14 +100,10 @@ def cmd_construct(args) -> int:
         missing = "--kind union requires --in2 or --builtin2"
     if missing is not None:
         sys.stderr.write(f"construct: {missing}\n")
-        return 2
+        return 2, None, []
 
     _, primary = _load_input(args)
-    secondary = None
-    if args.builtin2 is not None:
-        secondary = builtin(args.builtin2)
-    elif args.in2 is not None:
-        secondary = read_complex(args.in2)
+    secondary = _read(args.builtin2, args.in2) if has_second else None
     if args.kind == "cone":
         result = cone(primary, args.apex)
     elif args.kind == "wedge":
@@ -126,72 +113,41 @@ def cmd_construct(args) -> int:
     else:  # prism
         result = prism_product(primary).ambient
     write_complex(args.out, result)
-    _emit(f"wrote {args.out}")
-    return 0
+    return 0, None, [f"wrote {args.out}"]
 
 
-def cmd_check(args) -> int:
+def cmd_check(args) -> tuple[int, dict | None, list[str]]:
     from .probe import obstruction_report
 
     source, k = _load_input(args)
     report = obstruction_report(k)
-    if args.json:
-        payload = report.records()
-        payload["complex"] = source
-        _emit_json(payload)
-        return 0
-    for line in report.lines():
-        _emit(line)
-    return 0
+    return 0, {**report.records(), "complex": source}, report.lines()
 
 
-def cmd_mv(args) -> int:
+def cmd_mv(args) -> tuple[int, dict | None, list[str]]:
     from .mayer_vietoris import MvDecomposition, mv_exactness_check
 
     k = read_complex(args.in_path)
     a = read_complex(args.a)
     b = read_complex(args.b)
-    c = read_complex(args.c) if args.c else None
-    d = read_complex(args.d) if args.d else None
+    c = read_complex(args.c) if args.c is not None else None
+    d = read_complex(args.d) if args.d is not None else None
     decomposition = MvDecomposition(k, a, b, c, d)
     max_degree = args.max_degree if args.max_degree is not None else k.dim + 1
     report = mv_exactness_check(decomposition, max_degree)
-    if args.json:
-        _emit_json(report.records())
-        return 0
-    for line in report.lines():
-        _emit(line)
-    return 0
+    return 0, report.records(), report.lines()
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[int, dict | None, list[str]]:
     from .verification import run_checks
 
     results = run_checks(args.only)
-    failed = [r for r in results if not r.passed]
-    if args.json:
-        _emit_json(
-            {
-                "passed": not failed,
-                "checks": [
-                    {
-                        "id": r.check_id,
-                        "aliases": list(r.aliases),
-                        "description": r.description,
-                        "passed": r.passed,
-                        "details": r.details,
-                    }
-                    for r in results
-                ],
-            }
-        )
-        return 1 if failed else 0
-    width = max(len(r.check_id) for r in results)
-    for r in results:
-        status = "PASS" if r.passed else "FAIL"
-        _emit(f"{status}  {r.check_id:<{width}}  {r.details}")
-    _emit(f"{len(results) - len(failed)}/{len(results)} checks passed")
-    return 1 if failed else 0
+    passed = sum(r.passed for r in results)
+    code = 0 if passed == len(results) else 1
+    payload = {"passed": not code, "checks": [asdict(r) for r in results]}
+    width = max(len(r.id) for r in results)
+    lines = [f"{'PASS' if r.passed else 'FAIL'}  {r.id:<{width}}  {r.details}" for r in results]
+    return code, payload, [*lines, f"{passed}/{len(results)} checks passed"]
 
 
 def _homology_arguments(p) -> None:
@@ -317,7 +273,12 @@ def parse_command(argv: list[str]) -> argparse.Namespace:
 def main(argv=None) -> int:
     args = parse_command(sys.argv[1:] if argv is None else list(argv))
     try:
-        return args.func(args)
+        code, payload, lines = args.func(args)
+        if getattr(args, "json", False):
+            lines = [json.dumps(payload, indent=2, sort_keys=True)]
+        if lines:  # even an empty write fails on a full device
+            sys.stdout.write("".join(f"{line}\n" for line in lines))
+        return code
     except (LocalhomError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

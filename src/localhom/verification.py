@@ -67,7 +67,7 @@ WEDGE_SURFACES = ("octahedron", "torus7", "rp2_6")
 
 @dataclass(frozen=True)
 class CheckResult:
-    check_id: str
+    id: str
     aliases: tuple
     description: str
     passed: bool

@@ -393,6 +393,19 @@ def test_mv_negative_max_degree_is_a_domain_error(capsys, tmp_path):
     assert err == "error: max degree must be at least 0, got -3\n"
 
 
+@pytest.mark.parametrize("flag", ["--c", "--d"])
+def test_mv_empty_optional_piece_path_is_a_domain_error(capsys, tmp_path, flag):
+    for name, text in {"k": "a b c\nb c d\n", "a": "a b c\n", "b": "b c d\n"}.items():
+        (tmp_path / f"{name}.scx").write_text(text, encoding="utf-8")
+    code, out, err = run(
+        capsys,
+        "mv", "--in", str(tmp_path / "k.scx"), "--a", str(tmp_path / "a.scx"),
+        "--b", str(tmp_path / "b.scx"), flag, "",
+    )
+    assert code == 1 and out == ""
+    assert err == "error: [Errno 2] No such file or directory: ''\n"
+
+
 @pytest.mark.parametrize("piece", ["a", "b", "d"])
 def test_mv_piece_with_a_vertex_outside_k_is_a_domain_error(capsys, tmp_path, piece):
     from localhom import parse_complex
@@ -418,6 +431,54 @@ def test_verify_paper_filter_and_exit(capsys):
     assert out.startswith("PASS  wedge-point")
     code, _, err = run(capsys, "verify-paper", "--only", "bogus")
     assert code == 1 and "bogus" in err
+
+
+class _FullStdout:
+    def write(self, text):
+        raise OSError(28, "No space left on device")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["homology", "--builtin", "torus7"],
+        ["homology", "--builtin", "torus7", "--json"],
+        ["verify-paper", "--only", "wedge"],
+    ],
+)
+def test_a_failed_write_to_stdout_is_a_domain_error(monkeypatch, capsys, argv):
+    monkeypatch.setattr(sys, "stdout", _FullStdout())
+    code = main(argv)
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: [Errno 28]")
+
+
+@pytest.fixture
+def forced_wedge_point_failure(monkeypatch):
+    from localhom import verification
+
+    checks = tuple(
+        (check[0], check[1], check[2], lambda: (["forced"], ""))
+        if check[0] == "wedge-point"
+        else check
+        for check in verification.ALL_CHECKS
+    )
+    monkeypatch.setattr(verification, "ALL_CHECKS", checks)
+
+
+def test_verify_paper_reports_a_failing_check(capsys, forced_wedge_point_failure):
+    code, out, _ = run(capsys, "verify-paper", "--only", "wedge-point")
+    assert code == 1
+    assert out == "FAIL  wedge-point  forced\n0/1 checks passed\n"
+
+
+def test_verify_paper_json_reports_a_failing_check(capsys, forced_wedge_point_failure):
+    code, out, _ = run(capsys, "verify-paper", "--only", "wedge-point", "--json")
+    payload = json.loads(out)
+    assert code == 1 and payload["passed"] is False
+    [check] = payload["checks"]
+    assert check["id"] == "wedge-point"
+    assert check["passed"] is False and check["details"] == "forced"
 
 
 def test_byte_identical_output_across_runs(capsys):
