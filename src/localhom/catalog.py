@@ -21,7 +21,7 @@ from itertools import combinations
 from .complexes import SimplicialComplex
 from .constructions import link
 from .errors import BuiltinIntegrityError, UnknownBuiltinError
-from .scx import parse_complex
+from .scx import read_complex
 
 
 def _sphere(n: int) -> SimplicialComplex:
@@ -35,9 +35,7 @@ def _interval() -> SimplicialComplex:
 
 
 def _data_complex(filename: str) -> SimplicialComplex:
-    path = os.path.join(os.path.dirname(__file__), "data", filename)
-    with open(path, encoding="utf-8") as handle:
-        return parse_complex(handle.read())
+    return read_complex(os.path.join(os.path.dirname(__file__), "data", filename))
 
 
 def _is_connected(k: SimplicialComplex) -> bool:

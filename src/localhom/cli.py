@@ -27,7 +27,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from contextlib import suppress
 from dataclasses import asdict
 
 from .catalog import builtin, builtin_names
@@ -277,7 +279,14 @@ def main(argv=None) -> int:
         if getattr(args, "json", False):
             lines = [json.dumps(payload, indent=2, sort_keys=True)]
         if lines:  # even an empty write fails on a full device
-            sys.stdout.write("".join(f"{line}\n" for line in lines))
+            try:
+                sys.stdout.write("".join(f"{line}\n" for line in lines))
+                sys.stdout.flush()  # so a buffered write fails here, not at exit
+            except OSError:
+                # The exit flush retries the pending bytes: send them to the null device.
+                with suppress(AttributeError, OSError), open(os.devnull, "wb") as null:
+                    os.dup2(null.fileno(), sys.stdout.fileno())  # in-memory streams have none
+                raise
         return code
     except (LocalhomError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")

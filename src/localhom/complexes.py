@@ -1,15 +1,17 @@
 """Finite abstract simplicial complexes.
 
 A simplex is a strictly increasing tuple of internal vertex indices; a
-complex stores, per dimension, the set of all its simplices (always closed
-under taking faces).  External vertex names are arbitrary strings; internal
-indices are just the ranks of the sorted label list, so two complexes built
-from the same labelled facets are identical regardless of input order.
+complex stores each dimension's simplices (always closed under taking
+faces) once, as a tuple the face closure sorts as it builds it.  External
+vertex names are arbitrary strings; internal indices are just the ranks of
+the sorted label list, so two complexes built from the same labelled
+facets are identical regardless of input order.
 
 Instances are immutable after construction and safe to share between
 threads; every operation on them returns a new complex.  Derived views
-(sorted simplices, facets, and the index from each vertex to the facets
-containing it) are filled lazily on first use and never go stale.  The
+(the label index, the set of all simplices, the facets, and the index from
+each vertex to the facets containing it) are filled lazily on first use
+and never go stale.  The
 vertex→facet index lets links and stars be built from one vertex's
 facets instead of a scan over every simplex.  Faces are enumerated one
 dimension at a time, in bulk, through ``chain.from_iterable``.
@@ -17,7 +19,7 @@ dimension at a time, in bulk, through ``chain.from_iterable``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations, filterfalse, groupby, repeat
 from typing import Iterable, Iterator
@@ -27,35 +29,34 @@ from .errors import SubcomplexError, UnknownVertexError, VertexIndexError
 Simplex = tuple[int, ...]
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True, repr=False)
 class SimplicialComplex:
     """Vertex labels plus the face-closed simplices of each dimension.
 
-    ``_simplices`` maps each dimension to the frozenset of its simplices
-    (empty dimensions are left out); build instances with the factories.
+    ``_levels[d]`` holds the d-simplices in lexicographic order, and no
+    level is empty; equality and hashing compare labels and levels.  Build
+    instances with the factories.
     """
 
     labels: tuple[str, ...]
-    _simplices: dict[int, frozenset[Simplex]]
-    _sorted: dict[int, tuple[Simplex, ...]] = field(
-        default_factory=dict, init=False, repr=False
-    )
+    _levels: tuple[tuple[Simplex, ...], ...]
 
     # -- factories ---------------------------------------------------------
 
     @classmethod
     def empty(cls) -> "SimplicialComplex":
-        return cls((), {})
+        return cls((), ())
 
     @classmethod
     def _closure(cls, labels, simplices: Iterable[Simplex]) -> "SimplicialComplex":
         """Faces of sorted index simplices over the final label list, top level first."""
         by_size = {r: list(g) for r, g in groupby(sorted(simplices, key=len), len)}
-        levels, cells = {}, ()
+        levels, cells = [], ()
         for r in range(max(by_size, default=0), 0, -1):
             faces = chain.from_iterable(map(combinations, cells, repeat(r)))
-            levels[r - 1] = cells = frozenset(chain(by_size.get(r, ()), faces))
-        return cls(tuple(labels), dict(sorted(levels.items())))
+            cells = tuple(sorted(set(chain(by_size.get(r, ()), faces))))
+            levels.append(cells)
+        return cls(tuple(labels), tuple(reversed(levels)))
 
     @classmethod
     def from_label_facets(cls, facets: Iterable[Iterable[str]]) -> "SimplicialComplex":
@@ -102,34 +103,33 @@ class SimplicialComplex:
     @property
     def dim(self) -> int:
         """Dimension of the complex; -1 for the empty complex."""
-        return max(self._simplices, default=-1)
+        return len(self._levels) - 1
 
     def is_empty(self) -> bool:
-        return not self._simplices
+        return not self._levels
 
     def f_vector(self) -> tuple[int, ...]:
-        return tuple(len(self._simplices.get(d, ())) for d in range(self.dim + 1))
+        return tuple(map(len, self._levels))
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** d * f for d, f in enumerate(self.f_vector()))
 
     def n_simplices(self) -> int:
-        return sum(len(s) for s in self._simplices.values())
+        return sum(map(len, self._levels))
 
     def simplices(self, d: int) -> tuple[Simplex, ...]:
         """All d-simplices, sorted lexicographically."""
-        cached = self._sorted.get(d)
-        if cached is None:
-            cached = tuple(sorted(self._simplices.get(d, ())))
-            self._sorted[d] = cached
-        return cached
+        return self._levels[d] if 0 <= d < len(self._levels) else ()
 
     def all_simplices(self) -> Iterator[Simplex]:
-        for d in range(self.dim + 1):
-            yield from self.simplices(d)
+        return chain.from_iterable(self._levels)
+
+    @cached_property
+    def _simplex_set(self) -> frozenset[Simplex]:
+        return frozenset(chain.from_iterable(self._levels))
 
     def has_simplex(self, s: Simplex) -> bool:
-        return s in self._simplices.get(len(s) - 1, ())
+        return s in self._simplex_set
 
     @cached_property
     def _index(self) -> dict[str, int]:
@@ -158,10 +158,10 @@ class SimplicialComplex:
     @cached_property
     def _facets(self) -> tuple[Simplex, ...]:
         facets = []
-        for d in range(self.dim + 1):
-            above = self._simplices.get(d + 1, ())
+        for d, level in enumerate(self._levels):
+            above = self.simplices(d + 1)
             faces = set(chain.from_iterable(map(combinations, above, repeat(d + 1))))
-            facets += filterfalse(faces.__contains__, self.simplices(d))
+            facets += filterfalse(faces.__contains__, level)
         return tuple(facets)
 
     def facets(self) -> tuple[Simplex, ...]:
@@ -203,16 +203,6 @@ class SimplicialComplex:
         except UnknownVertexError:
             return False
         return all(map(other.has_simplex, simplices))
-
-    # -- equality ----------------------------------------------------------
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SimplicialComplex):
-            return NotImplemented
-        return self.labels == other.labels and self._simplices == other._simplices
-
-    def __hash__(self) -> int:
-        return hash((self.labels, frozenset(self._simplices.items())))
 
     def __repr__(self) -> str:
         return (

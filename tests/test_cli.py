@@ -453,6 +453,23 @@ def test_a_failed_write_to_stdout_is_a_domain_error(monkeypatch, capsys, argv):
     assert capsys.readouterr().err.startswith("error: [Errno 28]")
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize(
+    "argv", [["homology", "--builtin", "torus7"], ["check", "--builtin", "rp2_6", "--json"]]
+)
+def test_a_full_block_buffered_stdout_is_a_domain_error(argv):
+    # Without PYTHONUNBUFFERED the write fails only at the exit flush,
+    # unless main flushes itself.
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
+    with open("/dev/full", "w") as full:
+        done = subprocess.run(
+            [sys.executable, "-m", "localhom", *argv],
+            stdout=full, stderr=subprocess.PIPE, text=True, env=env,
+        )
+    assert (done.returncode, done.stderr) == (1, "error: [Errno 28] No space left on device\n")
+
+
 @pytest.fixture
 def forced_wedge_point_failure(monkeypatch):
     from localhom import verification

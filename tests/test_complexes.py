@@ -238,9 +238,34 @@ def test_complex_is_frozen_after_its_derived_views_are_filled():
     with pytest.raises(AttributeError):
         k.labels = ("x",)
     with pytest.raises(AttributeError):
-        k._simplices = {}
+        k._levels = ()
     assert k.labels == labels and k == builtin("octahedron")
     assert hash(k) == hash(builtin("octahedron"))
+
+
+def test_one_complex_built_three_ways_is_equal_and_hashes_equal():
+    k = builtin("torus7")
+    shuffled = [tuple(reversed(f)) for f in reversed(k.label_facets())]
+    ways = [
+        SimplicialComplex.from_label_facets(shuffled),
+        SimplicialComplex.from_index_simplices(k.labels, k.facets()),
+        full_subcomplex(k, k.labels),
+    ]
+    for other in ways:
+        assert other == k and hash(other) == hash(k)
+        assert other.simplices(1) == k.simplices(1)
+    assert SimplicialComplex.from_index_simplices(k.labels, k.facets()[:-1]) != k
+    assert relabel(k, {lab: f"v{lab}" for lab in k.labels}) != k
+
+
+def test_has_simplex_and_simplices_off_the_ends():
+    k = builtin("octahedron")
+    assert not k.has_simplex(())
+    assert not k.has_simplex((0, 1, 2, 3))  # above dim
+    assert not k.has_simplex((0, 5))  # antipodal vertices 1 and 6 share no edge
+    assert k.has_simplex((0, 1)) and k.has_simplex((0, 1, 2))
+    assert k.simplices(-1) == () and k.simplices(k.dim + 1) == ()
+    assert list(k.all_simplices()) == [s for d in range(k.dim + 1) for s in k.simplices(d)]
 
 
 def test_relabel_identity_and_swap():
@@ -350,6 +375,28 @@ def test_rp2_every_edge_in_two_triangles():
 def test_unknown_builtin():
     with pytest.raises(UnknownBuiltinError):
         builtin("dodecahedron")
+
+
+def _catalog_beside(monkeypatch, tmp_path, data: bytes) -> None:
+    """Point the catalog's data directory at a torus7.scx holding ``data``."""
+    import localhom.catalog
+
+    (tmp_path / "data").mkdir()
+    (tmp_path / "data" / "torus7.scx").write_bytes(data)
+    monkeypatch.setattr(localhom.catalog, "__file__", str(tmp_path / "catalog.py"))
+
+
+def test_builtin_data_file_skips_a_byte_order_mark(monkeypatch, tmp_path):
+    shipped = builtin("torus7")
+    _catalog_beside(monkeypatch, tmp_path, b"\xef\xbb\xbf" + to_scx(shipped).encode())
+    assert builtin("torus7") == shipped
+
+
+def test_builtin_data_file_with_a_bad_byte_names_its_line(monkeypatch, tmp_path):
+    text = to_scx(builtin("torus7")).encode()
+    _catalog_beside(monkeypatch, tmp_path, text + b"\xff")
+    with pytest.raises(MalformedFacetError, match=r"line 15: byte 0xff of .*torus7\.scx"):
+        builtin("torus7")
 
 
 def test_corrupted_builtin_fails_self_check():
