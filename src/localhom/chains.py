@@ -3,25 +3,26 @@
 Bases are the simplices of each degree in lexicographic order of their
 vertex index lists; orientation comes from the increasing vertex order, so
 the boundary of a simplex alternates signs over its vertex-deleted faces.
-Each boundary is stored once, as sparse ``{row: ±1}`` columns built from
-the simplex index; no dense matrix is built.  The columns are shared,
-never edited: homology reduces the complex to its discrete Morse complex
-by marking cells dead and writes the critical cells' Morse boundaries as
-new columns.  ``chain_boundary`` applies the same signs to a chain keyed
-by simplices.  Every chain complex starts at degree 0 and is built by
-one constructor from its bases; ``homology`` adjoins the augmentation
-cell itself, as reducer input, for reduced homology.  A quotient complex
-takes its basis from sets of a complex's simplices, so the pieces of a
-cover share one numbering.  The open-star complex is the quotient by the simplices that
-miss a vertex set, the one complex local homology is read from (over
-every vertex, the whole chain complex).  Building a chain complex runs the
-range check once per degree, over all its rows, and then ∂∘∂ = 0.
+Each boundary is stored once, as sparse ``{row: ±1}`` columns read in one
+bulk sweep over a level's faces, never as a dense matrix.  The columns are
+shared, never edited: homology reduces the complex to its discrete Morse
+complex by marking cells dead and writes the critical cells' Morse
+boundaries as new columns.  ``chain_boundary`` applies the same signs to a
+chain keyed by simplices.  Every chain complex starts at degree 0 and is
+built by one constructor from its bases; ``homology`` adjoins the
+augmentation cell itself, as reducer input, for reduced homology.  A
+quotient complex takes its basis from sets of a complex's simplices, so
+the pieces of a cover share one numbering.  The open-star complex is the
+quotient by the simplices that miss a vertex set, the one complex local
+homology is read from (over every vertex, the whole chain complex).
+Building a chain complex runs the range check once per degree, over all
+its rows, and then ∂∘∂ = 0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations, filterfalse
+from itertools import chain, combinations, count, filterfalse, repeat
 
 from .complexes import SimplicialComplex, SubcomplexPair, Simplex
 from .errors import ChainComplexError
@@ -93,16 +94,20 @@ class ChainComplex:
 
 def _boundary_columns(rows: tuple[Simplex, ...], cols: tuple[Simplex, ...]) -> list[dict]:
     """Alternating-sign boundary columns; faces absent from ``rows`` contribute zero."""
-    row_pos = {s: i for i, s in enumerate(rows)}
-    columns = []
-    for s in cols:
-        col = {}
-        for drop in range(len(s)):
-            i = row_pos.get(s[:drop] + s[drop + 1 :])
-            if i is not None:
-                col[i] = -1 if drop % 2 else 1
-        columns.append(col)
-    return columns
+    if not rows:
+        return [{} for _ in cols]
+    n = len(rows[0]) + 1
+    row_pos = dict(zip(rows, count()))
+    found = list(map(row_pos.get, chain.from_iterable(map(combinations, cols, repeat(n - 1)))))
+    # combinations drops the last vertex first.  Read backwards, each column lists
+    # vertex 0's face first, rows descending: the reducer's queue follows that order.
+    found.reverse()
+    signs = [(-1) ** drop for drop in range(n)]
+    columns = list(map(dict, map(zip, zip(*[iter(found)] * n), repeat(signs))))
+    if None in found:
+        for col in columns:
+            col.pop(None, None)
+    return columns[::-1]
 
 
 def _complex(bases: list[tuple[Simplex, ...]]) -> ChainComplex:

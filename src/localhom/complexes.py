@@ -7,19 +7,17 @@ vertex names are arbitrary strings; internal indices are just the ranks of
 the sorted label list, so two complexes built from the same labelled
 facets are identical regardless of input order.
 
-Instances are immutable after construction and safe to share between
-threads; every operation on them returns a new complex.  Derived views
-(the label index, the set of all simplices, the facets, and the index from
-each vertex to the facets containing it) are filled lazily on first use
-and never go stale.  The
-vertex→facet index lets links and stars be built from one vertex's
-facets instead of a scan over every simplex.  Faces are enumerated one
-dimension at a time, in bulk, through ``chain.from_iterable``.
+Instances are immutable and safe to share between threads; every
+operation on them returns a new complex.  Faces are enumerated once, one
+dimension at a time, in bulk, by the closure, which also records the
+facets: the given simplices that are no face of the level above.  The label
+index, the set of all simplices and the vertex→facet index (links and
+stars read one vertex's facets, not every simplex) are filled lazily.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, combinations, filterfalse, groupby, repeat
 from typing import Iterable, Iterator
@@ -33,30 +31,36 @@ Simplex = tuple[int, ...]
 class SimplicialComplex:
     """Vertex labels plus the face-closed simplices of each dimension.
 
-    ``_levels[d]`` holds the d-simplices in lexicographic order, and no
-    level is empty; equality and hashing compare labels and levels.  Build
-    instances with the factories.
+    ``_levels[d]`` holds the d-simplices in lexicographic order, no level
+    is empty, and ``_facets`` is ``facets()``; equality and hashing compare
+    labels and levels.  Build instances with the factories.
     """
 
     labels: tuple[str, ...]
     _levels: tuple[tuple[Simplex, ...], ...]
+    _facets: tuple[Simplex, ...] = field(compare=False)
 
     # -- factories ---------------------------------------------------------
 
     @classmethod
     def empty(cls) -> "SimplicialComplex":
-        return cls((), ())
+        return cls((), (), ())
 
     @classmethod
     def _closure(cls, labels, simplices: Iterable[Simplex]) -> "SimplicialComplex":
         """Faces of sorted index simplices over the final label list, top level first."""
         by_size = {r: list(g) for r, g in groupby(sorted(simplices, key=len), len)}
-        levels, cells = [], ()
-        for r in range(max(by_size, default=0), 0, -1):
-            faces = chain.from_iterable(map(combinations, cells, repeat(r)))
-            cells = tuple(sorted(set(chain(by_size.get(r, ()), faces))))
+        top = max(by_size, default=0)
+        facets = cells = tuple(sorted(set(by_size.get(top, ()))))
+        levels = [cells] if cells else []
+        for r in range(top - 1, 0, -1):
+            faces = set(chain.from_iterable(map(combinations, cells, repeat(r))))
+            given = by_size.get(r)
+            cells = tuple(sorted(faces.union(given) if given else faces))
             levels.append(cells)
-        return cls(tuple(labels), tuple(reversed(levels)))
+            if given:
+                facets = tuple(filterfalse(faces.__contains__, cells)) + facets
+        return cls(tuple(labels), tuple(reversed(levels)), facets)
 
     @classmethod
     def from_label_facets(cls, facets: Iterable[Iterable[str]]) -> "SimplicialComplex":
@@ -154,15 +158,6 @@ class SimplicialComplex:
         except KeyError:
             return False
         return self.has_simplex(idx)
-
-    @cached_property
-    def _facets(self) -> tuple[Simplex, ...]:
-        facets = []
-        for d, level in enumerate(self._levels):
-            above = self.simplices(d + 1)
-            faces = set(chain.from_iterable(map(combinations, above, repeat(d + 1))))
-            facets += filterfalse(faces.__contains__, level)
-        return tuple(facets)
 
     def facets(self) -> tuple[Simplex, ...]:
         """Maximal simplices, sorted by (dimension, lexicographic order)."""

@@ -10,8 +10,10 @@ universal-coefficient bookkeeping
 ``b_k(F2) = b_k(Q) + t_k + t_{k-1}`` with ``t_k`` the number of even
 invariant factors in degree k.  ``group_direct_sum`` renormalizes a sum of
 groups to invariant factors through their prime-power parts, for the
-additivity checks.  None of it touches the package's Smith normal form
-path; only the ``HomologyGroup`` value type is shared.
+additivity checks.  ``naive_facets`` finds a complex's maximal simplices
+by comparing every pair of its simplices.  None of it touches the
+package's Smith normal form path; only the ``HomologyGroup`` value type is
+shared.
 """
 
 from fractions import Fraction
@@ -28,6 +30,12 @@ def closure(facets):
         for r in range(1, len(verts) + 1):
             simplices.update(combinations(verts, r))
     return simplices
+
+
+def naive_facets(k) -> list:
+    """Maximal simplices of a complex by a scan over every pair, in ``facets()`` order."""
+    cells = list(k.all_simplices())
+    return [s for s in cells if not any(set(s) < set(t) for t in cells)]
 
 
 def boundary_matrices(facets):

@@ -3,6 +3,7 @@
 import dataclasses
 
 import pytest
+from hypothesis import given, strategies as st
 
 from localhom import (
     SimplicialComplex,
@@ -25,6 +26,7 @@ from localhom.chains import (
 )
 from localhom.errors import ChainComplexError
 from localhom.homology import homology
+from test_link_route import complexes, few
 
 
 def augmented(k: SimplicialComplex) -> ChainComplex:
@@ -226,3 +228,43 @@ def test_augmented_complex_shapes():
     for k in (*_corpus(), SimplicialComplex.empty()):
         reduced = homology(chain_complex(k), reduced=True)
         assert shifted_down(homology(augmented(k)).nonzero()) == reduced.nonzero()
+
+
+def per_face_columns(rows, cols) -> list[dict]:
+    """The per-face build: one slice and one lookup per face, vertex 0 dropped first."""
+    row_pos = {s: i for i, s in enumerate(rows)}
+    columns = []
+    for s in cols:
+        col = {}
+        for drop in range(len(s)):
+            i = row_pos.get(s[:drop] + s[drop + 1 :])
+            if i is not None:
+                col[i] = -1 if drop % 2 else 1
+        columns.append(col)
+    return columns
+
+
+def assert_columns_match_the_per_face_build(c: ChainComplex):
+    # Insertion order is compared too: the reducer's queue follows it.
+    for i, basis in enumerate(c.bases):
+        expected = per_face_columns(c.bases[i - 1] if i else (), basis)
+        assert [list(col.items()) for col in c.boundaries[i]] == [
+            list(col.items()) for col in expected
+        ]
+
+
+@few
+@given(complexes, st.data())
+def test_bulk_columns_match_the_per_face_build_entry_for_entry(k, data):
+    assert_columns_match_the_per_face_build(chain_complex(k))
+
+    def closed(facets) -> set:
+        return set(SimplicialComplex.from_index_simplices(k.labels, facets).simplices_in(k))
+
+    some = data.draw(st.lists(st.sampled_from(k.facets()), unique=True))
+    fewer = data.draw(st.lists(st.sampled_from(some), unique=True)) if some else []
+    ambient, sub = closed(some), closed(fewer)
+    assert_columns_match_the_per_face_build(quotient_chain_complex(k, sub))
+    assert_columns_match_the_per_face_build(quotient_chain_complex(k, sub, ambient))
+    vertices = data.draw(st.sets(st.sampled_from(range(k.n_vertices)), min_size=1))
+    assert_columns_match_the_per_face_build(open_star_chain_complex(k, vertices))

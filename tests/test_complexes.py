@@ -3,6 +3,7 @@
 from itertools import combinations
 
 import pytest
+from hypothesis import given, strategies as st
 
 from localhom import (
     SimplicialComplex,
@@ -37,6 +38,8 @@ from localhom.errors import (
 )
 from localhom.complexes import SubcomplexPair
 from localhom.homology import HomologyGroup
+from oracle import naive_facets
+from test_link_route import LABELS, few
 
 OCTAHEDRON_TEXT = """\
 1 2 3
@@ -432,3 +435,51 @@ def test_corrupted_builtin_fails_self_check():
     assert pinched.f_vector() == (8, 24, 16)
     with pytest.raises(BuiltinIntegrityError, match="link of vertex '4' is disconnected"):
         verify_builtin("klein8", pinched)
+
+
+@st.composite
+def facet_lists_with_extras(draw):
+    """Facet lists with repeats, some of their own faces and isolated vertices, shuffled."""
+    facets = draw(st.lists(st.sets(st.sampled_from(LABELS), min_size=1, max_size=4), max_size=6))
+    drawn = [tuple(f) for f in facets]
+    for f in facets:
+        drawn += draw(st.lists(st.sets(st.sampled_from(sorted(f)), min_size=1), max_size=2))
+    if drawn:
+        drawn += draw(st.lists(st.sampled_from(drawn), max_size=3))
+    drawn += [(v,) for v in draw(st.sets(st.sampled_from("xyz")))]
+    return draw(st.permutations(drawn))
+
+
+def assert_facets_are_the_maximal_simplices(k):
+    # Ordered by (dimension, lexicographic order), as facets() documents.
+    assert list(k.facets()) == sorted(naive_facets(k), key=lambda s: (len(s), s))
+
+
+@few
+@given(facet_lists_with_extras())
+def test_facets_are_the_maximal_simplices_in_dimension_then_lexicographic_order(facets):
+    k = SimplicialComplex.from_label_facets(facets)
+    assert_facets_are_the_maximal_simplices(k)
+    maximal = [tuple(reversed(f)) for f in reversed(k.label_facets())]
+    for other in (
+        SimplicialComplex.from_label_facets(maximal),
+        SimplicialComplex.from_index_simplices(k.labels, list(k.all_simplices())),
+    ):
+        assert other == k and hash(other) == hash(k)
+        assert other.facets() == k.facets()
+
+
+@few
+@given(facet_lists_with_extras())
+def test_facets_of_complexes_closed_from_every_simplex(facets):
+    # deleted and full_subcomplex pass every simplex they keep, not only facets.
+    k = SimplicialComplex.from_label_facets(facets)
+    assert_facets_are_the_maximal_simplices(full_subcomplex(k, k.labels[::2]))
+    for v in k.labels:
+        assert_facets_are_the_maximal_simplices(deleted(k, v))
+
+
+def test_the_empty_complex_has_no_facets():
+    for k in (SimplicialComplex.empty(), SimplicialComplex.from_label_facets([])):
+        assert k.facets() == () and k.vertex_facets(0) == ()
+        assert k == SimplicialComplex.empty() and hash(k) == hash(SimplicialComplex.empty())

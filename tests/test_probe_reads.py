@@ -2,7 +2,8 @@
 
 ``obstruction_report`` reads the local groups, each vertex's star
 dimension and the pseudomanifold flags from the one chain complex it
-builds, and the face closure and facet scan enumerate faces in bulk.
+builds, and the face closure enumerates faces in bulk and records the
+facets as it goes.
 The references below are the plain algorithms: every subset of every
 facet for the closure, a maximality scan for the facets, the largest
 facet through a vertex for its star dimension, and the facet list and
@@ -26,6 +27,7 @@ from localhom.chains import ChainComplex
 from localhom.cli import main
 from localhom.homology import open_stars
 from localhom.probe import NOT_LOCALLY_EUCLIDEAN
+from oracle import naive_facets
 from test_link_route import complexes, facet_lists, few
 
 FIXED = [
@@ -43,12 +45,6 @@ def naive_closure(facets) -> dict[int, set]:
         for r in range(1, len(f) + 1):
             by_dim.setdefault(r - 1, set()).update(map(frozenset, combinations(f, r)))
     return by_dim
-
-
-def naive_facets(k) -> list:
-    """Maximal simplices by a scan over every pair, in ``facets()`` order."""
-    cells = list(k.all_simplices())
-    return [s for s in cells if not any(set(s) < set(t) for t in cells)]
 
 
 def reference_star_dimension(k, v) -> int:
@@ -174,10 +170,8 @@ def test_report_builds_one_chain_complex_and_no_facet_index(counts):
     k = parse_complex("a b c\na b d\na c d\nb c d\nd e")
     report = obstruction_report(k)
     assert counts == {"build": 1, "check": 1}
-    assert "_facets" not in k.__dict__ and "_vertex_facets" not in k.__dict__
+    assert "_vertex_facets" not in k.__dict__
     assert report.flags.as_tuple() == (False, True, True)
-    k.facets()
-    assert "_facets" in k.__dict__
 
 
 def test_each_command_checks_each_chain_complex_it_builds_once(counts, tmp_path, capsys):
