@@ -12,10 +12,12 @@ alone writes stdout: the payload as sorted, indented JSON under ``--json``,
 the lines otherwise.  So text and ``--json`` are two renderings of one
 result, and a failed write is a domain error like any other.
 
-A command whose first argument names a subcommand is parsed by that
-subcommand's parser alone.  Every other argument list, and a command that
-leaves arguments over, goes to the full parser, so help, usage errors and
-outputs stay those of the parser with every subcommand.
+``SUBCOMMANDS`` declares each subcommand's options once, as data.  A plain,
+complete command line (a subcommand, then each of its long flags at most
+once, spelled in full, with no value empty or starting with ``-``, and
+every required group given) is read from that table alone, with no
+``argparse``.  Any other line goes to ``build_parser()``, built from the
+same table, so help, abbreviations and usage errors are argparse's own.
 
 Each command imports the modules only it runs when it runs: ``check``
 the probe, ``mv`` Mayer-Vietoris (and its Morse maps), ``verify-paper``
@@ -25,12 +27,12 @@ the verification suite.  A process that runs ``homology``, ``local`` or
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
 from contextlib import suppress
 from dataclasses import asdict
+from types import SimpleNamespace
 
 from .catalog import builtin, builtin_names
 from .complexes import SimplicialComplex
@@ -43,12 +45,6 @@ from .homology import (
     local_homology_multi,
 )
 from .scx import read_complex, write_complex
-
-
-def _add_input_flags(parser):
-    group = parser.add_mutually_exclusive_group(required=True)
-    group.add_argument("--builtin", metavar="NAME", help="named complex")
-    group.add_argument("--in", dest="in_path", metavar="PATH", help="facet-list file")
 
 
 def _read(name: str | None, path: str | None) -> SimplicialComplex:
@@ -152,124 +148,131 @@ def cmd_verify(args) -> tuple[int, dict | None, list[str]]:
     return code, payload, [*lines, f"{passed}/{len(results)} checks passed"]
 
 
-def _homology_arguments(p) -> None:
-    _add_input_flags(p)
-    p.add_argument("--reduced", action="store_true", help="reduced homology")
-    p.add_argument("--json", action="store_true")
+class Option:
+    """One long flag: ``kind`` is ``str``, ``int``, a tuple of choices, or ``bool`` for a switch."""
+
+    __slots__ = ("flag", "kind", "metavar", "help", "dest")
+
+    def __init__(self, flag, kind=str, metavar=None, help=None, dest=None):
+        self.flag, self.kind, self.metavar, self.help = flag, kind, metavar, help
+        self.dest = dest or flag[2:].replace("-", "_")  # as argparse derives it
 
 
-def _local_arguments(p) -> None:
-    _add_input_flags(p)
-    target = p.add_mutually_exclusive_group(required=True)
-    target.add_argument("--vertex", metavar="LABEL")
-    target.add_argument(
-        "--vertices", metavar="L1,L2,...", help="pairwise non-adjacent vertices"
-    )
-    p.add_argument("--json", action="store_true")
-    # Fixed as Python 3.10-3.12 print it at 80 columns (3.13 wraps inside a group).
-    p.usage = (
-        "%(prog)s [-h] (--builtin NAME | --in PATH)\n"
-        "                      (--vertex LABEL | --vertices L1,L2,...) [--json]"
-    )
+_INPUT = (True, Option("--builtin", metavar="NAME", help="named complex"),
+          Option("--in", metavar="PATH", help="facet-list file", dest="in_path"))
+_JSON = (False, Option("--json", bool))
 
-
-def _construct_arguments(p) -> None:
-    p.add_argument(
-        "--kind", required=True, choices=("cone", "wedge", "prism", "union")
-    )
-    _add_input_flags(p)
-    second = p.add_mutually_exclusive_group()
-    second.add_argument("--in2", metavar="PATH", help="second input file")
-    second.add_argument("--builtin2", metavar="NAME", help="second builtin input")
-    p.add_argument("--apex", metavar="LABEL", help="apex label for --kind cone")
-    p.add_argument("--v1", metavar="LABEL", help="wedge base vertex in the first input")
-    p.add_argument("--v2", metavar="LABEL", help="wedge base vertex in the second input")
-    p.add_argument("--out", required=True, metavar="PATH")
-    # Fixed as Python 3.10-3.12 print it at 80 columns (3.13 wraps inside a group).
-    p.usage = (
-        "%(prog)s [-h] --kind {cone,wedge,prism,union}\n"
-        "                          (--builtin NAME | --in PATH)\n"
-        "                          [--in2 PATH | --builtin2 NAME] [--apex LABEL]\n"
-        "                          [--v1 LABEL] [--v2 LABEL] --out PATH"
-    )
-
-
-def _check_arguments(p) -> None:
-    _add_input_flags(p)
-    p.add_argument("--json", action="store_true")
-
-
-def _mv_arguments(p) -> None:
-    p.add_argument("--in", dest="in_path", required=True, metavar="PATH")
-    p.add_argument("--a", required=True, metavar="PATH")
-    p.add_argument("--b", required=True, metavar="PATH")
-    p.add_argument("--c", metavar="PATH")
-    p.add_argument("--d", metavar="PATH")
-    p.add_argument("--max-degree", type=int, metavar="K")
-    p.add_argument("--json", action="store_true")
-
-
-def _verify_arguments(p) -> None:
-    p.add_argument("--only", metavar="ID", help="run one check by id or alias")
-    p.add_argument("--json", action="store_true")
-
-
-# name -> (help, the function adding its arguments, the function running it),
-# in the order ``--help`` lists them.
+# name -> (help, the function running it, its option groups), in the order
+# ``--help`` lists them.  A group is (required, *options); two or more
+# options in one group are mutually exclusive.
 SUBCOMMANDS = {
-    "homology": ("homology groups of a complex", _homology_arguments, cmd_homology),
-    "local": ("local homology at one or more vertices", _local_arguments, cmd_local),
-    "construct": (
-        "build a complex and write it as .scx",
-        _construct_arguments,
-        cmd_construct,
-    ),
-    "check": ("manifold obstruction report", _check_arguments, cmd_check),
-    "mv": ("Mayer-Vietoris exactness over the rationals", _mv_arguments, cmd_mv),
-    "verify-paper": (
-        "run the built-in verification suite",
-        _verify_arguments,
-        cmd_verify,
-    ),
+    "homology": ("homology groups of a complex", cmd_homology, (
+        _INPUT, (False, Option("--reduced", bool, help="reduced homology")), _JSON,
+    )),
+    "local": ("local homology at one or more vertices", cmd_local, (
+        _INPUT,
+        (True, Option("--vertex", metavar="LABEL"),
+         Option("--vertices", metavar="L1,L2,...", help="pairwise non-adjacent vertices")),
+        _JSON,
+    )),
+    "construct": ("build a complex and write it as .scx", cmd_construct, (
+        (True, Option("--kind", ("cone", "wedge", "prism", "union"))),
+        _INPUT,
+        (False, Option("--in2", metavar="PATH", help="second input file"),
+         Option("--builtin2", metavar="NAME", help="second builtin input")),
+        (False, Option("--apex", metavar="LABEL", help="apex label for --kind cone")),
+        (False, Option("--v1", metavar="LABEL", help="wedge base vertex in the first input")),
+        (False, Option("--v2", metavar="LABEL", help="wedge base vertex in the second input")),
+        (True, Option("--out", metavar="PATH")),
+    )),
+    "check": ("manifold obstruction report", cmd_check, (_INPUT, _JSON)),
+    "mv": ("Mayer-Vietoris exactness over the rationals", cmd_mv, (
+        (True, Option("--in", metavar="PATH", dest="in_path")),
+        (True, Option("--a", metavar="PATH")),
+        (True, Option("--b", metavar="PATH")),
+        (False, Option("--c", metavar="PATH")),
+        (False, Option("--d", metavar="PATH")),
+        (False, Option("--max-degree", int, "K")),
+        _JSON,
+    )),
+    "verify-paper": ("run the built-in verification suite", cmd_verify, (
+        (False, Option("--only", metavar="ID", help="run one check by id or alias")), _JSON,
+    )),
+}
+# Fixed as Python 3.10-3.12 print them at 80 columns (3.13 wraps inside a group).
+_USAGE = {
+    "local": "%(prog)s [-h] (--builtin NAME | --in PATH)\n"
+             "                      (--vertex LABEL | --vertices L1,L2,...) [--json]",
+    "construct": "%(prog)s [-h] --kind {cone,wedge,prism,union}\n"
+                 "                          (--builtin NAME | --in PATH)\n"
+                 "                          [--in2 PATH | --builtin2 NAME] [--apex LABEL]\n"
+                 "                          [--v1 LABEL] [--v2 LABEL] --out PATH",
 }
 
 
-def _subcommand(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
-    """``parser`` with subcommand ``name``'s arguments, ``command`` and ``func``."""
-    _, add_arguments, run = SUBCOMMANDS[name]
-    add_arguments(parser)
-    parser.set_defaults(command=name, func=run)
-    return parser
+def build_parser():
+    """The full ``localhom`` argparse parser, built from ``SUBCOMMANDS``."""
+    import argparse
 
-
-def build_parser() -> argparse.ArgumentParser:
-    """The full ``localhom`` parser, with every subcommand's parser."""
-    parser = argparse.ArgumentParser(
-        prog="localhom",
-        description=(
-            "Exact simplicial homology, local homology, and manifold probing. "
-            f"Builtin complexes: {', '.join(builtin_names())}."
-        ),
-    )
+    description = ("Exact simplicial homology, local homology, and manifold probing. "
+                   f"Builtin complexes: {', '.join(builtin_names())}.")
+    parser = argparse.ArgumentParser(prog="localhom", description=description)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, _, _) in SUBCOMMANDS.items():
-        _subcommand(sub.add_parser(name, help=help_text), name)
+    for name, (help_text, run, groups) in SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_text, usage=_USAGE.get(name))
+        p.set_defaults(command=name, func=run)
+        for required, *group in groups:
+            exclusive = len(group) > 1
+            target = p.add_mutually_exclusive_group(required=required) if exclusive else p
+            for o in group:
+                kind = {"action": "store_true"} if o.kind is bool else {
+                    "metavar": o.metavar, "type": o.kind if o.kind is int else None,
+                    "choices": o.kind if isinstance(o.kind, tuple) else None}
+                target.add_argument(o.flag, dest=o.dest, help=o.help,
+                                    required=required and not exclusive, **kind)
     return parser
 
 
-def parse_command(argv: list[str]) -> argparse.Namespace:
+def _read_plain(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace of a plain, complete command line; ``None`` for any other."""
+    if not argv or argv[0] not in SUBCOMMANDS:
+        return None
+    _, run, groups = SUBCOMMANDS[argv[0]]
+    options = {o.flag: o for _, *group in groups for o in group}
+    values = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        flag, eq, value = token.partition("=")
+        option = options.get(flag)
+        if option is None or option.dest in values or (eq and option.kind is bool):
+            return None
+        if option.kind is not bool:
+            value = value if eq else next(tokens, "")
+            if not value or value[0] == "-":
+                return None
+        if option.kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+        elif isinstance(option.kind, tuple) and value not in option.kind:
+            return None
+        values[option.dest] = True if option.kind is bool else value
+    for required, *group in groups:
+        given = sum(o.dest in values for o in group)
+        if given > 1 or (required and not given):
+            return None
+    defaults = {o.dest: False if o.kind is bool else None for o in options.values()}
+    return SimpleNamespace(**{**defaults, **values}, command=argv[0], func=run)
+
+
+def parse_command(argv: list[str]):
     """The namespace ``build_parser().parse_args(argv)`` gives, or its exit.
 
-    A first argument naming a subcommand is parsed by that subcommand's
-    parser alone.  Anything else, and a command that leaves arguments over,
-    goes to the full parser, which prints the help or the usage error.
+    A plain, complete command line is read from ``SUBCOMMANDS`` alone; every
+    other goes to the full parser, which prints the help or the usage error.
     """
-    if argv and argv[0] in SUBCOMMANDS:
-        parser = _subcommand(argparse.ArgumentParser(prog=f"localhom {argv[0]}"), argv[0])
-        args, extras = parser.parse_known_args(argv[1:])
-        if not extras:
-            return args
-    return build_parser().parse_args(argv)
+    return _read_plain(argv) or build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:

@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from localhom.cli import SUBCOMMANDS, build_parser, main, parse_command
 from localhom.scx import read_complex, write_complex
@@ -538,11 +538,7 @@ def _parse(parse, argv):
 
 
 def _subcommand_flags() -> list[str]:
-    flags = set()
-    for _, add_arguments, _ in SUBCOMMANDS.values():
-        p = argparse.ArgumentParser(add_help=False)
-        add_arguments(p)
-        flags.update(s for action in p._actions for s in action.option_strings)
+    flags = {o.flag for _, _, groups in SUBCOMMANDS.values() for _, *group in groups for o in group}
     return sorted(flags)
 
 
@@ -560,10 +556,17 @@ _TOKENS = st.sampled_from(
     [*SUBCOMMANDS, *_subcommand_flags(), "-h", "--help"]
     + ["torus7", "x", "0", "-1", "a,b", "k.scx", "extra"]
     + ["nonsense", "hom", "--bogus", "--js", "--", "-", "--in=k.scx", "--max-degree=2"]
+    + ["--in=", "--json=1", "--kind=cone", "cone", "--vertex=-1", "--max-degree=-1"]
+    + ["--max-degree=+2", ""]
 )
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+# Lines a reader must decline that random draws seldom reach: two of an
+# exclusive group, a switch given a value, a value outside the choices.
+@example(["local", "--in", "k.scx", "--builtin", "torus7", "--vertex", "a"])
+@example(["check", "--in", "k.scx", "--json=1"])
+@example(["construct", "--kind", "cube", "--builtin", "torus7", "--out", "k.scx"])
 @given(
     st.one_of(
         st.lists(_TOKENS, max_size=7),
@@ -585,6 +588,7 @@ def test_the_invoked_subcommands_parser_parses_as_the_full_one(argv):
 
 @pytest.mark.parametrize("name", SUBCOMMANDS)
 def test_a_subcommand_constructs_one_argument_parser(monkeypatch, name):
+    """A complete command builds no parser; a declined one builds the full parser once."""
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -594,15 +598,19 @@ def test_a_subcommand_constructs_one_argument_parser(monkeypatch, name):
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
     args = parse_command(COMPLETE[name])
-    assert args.command == name and len(built) == 1
+    assert args.command == name and built == []
+    full = ["localhom", *(f"localhom {other}" for other in SUBCOMMANDS)]
+    for declined in (["--js"], COMPLETE[name][1:3], ["-h"]):
+        built.clear()
+        _parse(parse_command, COMPLETE[name] + declined)
+        assert [parser.prog for parser in built] == full
 
 
 @pytest.mark.skipif(sys.version_info >= (3, 13), reason="3.13 wraps usage inside a group")
 @pytest.mark.parametrize("name", ["local", "construct"])
 def test_a_fixed_usage_line_is_the_one_argparse_generates(monkeypatch, name):
     monkeypatch.setenv("COLUMNS", "80")  # the width the fixed lines were taken at
-    parser = argparse.ArgumentParser(prog=f"localhom {name}")
-    SUBCOMMANDS[name][1](parser)
+    parser = next(a for a in build_parser()._actions if a.dest == "command").choices[name]
     fixed = parser.format_usage()
     parser.usage = None
     assert fixed == parser.format_usage()

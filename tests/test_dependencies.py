@@ -185,13 +185,15 @@ def test_a_cold_command_loads_only_the_modules_it_runs(tmp_path):
         ["check", "--in", "k.scx", "--json"],
         ["mv", "--in", "k.scx", "--a", "a.scx", "--b", "b.scx", "--json"],
         ["homology", "--builtin", "torus7", "--json"],
+        ["homology", "--in", "k.scx", "--js"],  # an abbreviation: argparse reads it
     ]
     # One process runs the commands in turn and prints, after the import and
     # after each command, which of the watched modules are newly loaded.
     code = (
         "import contextlib, io, sys\n"
         "watched = {'localhom.mayer_vietoris', 'localhom.morse', 'localhom.probe',\n"
-        "           'localhom.verification', 'importlib.resources'}\n"
+        "           'localhom.verification', 'importlib.resources',\n"
+        "           'argparse', 'gettext', 'shutil'}\n"
         "import localhom.cli\n"
         "seen = watched & set(sys.modules)\n"
         "print(sorted(seen))\n"
@@ -207,4 +209,5 @@ def test_a_cold_command_loads_only_the_modules_it_runs(tmp_path):
         "['localhom.probe']",
         "['localhom.mayer_vietoris', 'localhom.morse']",
         "[]",
+        "['argparse', 'gettext', 'shutil']",
     ]
