@@ -1,7 +1,7 @@
 """Constructions on simplicial complexes.
 
 Covers the local pieces (link and star, read from the vertex→facet index;
-vertex deletion and full subcomplexes, which scan every simplex),
+vertex deletion and full subcomplexes, closed from the cuts of the facets),
 the gluing constructions (cone, wedge, disjoint union), the prism over a
 complex (a triangulation of the product with an interval), and relabelling.
 All functions are pure: inputs are never modified.
@@ -16,10 +16,10 @@ from .errors import LabelCollisionError, RelabelError, UnknownVertexError
 
 
 def full_subcomplex(k: SimplicialComplex, keep_labels) -> SimplicialComplex:
-    """All simplices of ``k`` whose vertices lie in ``keep_labels``."""
-    keep_idx = {k.index_of(lab) for lab in set(keep_labels)}
-    simplices = [s for s in k.all_simplices() if set(s) <= keep_idx]
-    return SimplicialComplex.from_index_simplices(k.labels, simplices)
+    """All simplices of ``k`` on ``keep_labels``: the closure of the facets' cuts."""
+    keep = {k.index_of(lab) for lab in set(keep_labels)}
+    cuts = (tuple(i for i in f if i in keep) for f in k.facets())
+    return SimplicialComplex.from_index_simplices(k.labels, filter(None, cuts))
 
 
 def deleted(k: SimplicialComplex, v: str) -> SimplicialComplex:
@@ -28,9 +28,8 @@ def deleted(k: SimplicialComplex, v: str) -> SimplicialComplex:
     This is the compact model of the complement of a point: the space of
     ``k`` minus the point ``v`` deformation retracts onto it.
     """
-    vi = k.index_of(v)
-    simplices = [s for s in k.all_simplices() if vi not in s]
-    return SimplicialComplex.from_index_simplices(k.labels, simplices)
+    k.index_of(v)  # raises UnknownVertexError for a missing vertex
+    return full_subcomplex(k, [lab for lab in k.labels if lab != v])
 
 
 def link(k: SimplicialComplex, v: str) -> SimplicialComplex:

@@ -37,7 +37,7 @@ class UnwritableLabelError(LocalhomError):
     def __init__(self, label):
         super().__init__(
             f"vertex label {label!r} cannot be written as .scx: labels must be "
-            "nonempty and contain no '#' or whitespace"
+            "nonempty, contain no '#' or whitespace and not start with U+FEFF"
         )
         self.label = label
 

@@ -18,7 +18,8 @@ paired cells, form a complex with the same homology over Z, and their
 Smith normal form is the whole integer elimination.  The call also
 returns its matching, the removed pairs in order, and the images it
 recorded, from which ``morse.MorseMaps`` reads the chain maps between
-the complex and its Morse complex.
+the complex and its Morse complex.  The reducer's cell index is the only
+one built: the Morse maps and the pseudomanifold flags read it.
 
 ``smith_normal_form`` is the dense reduction with both transforms, and
 the one elimination of the package: homology reads ranks and invariant
@@ -320,12 +321,15 @@ def chain_reducer(boundaries):
     and each coreduction's lower cell with a nonzero image to that image,
     over the critical cells of its degree.  All four are a fixed function
     of the input columns and ``cells``; the columns are left as they were.
+    The cell index, read on ``reduce`` and never edited, is ``starts[i]``,
+    the first cell of degree ``i`` (``starts[-1]`` counts every cell);
+    ``columns[x]``, whose row ``r`` is cell ``below[x] + r``; and
+    ``cofaces[x]``, the cells whose columns hold ``x``, ascending.
     """
     starts = [0]
     for cols in boundaries:
         starts.append(starts[-1] + len(cols))
     total = starts[-1]
-    # A column's row r is cell below[x] + r.
     columns: list[dict] = []
     below: list[int] = []
     cofaces: list[list[int]] = [[] for _ in range(total)]
@@ -447,6 +451,7 @@ def chain_reducer(boundaries):
             queue.clear()
             raise
 
+    vars(reduce).update(starts=starts, columns=columns, below=below, cofaces=cofaces)
     return reduce
 
 

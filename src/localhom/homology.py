@@ -14,8 +14,9 @@ homology of pairs and local homology at a vertex by two independent
 routes.  ``local_homologies`` reads ``H_k(K, K - v)`` as the homology of
 the quotient ``C(K)/C(K - v)``, whose basis is the open star of ``v``:
 one chain complex holds the open stars of all the requested vertices,
-built and checked once, and the shared reduction kernel runs on each
-vertex's open star in place.  It is the route the probe and the CLI use,
+built and checked once, and one ``chain_reducer`` over it, which
+``open_stars`` returns for the probe's flags, runs on each vertex's
+open star in place.  It is the route the probe and the CLI use,
 and ``local_homology`` is its single-vertex case.  ``local_homology_via_link``
 uses the excision identity ``H_k(K, K - v) = H~_{k-1}(lk v)`` on a link
 rebuilt as a new complex; it is kept as the cross-check the quotient
@@ -213,14 +214,14 @@ def relative_homology(pair: SubcomplexPair) -> HomologySummary:
     return homology(relative_chain_complex(pair))
 
 
-def open_stars(k: SimplicialComplex, labels) -> tuple[ChainComplex, dict, dict]:
-    """The chain complex of the open stars of ``labels``, built and checked once.
+def open_stars(k: SimplicialComplex, labels) -> tuple:
+    """The open stars of ``labels`` in one chain complex, built and checked once.
 
-    Returns it, the local homology ``H_*(K, K - v)`` at each vertex and each
-    vertex's star dimension, the degree of the highest cell in its open star.
-    That star is the basis of ``C(K)/C(K - v)``, and the cells without ``v``
-    form a subcomplex, so ``∂∘∂ = 0`` holds on every quotient and each star
-    is reduced in place.
+    Returns its ``chain_reducer``, the local homology ``H_*(K, K - v)`` at
+    each vertex and each vertex's star dimension, the degree of the highest
+    cell in its open star.  That star is the basis of ``C(K)/C(K - v)``,
+    and the cells without ``v`` form a subcomplex, so ``∂∘∂ = 0`` holds on
+    every quotient and each star is reduced in place.
     """
     labels = list(labels)
     indices = [k.index_of(lab) for lab in labels]
@@ -237,7 +238,7 @@ def open_stars(k: SimplicialComplex, labels) -> tuple[ChainComplex, dict, dict]:
     for lab, i in zip(labels, indices):
         local[lab] = HomologySummary(_groups(reduce(stars[i]), 0), span)
         dims[lab] = len(cells[stars[i][-1]]) - 1  # cells ascend by degree
-    return c, local, dims
+    return reduce, local, dims
 
 
 def local_homologies(k: SimplicialComplex, labels) -> dict[str, HomologySummary]:

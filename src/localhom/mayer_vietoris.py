@@ -103,9 +103,9 @@ class _PairHomology:
         self.k = k
         self.sub = sub
         self.cc = quotient_chain_complex(k, sub, ambient)
-        reduction = chain_reducer(self.cc.boundaries)()
-        self._critical, self._morse, _, _ = reduction
-        self._maps = MorseMaps(self.cc.boundaries, reduction)
+        reducer = chain_reducer(self.cc.boundaries)
+        self._critical, self._morse, _, _ = reduction = reducer()
+        self._maps = MorseMaps(reducer, reduction)
         self._degrees: dict[int, _Degree] = {}
 
     def degree(self, n: int) -> _Degree:

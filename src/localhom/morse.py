@@ -2,7 +2,8 @@
 
 ``exact.chain_reducer`` returns, with the critical cells and their Morse
 boundaries, the matching it removed and the images it recorded on the
-way.  ``MorseMaps`` reads the two chain maps off them (Harker, Mischaikow,
+way, and keeps its numbering of the cells and their columns readable.
+``MorseMaps`` reads the two chain maps off these (Harker, Mischaikow,
 Mrozek and Nanda, "Discrete Morse theoretic algorithms for computing
 homology of complexes and maps", FoCM 14, 2014; Mrozek and Batko,
 "Coreduction homology algorithm", DCG 41, 2009): the lift ι of a Morse
@@ -15,19 +16,17 @@ complexes and travels between the pairs through these maps.
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from itertools import chain
-
 from .exact import _flow_of
 
 
 class MorseMaps:
     """The lift ι and the flow π between a complex and one reduction of it.
 
-    ``boundaries`` are a ``chain_reducer``'s input and ``reduction`` one
-    of its results.  A chain of degree ``n`` is ``{index: value}`` over
-    the basis of degree ``n``, a Morse chain ``{position: value}`` over the
-    critical cells of degree ``n``.  Both maps are read off the matching:
+    ``reducer`` is a ``chain_reducer``, whose cell index the maps read,
+    and ``reduction`` one of its results.  A chain of degree ``n`` is
+    ``{index: value}`` over the basis of degree ``n``, a Morse chain
+    ``{position: value}`` over the critical cells of degree ``n``.  Both
+    maps are read off the matching:
 
     - ``lift`` (ι) starts from the critical cells and sweeps the pairs
       ``(a, b, v)``, last removed first, subtracting ``v·(∂w)[a]·b`` from
@@ -44,13 +43,9 @@ class MorseMaps:
     Cells outside a reduced cell set count as absent, as in the reducer.
     """
 
-    def __init__(self, boundaries, reduction) -> None:
-        critical, _, self._matching, flow = reduction
-        self._critical = critical
-        self._starts = [0]
-        for cols in boundaries:
-            self._starts.append(self._starts[-1] + len(cols))
-        self._columns = columns = list(chain.from_iterable(boundaries))
+    def __init__(self, reducer, reduction) -> None:
+        self._critical, _, self._matching, flow = reduction
+        self._starts, self._columns = reducer.starts, reducer.columns
         # π of each cell over the critical cells of its degree; a cell
         # without an entry flows to zero.  A collapse's lower cell had one
         # live coface when it was removed, so it is no face of a later
@@ -62,11 +57,10 @@ class MorseMaps:
         # zero has no entry, and the walk finds zero again.  ``a`` itself
         # has no entry yet, so the sum over ``∂b`` leaves it out.
         self._images = images = dict(flow)
-        starts = self._starts
+        columns, below = self._columns, reducer.below
         for a, b, v in reversed(self._matching):
             if a not in images:
-                degree = bisect_right(starts, b) - 1  # b's rows index the degree below
-                image = _flow_of(columns[b], starts[degree - 1], -v, images)
+                image = _flow_of(columns[b], below[b], -v, images)
                 if image:
                     images[a] = image
 

@@ -8,21 +8,21 @@ probe is a necessary test only: a clean report says "consistent with", it
 never certifies an actual manifold.
 
 A report reads everything from ``chain_complex(K)``, built and checked
-once by ``open_stars``: each vertex's local groups come from reducing
-its open star (the basis of ``C(K)/C(K - v)``) in place, its star
-dimension is the degree of the highest cell in that star, and the
-pseudomanifold flags come from the rows of the boundary columns.  The
-link route ``local_homology_via_link`` stays in ``homology`` as the
-independent cross-check.
+once by ``open_stars``, and the one ``chain_reducer`` over it: each
+vertex's local groups come from reducing its open star (the basis of
+``C(K)/C(K - v)``) in place, its star dimension is the degree of the
+highest cell in that star, and the pseudomanifold flags come from the
+reducer's coface lists.  The link route ``local_homology_via_link``
+stays in ``homology`` as the independent cross-check.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from itertools import chain
 
-from .chains import ChainComplex, chain_complex
+from .chains import chain_complex
 from .complexes import SimplicialComplex
+from .exact import chain_reducer
 from .homology import HomologyGroup, HomologySummary, group_record, open_stars
 
 INTERIOR_LIKE = "interior_like"
@@ -103,34 +103,31 @@ def pseudomanifold_check(k: SimplicialComplex, closed: bool = True) -> Pseudoman
     In closed mode every (n-1)-simplex must lie in exactly two
     n-simplices; in boundary mode at most two.
     """
-    return _flags(chain_complex(k), closed)
+    return _flags(chain_reducer(chain_complex(k).boundaries), closed)
 
 
-def _flags(c: ChainComplex, closed: bool) -> PseudomanifoldFlags:
-    """The flags of a complex read from its chain complex ``c``.
+def _flags(reducer, closed: bool) -> PseudomanifoldFlags:
+    """The flags of a complex read from the cell index of its ``chain_reducer``.
 
-    It is pure when every cell below the top degree is a row of some
-    column one degree up; the ridges are the rows of the top columns.
+    It is pure when every cell below the top degree has a coface; the
+    ridges are the cells one degree below the top, and the walk goes from
+    top cell to top cell through the cofaces of their faces.
     """
-    if not c.bases:
+    starts, cofaces = reducer.starts, reducer.cofaces
+    n = len(starts) - 2  # the top degree
+    if n < 0:
         return PseudomanifoldFlags(True, True, True, closed)
-    pure = all(
-        len(set(chain.from_iterable(cols))) == len(cells)
-        for cells, cols in zip(c.bases, c.boundaries[1:])
-    )
-    top = c.boundaries[-1]
-    if len(c.bases) == 1:
+    pure = all(cofaces[: starts[n]])
+    top = range(starts[n], starts[-1])
+    if n == 0:
         return PseudomanifoldFlags(pure, True, len(top) <= 1, closed)
-    cofaces = [[] for _ in c.bases[-2]]
-    for j, col in enumerate(top):
-        for r in col:
-            cofaces[r].append(j)
-    counts = set(map(len, cofaces))
+    counts = set(map(len, cofaces[starts[n - 1] : starts[n]]))
     ridge_condition = counts == {2} if closed else max(counts) <= 2
-    seen, reached = {0}, [0]
+    seen, reached = {top[0]}, [top[0]]
     for j in reached:
-        for r in top[j]:
-            for i in cofaces[r]:
+        base = reducer.below[j]
+        for r in reducer.columns[j]:
+            for i in cofaces[base + r]:
                 if i not in seen:
                     seen.add(i)
                     reached.append(i)
@@ -213,13 +210,13 @@ def obstruction_report(k: SimplicialComplex) -> ObstructionReport:
     vertex looks Euclidean.
     """
     labels = sorted(k.labels)
-    c, local, star_dims = open_stars(k, labels)
+    reducer, local, star_dims = open_stars(k, labels)
     verdicts = tuple(_verdict(lab, local[lab], star_dims[lab]) for lab in labels)
     offenders = [v for v in verdicts if v.category == NOT_LOCALLY_EUCLIDEAN]
     dims = sorted({v.dimension for v in verdicts if v.category != NOT_LOCALLY_EUCLIDEAN})
     inferred = dims[0] if len(dims) == 1 else None
     has_boundary = any(v.category == BOUNDARY_LIKE for v in verdicts)
-    flags = _flags(c, closed=not has_boundary)
+    flags = _flags(reducer, closed=not has_boundary)
 
     if offenders:
         first = offenders[0]

@@ -2,9 +2,9 @@
 
 One facet per line as whitespace-separated vertex labels; ``#`` starts a
 comment that runs to the end of the line; blank lines are ignored.  Labels
-are arbitrary non-whitespace tokens without ``#`` (writing refuses any
-other label) and the order inside a line does not matter.  A document
-with no facets denotes the empty complex.
+are arbitrary non-whitespace tokens without ``#`` that do not start with
+U+FEFF (writing refuses any other label), and the order inside a line does
+not matter.  A document with no facets denotes the empty complex.
 """
 
 from __future__ import annotations
@@ -37,12 +37,13 @@ def to_scx(k: SimplicialComplex) -> str:
 
     The output is byte-stable for a given complex, so golden tests and
     file-based construction pipelines can compare results exactly.  A label
-    that would not read back as itself (empty, or holding ``#`` or
-    whitespace) raises ``UnwritableLabelError``.
+    that would not read back as itself (empty, holding ``#`` or whitespace,
+    or starting with U+FEFF) raises ``UnwritableLabelError``.
     """
     for label in k.labels:
-        # Line breaks are whitespace to str.split(), so they fail here too.
-        if "#" in label or label.split() != [label]:
+        # Line breaks are whitespace to str.split(), so they fail here too;
+        # a label opening a file would lose a leading U+FEFF as its BOM.
+        if "#" in label or label.split() != [label] or label[0] == "\ufeff":
             raise UnwritableLabelError(label)
     lines = sorted(tuple(sorted(f)) for f in k.label_facets())
     return "".join(" ".join(f) + "\n" for f in lines)

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from localhom.cli import SUBCOMMANDS, build_parser, main, parse_command
+from localhom.errors import UnwritableLabelError
 from localhom.scx import read_complex, write_complex
 from localhom import builtin, cone, disjoint_union, wedge
 
@@ -174,6 +175,26 @@ def test_construct_refuses_unwritable_apex_label(capsys, tmp_path):
     )
     assert code == 1
     assert err.startswith("error: vertex label 'x y'")
+    assert not out_path.exists()
+
+
+def test_a_label_starting_with_a_byte_order_mark_is_not_written(capsys, tmp_path):
+    # Reading skips one mark, so two give the label "\ufeffx"; written at the
+    # start of a file, its prism labels would lose their mark on the way back.
+    path = tmp_path / "marks.scx"
+    path.write_bytes(b"\xef\xbb\xbf\xef\xbb\xbfx\n")
+    k = read_complex(path)
+    assert k.labels == ("\ufeffx",)
+    out_path = tmp_path / "prism.scx"
+    with pytest.raises(UnwritableLabelError, match="not start with U\\+FEFF"):
+        write_complex(out_path, k)
+    assert not out_path.exists()
+    code, out, err = run(
+        capsys, "construct", "--kind", "prism", "--in", str(path), "--out", str(out_path)
+    )
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: vertex label '\\ufeffx.0'")
     assert not out_path.exists()
 
 

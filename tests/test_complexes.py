@@ -89,13 +89,15 @@ def test_serialization_round_trip_and_golden_form():
 
 def test_serialization_round_trips_every_label_it_accepts():
     # Every label of up to two characters over an alphabet of ordinary,
-    # non-ASCII, comment, blank and line-break characters.
+    # non-ASCII, comment, blank, line-break and byte-order-mark characters.
     alphabet = ["a", "Z", "7", "-", "\u00e9", "#", " ", "\t", "\n", "\x0b", "\x85", "\u2028"]
+    alphabet.append("\ufeff")
     labels = [""] + alphabet + [x + y for x in alphabet for y in alphabet]
     accepted = 0
     for label in labels:
         k = SimplicialComplex.from_label_facets([(label, "v"), ("v", "w")])
         unwritable = label == "" or "#" in label or any(ch.isspace() for ch in label)
+        unwritable = unwritable or label.startswith("\ufeff")
         if unwritable:
             with pytest.raises(UnwritableLabelError) as exc:
                 to_scx(k)
@@ -103,7 +105,7 @@ def test_serialization_round_trips_every_label_it_accepts():
         elif label not in ("v", "w"):
             assert parse_complex(to_scx(k)) == k
             accepted += 1
-    assert accepted == 30
+    assert accepted == 35
     # Written as is, this facet would read back as the single vertex "a".
     k = SimplicialComplex.from_label_facets([("a#b", "c d", "e")])
     with pytest.raises(UnwritableLabelError, match="'a#b'"):
@@ -472,11 +474,19 @@ def test_facets_are_the_maximal_simplices_in_dimension_then_lexicographic_order(
 @few
 @given(facet_lists_with_extras())
 def test_facets_of_complexes_closed_from_every_simplex(facets):
-    # deleted and full_subcomplex pass every simplex they keep, not only facets.
+    # The reference closes every simplex on the kept labels; the constructions
+    # close only the facets' cuts.
     k = SimplicialComplex.from_label_facets(facets)
-    assert_facets_are_the_maximal_simplices(full_subcomplex(k, k.labels[::2]))
-    for v in k.labels:
-        assert_facets_are_the_maximal_simplices(deleted(k, v))
+    keep = k.labels[::2]
+    pieces = [(full_subcomplex(k, keep), keep)]
+    pieces += [(deleted(k, v), [lab for lab in k.labels if lab != v]) for v in k.labels]
+    for piece, labels in pieces:
+        assert_facets_are_the_maximal_simplices(piece)
+        kept = set(map(k.index_of, labels))
+        reference = SimplicialComplex.from_index_simplices(
+            k.labels, [s for s in k.all_simplices() if kept.issuperset(s)]
+        )
+        assert piece == reference and piece.facets() == reference.facets()
 
 
 def test_the_empty_complex_has_no_facets():

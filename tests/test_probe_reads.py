@@ -35,6 +35,7 @@ FIXED = [
     parse_complex("p"),
     parse_complex("a b c\nc d"),
     parse_complex("a b c\np"),
+    parse_complex("0 3 4\n1 3 4\n2 3 4"),  # the ridge 3 4 lies in three facets
 ]
 
 
@@ -129,7 +130,9 @@ def test_star_dimensions_and_flags_match_the_facet_references(k):
     assert_reads(k)
 
 
-@pytest.mark.parametrize("k", FIXED, ids=["empty", "point", "abc-cd", "triangle-point"])
+@pytest.mark.parametrize(
+    "k", FIXED, ids=["empty", "point", "abc-cd", "triangle-point", "three-on-a-ridge"]
+)
 def test_star_dimensions_and_flags_on_fixed_complexes(k):
     assert_reads(k)
 
@@ -143,6 +146,8 @@ def test_fixed_flags_and_dimensions():
     assert pseudomanifold_check(FIXED[2], closed=True).as_tuple() == (False, False, True)
     assert open_stars(FIXED[2], ["a", "c", "d"])[2] == {"a": 2, "c": 2, "d": 1}
     assert open_stars(FIXED[3], ["a", "p"])[2] == {"a": 2, "p": 0}
+    for closed in (True, False):
+        assert pseudomanifold_check(FIXED[4], closed).as_tuple() == (True, False, True)
     assert vertex_verdict(FIXED[2], "d").dimension == 1
 
 

@@ -244,9 +244,10 @@ def _assert_the_way_back(c: ChainComplex, cells=None) -> None:
 
     π of every cell also equals the reference's.
     """
-    reduction = chain_reducer(c.boundaries)(cells)
+    reducer = chain_reducer(c.boundaries)
+    reduction = reducer(cells)
     critical, columns, matching, _ = reduction
-    maps = MorseMaps(c.boundaries, reduction)
+    maps = MorseMaps(reducer, reduction)
     total = sum(map(len, c.bases))
     inside = set(range(total) if cells is None else cells)
     reference = reference_flow(c, critical, matching)
@@ -297,8 +298,9 @@ def test_the_torus_classes_lift_to_cycles():
     # The fundamental class lifts to every triangle, with signs making it a
     # cycle, and flows back to the one critical triangle.
     c = chain_complex(_grid_torus(6))
-    reduction = chain_reducer(c.boundaries)()
-    maps = MorseMaps(c.boundaries, reduction)
+    reducer = chain_reducer(c.boundaries)
+    reduction = reducer()
+    maps = MorseMaps(reducer, reduction)
     assert [len(cells) for cells in reduction[0]] == [1, 2, 1]
     fundamental = maps.lift(2, {0: 1})
     assert sorted(fundamental) == list(range(len(c.basis(2))))
