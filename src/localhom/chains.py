@@ -155,9 +155,9 @@ def open_star_chain_complex(k: SimplicialComplex, vertices) -> ChainComplex:
 
     ``vertices`` are vertex indices.  The simplices that miss all of them
     form a subcomplex, so the quotient's basis is the union of their open
-    stars (the simplices containing at least one).  The stars are read
-    from the vertex→facet index, so the cost follows the stars rather than
-    the whole complex, and every vertex gives ``chain_complex(k)``.  For a
+    stars (the simplices containing at least one).  The stars are closed
+    from the facets that meet ``vertices``, read in one pass over
+    ``facets()``, and every vertex gives ``chain_complex(k)``.  For a
     single vertex ``v`` this is the complex of the pair ``(K, K - v)``,
     whose homology is the local homology at ``v``.
     """
@@ -165,7 +165,7 @@ def open_star_chain_complex(k: SimplicialComplex, vertices) -> ChainComplex:
     if len(wanted) == k.n_vertices:
         return chain_complex(k)
     found: list[set] = [set() for _ in range(k.dim + 1)]
-    for f in dict.fromkeys(f for v in wanted for f in k.vertex_facets(v)):
+    for f in filterfalse(wanted.isdisjoint, k.facets()):
         for size in range(1, len(f) + 1):
             found[size - 1].update(s for s in combinations(f, size) if not wanted.isdisjoint(s))
     return _complex([tuple(sorted(cells)) for cells in found])

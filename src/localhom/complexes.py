@@ -11,8 +11,7 @@ Instances are immutable and safe to share between threads; every
 operation on them returns a new complex.  Faces are enumerated once, one
 dimension at a time, in bulk, by the closure, which also records the
 facets: the given simplices that are no face of the level above.  The label
-index, the set of all simplices and the vertex→facet index (links and
-stars read one vertex's facets, not every simplex) are filled lazily.
+index and the set of all simplices are filled lazily.
 """
 
 from __future__ import annotations
@@ -163,21 +162,12 @@ class SimplicialComplex:
         """Maximal simplices, sorted by (dimension, lexicographic order)."""
         return self._facets
 
-    @cached_property
-    def _vertex_facets(self) -> dict[int, tuple[Simplex, ...]]:
-        index: dict[int, list] = {}
-        for f in self._facets:
-            for v in f:
-                index.setdefault(v, []).append(f)
-        return {v: tuple(fs) for v, fs in index.items()}
-
     def vertex_facets(self, i: int) -> tuple[Simplex, ...]:
         """Facets containing vertex index ``i``, in ``facets()`` order.
 
-        The index is built from ``facets()`` on the first call; an index
-        that is not a vertex of the complex has no facets.
+        An index that is not a vertex of the complex has no facets.
         """
-        return self._vertex_facets.get(i, ())
+        return tuple(f for f in self._facets if i in f)
 
     def label_facets(self) -> list[tuple[str, ...]]:
         return [self.simplex_labels(f) for f in self.facets()]

@@ -1,9 +1,10 @@
 """Constructions on simplicial complexes.
 
-Covers the local pieces (link and star, read from the vertex→facet index;
-vertex deletion and full subcomplexes, closed from the cuts of the facets),
-the gluing constructions (cone, wedge, disjoint union), the prism over a
-complex (a triangulation of the product with an interval), and relabelling.
+Covers the local pieces (link and star, closed from the facets at a
+vertex; vertex deletion and full subcomplexes, closed from the facets'
+cuts), the gluing constructions (cone, wedge, disjoint union), the prism
+over a complex (a triangulation of the product with an interval), and
+relabelling.
 All functions are pure: inputs are never modified.
 """
 
@@ -36,8 +37,7 @@ def link(k: SimplicialComplex, v: str) -> SimplicialComplex:
     """Simplices disjoint from ``v`` whose join with ``v`` lies in ``k``.
 
     Every such simplex is a face of ``f - v`` for a facet ``f`` containing
-    ``v``, so the link is the face closure of those, read from the
-    vertex→facet index at a cost proportional to the star.
+    ``v``, so the link is the face closure of those.
     """
     vi = k.index_of(v)
     simplices = [

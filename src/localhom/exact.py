@@ -8,18 +8,18 @@ Homology needs only the rank and the invariant factors of each boundary,
 and boundaries are sparse with mostly ``±1`` entries.  ``chain_reducer``
 numbers the cells of a complex across degrees once, allocates their
 per-cell state once, and reduces any set of them (the whole complex, or
-one open star of it) to a discrete Morse complex: coreductions and
-collapses remove pairs of cells joined by a ``±1`` entry, and when no pair
-is left the least live cell is made critical.  Every cell of a call is
-removed by its end, so a call leaves the shared state clean and costs
-work in proportion to its own cells; a reducer is not reentrant.  The
-boundaries of the few critical cells, pushed through the images of the
-paired cells, form a complex with the same homology over Z, and their
-Smith normal form is the whole integer elimination.  The call also
-returns its matching, the removed pairs in order, and the images it
-recorded, from which ``morse.MorseMaps`` reads the chain maps between
-the complex and its Morse complex.  The reducer's cell index is the only
-one built: the Morse maps and the pseudomanifold flags read it.
+one open star of it) to a discrete Morse complex: coreductions remove
+pairs of cells joined by a ``±1`` entry, and when no pair is left the
+least live cell is made critical.  Every cell of a call is removed by its
+end, so a call leaves the shared state clean and costs work in
+proportion to its own cells; a reducer is not reentrant.  The boundaries
+of the few critical cells, pushed through the images of the paired
+cells, form a complex with the same homology over Z, and their Smith
+normal form is the whole integer elimination.  The call also returns its
+matching, the removed pairs in order, and the image of every cell,
+recorded on the way, from which ``morse.MorseMaps`` reads the chain maps
+between the complex and its Morse complex.  The reducer's cell index is
+the only one built: the Morse maps and the pseudomanifold flags read it.
 
 ``smith_normal_form`` is the dense reduction with both transforms, and
 the one elimination of the package: homology reads ranks and invariant
@@ -277,34 +277,28 @@ def chain_reducer(boundaries):
     ``boundaries[i]`` holds the ``{row: value}`` columns out of degree
     ``i``, with rows indexing the basis of degree ``i - 1``.  Cells are
     numbered through the bases bottom degree first, and their coface lists
-    and per-cell state (a live flag and live face and coface counts) are
-    built here, once, so many cell sets of one complex can be reduced.
+    and per-cell state (a live flag and a live face count) are built
+    here, once, so many cell sets of one complex can be reduced.
     ``reduce(cells)`` reduces ``cells`` (any iterable of ascending cell
     numbers, every cell when omitted) to a discrete Morse complex; faces
     and cofaces outside them count as absent, so a set whose complement
-    is a subcomplex is reduced as the quotient complex.  One queue runs over
-    every degree, seeded with ``cells`` in order; a cell goes back on it
-    when its live faces or live cofaces drop to one.  Two moves remove a
-    pair of cells joined by a ``±1`` entry:
-
-    - a coreduction removes a cell ``b`` whose only live face is ``a``,
-      together with ``a``.  The flow replaces ``a`` by ``a - <∂b, a> ∂b``,
-      and the other faces of ``b`` are removed already, so the image of
-      ``a`` is recorded once, over the critical cells found so far;
-    - a collapse removes a cell whose only live coface is ``b``, together
-      with ``b``.  No later face lookup meets the lower cell, so its image
-      is left to ``morse.MorseMaps``.
-
-    Upper cells of pairs flow to zero.  When the queue empties, the least
-    live cell has no live face, as its faces are numbered below it: it is
-    made critical, with the image of its boundary as its Morse boundary,
-    and removed, and the queue runs on.  The critical cells with their
-    Morse boundaries form a complex chain-equivalent to the original over
-    Z, torsion included.  Each removed pair is recorded as ``(a, b, v)``:
-    the lower cell ``a``, the upper cell ``b`` (both cell numbers) and
-    the entry ``v = <∂b, a> = ±1``.  With the images recorded on the way,
-    that matching is what ``morse.MorseMaps`` reads the lift and the whole
-    flow from.
+    is a subcomplex is reduced as the quotient complex.  One queue runs
+    over every degree, seeded with ``cells`` in order; a cell goes back on
+    it when its live faces drop to one.  One move, the coreduction, pairs
+    cells (Mrozek and Batko, "Coreduction homology algorithm", DCG 41,
+    2009): it removes a cell ``b`` whose only live face ``a`` is joined to
+    it by a ``±1`` entry, together with ``a``.  The flow replaces ``a`` by
+    ``a - <∂b, a> ∂b``, and the other faces of ``b`` are removed already,
+    so the image of ``a`` is recorded once, over the critical cells found
+    so far.  Upper cells of pairs flow to zero.  When the queue empties,
+    the least live cell has no live face, as its faces are numbered below
+    it: it is made critical, with the image of its boundary as its Morse
+    boundary, and removed, and the queue runs on.  The critical cells
+    with their Morse boundaries form a complex chain-equivalent to the
+    original over Z, torsion included.  Each removed pair is recorded as
+    ``(a, b, v)``: the lower cell ``a``, the upper cell ``b`` (both cell
+    numbers) and the entry ``v = <∂b, a> = ±1``.  ``morse.MorseMaps``
+    reads the lift off that matching, and the flow as recorded.
 
     Every cell of a call is removed, paired or critical, so a call
     returns with each cell dead and the queue empty: the next call marks
@@ -318,9 +312,10 @@ def chain_reducer(boundaries):
     columns, ``{row: value}`` with rows indexing the critical cells one
     degree below, the pairs in removal order, and the flow recorded on
     the way, ``{cell: {position: value}}``: each critical cell to itself
-    and each coreduction's lower cell with a nonzero image to that image,
-    over the critical cells of its degree.  All four are a fixed function
-    of the input columns and ``cells``; the columns are left as they were.
+    and each lower cell with a nonzero image to that image, over the
+    critical cells of its degree: π of every cell.  All four are a fixed
+    function of the input columns and ``cells``; the columns are left as
+    they were.
     The cell index, read on ``reduce`` and never edited, is ``starts[i]``,
     the first cell of degree ``i`` (``starts[-1]`` counts every cell);
     ``columns[x]``, whose row ``r`` is cell ``below[x] + r``; and
@@ -344,18 +339,10 @@ def chain_reducer(boundaries):
     # them before it starts.
     alive = bytearray(total)
     live_faces = [0] * total
-    live_cofaces = [0] * total
     queue: deque[int] = deque()
 
     def remove(x: int) -> None:
         alive[x] = 0
-        base = below[x]
-        for r in columns[x]:
-            f = base + r
-            if alive[f]:
-                n = live_cofaces[f] = live_cofaces[f] - 1
-                if n == 1:
-                    queue.append(f)
         for y in cofaces[x]:
             if alive[y]:
                 n = live_faces[y] = live_faces[y] - 1
@@ -367,15 +354,12 @@ def chain_reducer(boundaries):
             if not 0 <= x < total:
                 raise IndexError(f"cell {x} is not among the {total} cells")
             alive[x] = 1
-            live_cofaces[x] = 0
         for x in cells:
             base = below[x]
             n = 0
             for r in columns[x]:
-                f = base + r
-                if alive[f]:
+                if alive[base + r]:
                     n += 1
-                    live_cofaces[f] += 1
             live_faces[x] = n
 
     def run(cells) -> tuple[tuple, tuple, tuple, dict]:
@@ -383,43 +367,30 @@ def chain_reducer(boundaries):
         critical: list[list[int]] = [[] for _ in boundaries]
         morse: list[list[dict]] = [[] for _ in boundaries]
         matching: list[tuple[int, int, int]] = []
-        # Image of a critical cell or a coreduction's lower cell over the
-        # critical cells of its degree, keyed by their positions there; a
-        # cell without an entry counts as zero.  Collapses get no entry: a
-        # collapse's lower cell is no face of a later coreduction or
-        # critical cell, and ``morse.MorseMaps`` fills their images in.
+        # π of each critical cell and each lower cell over the critical
+        # cells of its degree, keyed by their positions there; a cell
+        # without an entry flows to zero.
         flow: dict[int, dict] = {}
         unseen = iter(cells)
         while True:
             while queue:
                 x = queue.popleft()
-                if not alive[x]:
+                if not alive[x] or live_faces[x] != 1:
                     continue
-                if live_faces[x] == 1:
-                    base = below[x]
-                    for r, value in columns[x].items():
-                        if alive[base + r]:
-                            break
-                    if value == 1 or value == -1:
-                        remove(x)
-                        remove(base + r)
-                        matching.append((base + r, x, value))
-                        # a flows to -<∂b, a> times the flow of ∂b's other
-                        # faces; before the first critical cell, that is zero.
-                        if flow:
-                            target = _flow_of(columns[x], base, -value, flow)
-                            if target:
-                                flow[base + r] = target
-                        continue
-                if live_cofaces[x] == 1:
-                    for y in cofaces[x]:
-                        if alive[y]:
-                            break
-                    value = columns[y][x - below[y]]
-                    if value == 1 or value == -1:
-                        remove(x)
-                        remove(y)
-                        matching.append((x, y, value))
+                base = below[x]
+                for r, value in columns[x].items():
+                    if alive[base + r]:
+                        break
+                if value == 1 or value == -1:
+                    remove(x)
+                    remove(base + r)
+                    matching.append((base + r, x, value))
+                    # a flows to -<∂b, a> times the flow of ∂b's other
+                    # faces; before the first critical cell, that is zero.
+                    if flow:
+                        target = _flow_of(columns[x], base, -value, flow)
+                        if target:
+                            flow[base + r] = target
             for x in unseen:
                 if alive[x]:
                     break
@@ -440,7 +411,6 @@ def chain_reducer(boundaries):
                 cells = range(total)
                 alive[:] = b"\x01" * total
                 live_faces[:] = map(len, columns)
-                live_cofaces[:] = map(len, cofaces)
             else:
                 mark(cells)
             return run(cells)

@@ -8,10 +8,10 @@ Mrozek and Nanda, "Discrete Morse theoretic algorithms for computing
 homology of complexes and maps", FoCM 14, 2014; Mrozek and Batko,
 "Coreduction homology algorithm", DCG 41, 2009): the lift ι of a Morse
 chain to a chain of the complex and the flow π of a chain onto the Morse
-complex.  The reducer records π of the critical cells and the
-coreductions; ``MorseMaps`` adds the collapses in one pass over the
-matching.  Mayer-Vietoris chooses its homology bases on the Morse
-complexes and travels between the pairs through these maps.
+complex.  Every pair the reducer removes is a coreduction, so the images
+it records are π of every cell, and ``MorseMaps`` reads them as they are.
+Mayer-Vietoris chooses its homology bases on the Morse complexes and
+travels between the pairs through these maps.
 """
 
 from __future__ import annotations
@@ -25,44 +25,23 @@ class MorseMaps:
     ``reducer`` is a ``chain_reducer``, whose cell index the maps read,
     and ``reduction`` one of its results.  A chain of degree ``n`` is
     ``{index: value}`` over the basis of degree ``n``, a Morse chain
-    ``{position: value}`` over the critical cells of degree ``n``.  Both
-    maps are read off the matching:
+    ``{position: value}`` over the critical cells of degree ``n``:
 
     - ``lift`` (ι) starts from the critical cells and sweeps the pairs
-      ``(a, b, v)``, last removed first, subtracting ``v·(∂w)[a]·b`` from
-      the chain ``w``; that clears ``∂w`` at every lower cell.  Only
-      coreductions ever fire: no cell of ``w`` is a face of a collapse's
+      ``(a, b, v)`` of the matching, last removed first, subtracting
+      ``v·(∂w)[a]·b`` from the chain ``w``; that clears ``∂w`` at every
       lower cell.  So ``∂ι(c) = ι(∂_M c)``, and a Morse cycle lifts to a
       cycle.
     - ``flow`` (π) maps a critical cell to itself, an upper cell to zero
-      and a lower cell ``a`` of ``b`` to ``-v·Σ_{f≠a} <∂b, f>·π(f)``.  The
-      reducer records π of the critical cells and the coreductions; the
-      collapses are filled in once, here.  ``π(∂x) = ∂_M π(x)`` and
-      ``π(ι(z)) = z``.
+      and a lower cell ``a`` of ``b`` to ``-v·Σ_{f≠a} <∂b, f>·π(f)``, as
+      the reducer recorded it.  ``π(∂x) = ∂_M π(x)`` and ``π(ι(z)) = z``.
 
     Cells outside a reduced cell set count as absent, as in the reducer.
     """
 
     def __init__(self, reducer, reduction) -> None:
-        self._critical, _, self._matching, flow = reduction
+        self._critical, _, self._matching, self._images = reduction
         self._starts, self._columns = reducer.starts, reducer.columns
-        # π of each cell over the critical cells of its degree; a cell
-        # without an entry flows to zero.  A collapse's lower cell had one
-        # live coface when it was removed, so it is no face of a later
-        # coreduction's upper cell or of a critical cell, and the reducer's
-        # images are final.  Walking the pairs last removed first, the
-        # faces of a collapse's upper cell that die after it are met
-        # before it; those that died before it are critical cells, upper
-        # cells or coreductions' lower cells.  A coreduction whose image is
-        # zero has no entry, and the walk finds zero again.  ``a`` itself
-        # has no entry yet, so the sum over ``∂b`` leaves it out.
-        self._images = images = dict(flow)
-        columns, below = self._columns, reducer.below
-        for a, b, v in reversed(self._matching):
-            if a not in images:
-                image = _flow_of(columns[b], below[b], -v, images)
-                if image:
-                    images[a] = image
 
     def lift(self, degree: int, morse_chain: dict) -> dict:
         """ι of a Morse chain of ``degree``, as a chain of the complex."""

@@ -1,7 +1,7 @@
 """Property tests of the two local-homology routes on random small complexes.
 
 The probe reads every vertex's local groups from the open stars of one
-chain complex, and the link and star from the vertex→facet index.  These
+chain complex, and the link and star from the facets at each vertex.  These
 properties tie those to independent definitions: the deleted-vertex pair
 ``(K, K - v)`` and the link route ``H~_{k-1}(lk v)`` for local homology,
 and scans over every simplex for the link and the star.

@@ -300,15 +300,17 @@ def test_pinned_maps_of_a_point_into_the_sphere():
 def test_pinned_maps_of_rp2_as_a_moebius_band_and_a_disk():
     # The disk is the closed star of vertex 1 and the Moebius band its
     # complement; their common boundary circle wraps twice around the
-    # band's core, so phi carries a 2 in degree 1.  The Morse boundary of
-    # RP^2 into degree 1 is nonzero (its Z/2), so the total pair's degree-1
-    # basis comes from a Smith normal form of rank 1 and has no free class.
+    # band's core, so phi carries the wrap count 2 in degree 1, up to the
+    # sign the orientations of the two generators give it.  The Morse
+    # boundary of RP^2 into degree 1 is nonzero (its Z/2), so the total
+    # pair's degree-1 basis comes from a Smith normal form of rank 1 and
+    # has no free class.
     rp2 = builtin("rp2_6")
     report = mv_exactness_check(MvDecomposition(rp2, deleted(rp2, "1"), star(rp2, "1")), 3)
     assert report.exact
     assert _pinned(report.phi) == {
         0: (2, 1, ((1,), (-1,))),
-        1: (1, 1, ((2,),)),
+        1: (1, 1, ((-2,),)),
         2: (0, 0, ()),
         3: (0, 0, ()),
     }

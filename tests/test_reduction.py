@@ -242,15 +242,17 @@ def reference_flow(c: ChainComplex, critical, matching) -> list[dict]:
 def _assert_the_way_back(c: ChainComplex, cells=None) -> None:
     """ι and π of one reduction: π∘ι is the identity and both commute with the boundaries.
 
-    π of every cell also equals the reference's.
+    π of every cell also equals the reference's, and the flow the reducer
+    records is all of it: every cell with a nonzero image, and no other.
     """
     reducer = chain_reducer(c.boundaries)
     reduction = reducer(cells)
-    critical, columns, matching, _ = reduction
+    critical, columns, matching, flow = reduction
     maps = MorseMaps(reducer, reduction)
     total = sum(map(len, c.bases))
     inside = set(range(total) if cells is None else cells)
     reference = reference_flow(c, critical, matching)
+    assert flow == {x: image for x, image in enumerate(reference) if image}
     start = 0
     for n, basis in enumerate(c.bases):
         assert [maps.flow(n, {i: 1}) for i in range(len(basis))] == reference[
