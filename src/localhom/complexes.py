@@ -21,7 +21,7 @@ from functools import cached_property
 from itertools import chain, combinations, filterfalse, groupby, repeat
 from typing import Iterable, Iterator
 
-from .errors import SubcomplexError, UnknownVertexError, VertexIndexError
+from .errors import LabelCollisionError, SubcomplexError, UnknownVertexError, VertexIndexError
 
 Simplex = tuple[int, ...]
 
@@ -81,9 +81,10 @@ class SimplicialComplex:
     ) -> "SimplicialComplex":
         """Face closure of index simplices over an existing label list.
 
-        Only labels that actually occur in a simplex are kept, and an
-        index repeated inside a simplex counts once.  An index outside the
-        label list raises ``VertexIndexError``.
+        Only labels that actually occur in a simplex are kept, renumbered
+        in label order, and an index repeated inside a simplex counts once.
+        An index outside the label list raises ``VertexIndexError``, and two
+        used indices with one label raise ``LabelCollisionError``.
         """
         label_tuple = tuple(labels)
         simplex_list = [tuple(s) for s in simplices]
@@ -91,9 +92,14 @@ class SimplicialComplex:
         for i in used[:1] + used[-1:]:
             if not 0 <= i < len(label_tuple):
                 raise VertexIndexError(f"vertex index {i} is outside the labels")
+        used.sort(key=label_tuple.__getitem__)
+        names = [label_tuple[i] for i in used]
+        twice = next((a for a, b in zip(names, names[1:]) if a == b), None)
+        if twice is not None:
+            raise LabelCollisionError(f"label {twice!r} names two vertex indices")
         rename = {old: new for new, old in enumerate(used)}.__getitem__
         return cls._closure(
-            [label_tuple[i] for i in used],
+            names,
             (tuple(sorted(set(map(rename, s)))) for s in simplex_list),
         )
 

@@ -8,15 +8,17 @@ Homology needs only the rank and the invariant factors of each boundary,
 and boundaries are sparse with mostly ``±1`` entries.  ``chain_reducer``
 numbers the cells of a complex across degrees once, allocates their
 per-cell state once, and reduces any set of them (the whole complex, or
-one open star of it) to a discrete Morse complex: coreductions remove
-pairs of cells joined by a ``±1`` entry, and when no pair is left the
-least live cell is made critical.  Every cell of a call is removed by its
-end, so a call leaves the shared state clean and costs work in
-proportion to its own cells; a reducer is not reentrant.  The boundaries
-of the few critical cells, pushed through the images of the paired
-cells, form a complex with the same homology over Z, and their Smith
-normal form is the whole integer elimination.  The call also returns its
-matching, the removed pairs in order, and the image of every cell,
+one open star of it, its cells in any order) to a discrete Morse complex:
+coreductions remove pairs of cells joined by a ``±1`` entry, and when no
+pair is left the least live cell is made critical.  Every cell of a call
+is removed by its end, so a call leaves the shared state clean and costs
+work in proportion to its own cells; a cell number out of range raises
+``IndexError`` before the call changes any state.  A reducer is not
+reentrant, and one whose call was interrupted must not be reused.  The
+boundaries of the few critical cells, pushed through the images of the
+paired cells, form a complex with the same homology over Z, and their
+Smith normal form is the whole integer elimination.  The call also returns
+its matching, the removed pairs in order, and the image of every cell,
 recorded on the way, from which ``morse.MorseMaps`` reads the chain maps
 between the complex and its Morse complex.  The reducer's cell index is
 the only one built: the Morse maps and the pseudomanifold flags read it.
@@ -279,15 +281,16 @@ def chain_reducer(boundaries):
     numbered through the bases bottom degree first, and their coface lists
     and per-cell state (a live flag and a live face count) are built
     here, once, so many cell sets of one complex can be reduced.
-    ``reduce(cells)`` reduces ``cells`` (any iterable of ascending cell
-    numbers, every cell when omitted) to a discrete Morse complex; faces
+    ``reduce(cells)`` reduces ``cells`` (any iterable of cell numbers, in
+    any order, every cell when omitted) to a discrete Morse complex; faces
     and cofaces outside them count as absent, so a set whose complement
-    is a subcomplex is reduced as the quotient complex.  One queue runs
-    over every degree, seeded with ``cells`` in order; a cell goes back on
-    it when its live faces drop to one.  One move, the coreduction, pairs
-    cells (Mrozek and Batko, "Coreduction homology algorithm", DCG 41,
-    2009): it removes a cell ``b`` whose only live face ``a`` is joined to
-    it by a ``±1`` entry, together with ``a``.  The flow replaces ``a`` by
+    is a subcomplex is reduced as the quotient complex.  The cells are
+    sorted once, and one queue runs over every degree, seeded with them
+    in order; a cell goes back on it when its live faces drop to one.
+    One move, the coreduction, pairs cells (Mrozek and Batko,
+    "Coreduction homology algorithm", DCG 41, 2009): it removes a cell
+    ``b`` whose only live face ``a`` is joined to it by a ``±1`` entry,
+    together with ``a``.  The flow replaces ``a`` by
     ``a - <∂b, a> ∂b``, and the other faces of ``b`` are removed already,
     so the image of ``a`` is recorded once, over the critical cells found
     so far.  Upper cells of pairs flow to zero.  When the queue empties,
@@ -303,9 +306,11 @@ def chain_reducer(boundaries):
     Every cell of a call is removed, paired or critical, so a call
     returns with each cell dead and the queue empty: the next call marks
     and counts only its own cells, and costs work in proportion to them
-    rather than to the whole complex.  A call that raises (a cell number
-    out of range raises ``IndexError``) clears the cells it marked first.
-    The state is shared, so a reducer is not reentrant.
+    rather than to the whole complex.  The only error a call raises on
+    its own, ``IndexError`` for a cell number out of range, comes before
+    any state changes.  The state is shared, so a reducer is not
+    reentrant, and one whose call was interrupted (say by
+    ``KeyboardInterrupt``) must not be reused.
 
     Returns ``(critical, columns, matching, flow)``: the basis indices of
     the critical cells of each degree, ascending, their Morse boundary
@@ -349,20 +354,24 @@ def chain_reducer(boundaries):
                 if n == 1:
                     queue.append(y)
 
-    def mark(cells) -> None:
-        for x in cells:
-            if not 0 <= x < total:
-                raise IndexError(f"cell {x} is not among the {total} cells")
-            alive[x] = 1
-        for x in cells:
-            base = below[x]
-            n = 0
-            for r in columns[x]:
-                if alive[base + r]:
-                    n += 1
-            live_faces[x] = n
-
-    def run(cells) -> tuple[tuple, tuple, tuple, dict]:
+    def reduce(cells=None) -> tuple[tuple, tuple, tuple, dict]:
+        if cells is None:
+            cells = range(total)
+            alive[:] = b"\x01" * total
+            live_faces[:] = map(len, columns)
+        else:
+            cells = sorted(cells)  # read to mark, to seed the queue and to scan
+            if cells and not 0 <= cells[0] <= cells[-1] < total:
+                raise IndexError(f"cells {cells[0]}..{cells[-1]} reach outside 0..{total - 1}")
+            for x in cells:
+                alive[x] = 1
+            for x in cells:
+                base = below[x]
+                n = 0
+                for r in columns[x]:
+                    if alive[base + r]:
+                        n += 1
+                live_faces[x] = n
         queue.extend(cells)
         critical: list[list[int]] = [[] for _ in boundaries]
         morse: list[list[dict]] = [[] for _ in boundaries]
@@ -402,24 +411,6 @@ def chain_reducer(boundaries):
             critical[i].append(x - starts[i])
             remove(x)
         return tuple(map(tuple, critical)), tuple(map(tuple, morse)), tuple(matching), flow
-
-    def reduce(cells=None) -> tuple[tuple, tuple, tuple, dict]:
-        if cells is not None:
-            cells = tuple(cells)  # read by mark, the queue seed and the unseen scan
-        try:
-            if cells is None:
-                cells = range(total)
-                alive[:] = b"\x01" * total
-                live_faces[:] = map(len, columns)
-            else:
-                mark(cells)
-            return run(cells)
-        except BaseException:
-            for x in cells:
-                if 0 <= x < total:
-                    alive[x] = 0
-            queue.clear()
-            raise
 
     vars(reduce).update(starts=starts, columns=columns, below=below, cofaces=cofaces)
     return reduce

@@ -11,12 +11,15 @@ universal-coefficient bookkeeping
 invariant factors in degree k.  ``group_direct_sum`` renormalizes a sum of
 groups to invariant factors through their prime-power parts, for the
 additivity checks.  ``naive_facets`` finds a complex's maximal simplices
-by comparing every pair of its simplices.  None of it touches the
+by comparing every pair of its simplices.  ``homology_manifold`` applies
+the definition of a homology manifold to every simplex's link, with
+reduced GF(2) Betti numbers.  None of it touches the
 package's Smith normal form path; only the ``HomologyGroup`` value type is
 shared.
 """
 
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 
 from localhom.homology import HomologyGroup
@@ -144,6 +147,39 @@ def betti_numbers(facets, rank_fn):
     sizes = [len(g) for g in graded]
     ranks = [0] + [rank_fn(m) for m in matrices] + [0]
     return [sizes[d] - ranks[d] - ranks[d + 1] for d in range(len(sizes))]
+
+
+@cache
+def reduced_betti_gf2(facets: frozenset) -> dict:
+    """Nonzero reduced GF(2) Betti numbers by degree; the empty complex has ``H̃_{-1}``."""
+    if not facets:
+        return {-1: 1}
+    betti = betti_numbers(facets, rank_gf2)
+    betti[0] -= 1
+    return {d: b for d, b in enumerate(betti) if b}
+
+
+def homology_manifold(facets):
+    """``(n, "closed" | "boundary")`` for a homology n-manifold, else None.
+
+    n is the top dimension.  The link of every simplex σ of the closure
+    must have reduced GF(2) Betti numbers that are all zero (σ lies on
+    the boundary) or a single 1 in degree ``n − dim σ − 1``; an empty
+    link has ``H̃_{-1}`` of rank 1, so every facet must have dimension n.
+    Over GF(2) this is exact while no link has torsion, which holds for
+    links on at most five vertices.
+    """
+    facets = [frozenset(f) for f in facets]
+    n = max(map(len, facets)) - 1
+    kind = "closed"
+    for s in closure(facets):
+        link = frozenset(tuple(sorted(f.difference(s))) for f in facets if f.issuperset(s))
+        betti = reduced_betti_gf2(link - {()})
+        if not betti:
+            kind = "boundary"
+        elif betti != {n - len(s): 1}:
+            return None
+    return n, kind
 
 
 def euler_characteristic(facets):

@@ -224,6 +224,29 @@ def test_index_simplices_collapse_a_repeated_index():
     assert homology_of_complex(k).nonzero() == {0: HomologyGroup(1)}
 
 
+def test_index_simplices_renumber_their_vertices_in_label_order():
+    # Internal indices are the ranks of the sorted labels, whatever list the
+    # index simplices were written over.
+    k = SimplicialComplex.from_index_simplices(["b", "a"], [(0, 1)])
+    expected = SimplicialComplex.from_label_facets([("a", "b")])
+    assert k.labels == ("a", "b")
+    assert k == expected and hash(k) == hash(expected)
+    k = SimplicialComplex.from_index_simplices(["c", "x", "a", "b"], [(0, 2), (3,)])
+    assert k == SimplicialComplex.from_label_facets([("a", "c"), ("b",)])
+
+
+def test_index_simplices_reject_two_indices_with_one_label():
+    # Two vertices named alike would be written as a facet that reads back
+    # as malformed.
+    with pytest.raises(LabelCollisionError, match="label 'a' "):
+        SimplicialComplex.from_index_simplices(["a", "a"], [(0, 1)])
+    with pytest.raises(LabelCollisionError):
+        SimplicialComplex.from_index_simplices(["a", "b", "a"], [(0, 1), (2,)])
+    # A repeated label that no simplex uses is dropped with its index.
+    k = SimplicialComplex.from_index_simplices(["a", "b", "a"], [(0, 1)])
+    assert k == SimplicialComplex.from_label_facets([("a", "b")])
+
+
 def test_complex_answers_the_same_after_the_index_is_filled():
     k = parse_complex(OCTAHEDRON_TEXT)
     before = (k.facets(), k.f_vector(), hash(k), to_scx(k))
