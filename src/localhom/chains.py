@@ -147,7 +147,7 @@ def quotient_chain_complex(k: SimplicialComplex, sub, ambient=None) -> ChainComp
 
 def relative_chain_complex(pair: SubcomplexPair) -> ChainComplex:
     """Quotient chain complex of a pair, in the ambient complex's numbering."""
-    return quotient_chain_complex(pair.ambient, pair.sub_simplices_in_ambient())
+    return quotient_chain_complex(pair.ambient, pair.sub_cells)
 
 
 def open_star_chain_complex(k: SimplicialComplex, vertices) -> ChainComplex:

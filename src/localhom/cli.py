@@ -38,12 +38,7 @@ from .catalog import builtin, builtin_names
 from .complexes import SimplicialComplex
 from .constructions import cone, disjoint_union, prism_product, wedge
 from .errors import LocalhomError
-from .homology import (
-    HomologySummary,
-    homology_of_complex,
-    local_homology,
-    local_homology_multi,
-)
+from .homology import HomologySummary, homology_of_complex, local_homology_multi
 from .scx import read_complex, write_complex
 
 
@@ -77,13 +72,12 @@ def cmd_homology(args) -> tuple[int, dict | None, list[str]]:
 def cmd_local(args) -> tuple[int, dict | None, list[str]]:
     source, k = _load_input(args)
     if args.vertex is not None:
-        summary = local_homology(k, args.vertex)
-        payload = _homology_payload(source, summary, vertex=args.vertex)
+        labels, subject = [args.vertex], {"vertex": args.vertex}
     else:
         labels = [tok for tok in args.vertices.split(",") if tok]
-        summary = local_homology_multi(k, labels)
-        payload = _homology_payload(source, summary, vertices=labels)
-    return 0, payload, summary.lines()
+        subject = {"vertices": labels}
+    summary = local_homology_multi(k, labels)
+    return 0, _homology_payload(source, summary, **subject), summary.lines()
 
 
 def cmd_construct(args) -> tuple[int, dict | None, list[str]]:

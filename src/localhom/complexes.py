@@ -11,7 +11,9 @@ Instances are immutable and safe to share between threads; every
 operation on them returns a new complex.  Faces are enumerated once, one
 dimension at a time, in bulk, by the closure, which also records the
 facets: the given simplices that are no face of the level above.  The label
-index and the set of all simplices are filled lazily.
+index and the set of all simplices are filled lazily.  ``cells_of`` is the
+one translation of another complex's simplices into this numbering, by
+label and checked against that set; a ``SubcomplexPair`` keeps its result.
 """
 
 from __future__ import annotations
@@ -187,13 +189,17 @@ class SimplicialComplex:
         translate = [other.index_of(lab) for lab in self.labels]
         return (tuple(sorted(map(translate.__getitem__, s))) for s in self.all_simplices())
 
+    def cells_of(self, part: "SimplicialComplex") -> frozenset[Simplex] | None:
+        """``part``'s simplices in this numbering, by label; None unless each is one here."""
+        try:
+            cells = frozenset(part.simplices_in(self))
+        except UnknownVertexError:
+            return None
+        return cells if cells <= self._simplex_set else None
+
     def is_subcomplex_of(self, other: "SimplicialComplex") -> bool:
         """True when every simplex of self is a simplex of other (by labels)."""
-        try:
-            simplices = self.simplices_in(other)
-        except UnknownVertexError:
-            return False
-        return all(map(other.has_simplex, simplices))
+        return other.cells_of(self) is not None
 
     def __repr__(self) -> str:
         return (
@@ -207,16 +213,16 @@ class SubcomplexPair:
     """A complex together with a subcomplex of it, for relative homology.
 
     The subcomplex must be simplex-wise contained in the ambient complex
-    (compared through vertex labels).
+    (compared through vertex labels).  ``sub_cells`` keeps its simplices
+    in the ambient numbering, translated once by ``cells_of``.
     """
 
     ambient: SimplicialComplex
     sub: SimplicialComplex
+    sub_cells: frozenset = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not self.sub.is_subcomplex_of(self.ambient):
+        cells = self.ambient.cells_of(self.sub)
+        if cells is None:
             raise SubcomplexError("sub is not a subcomplex of the ambient complex")
-
-    def sub_simplices_in_ambient(self) -> set:
-        """Simplices of the subcomplex in the ambient index convention."""
-        return set(self.sub.simplices_in(self.ambient))
+        object.__setattr__(self, "sub_cells", cells)

@@ -11,18 +11,17 @@ alone.
 
 Alongside absolute and reduced homology this module computes relative
 homology of pairs and local homology at a vertex by two independent
-routes.  ``local_homologies`` reads ``H_k(K, K - v)`` as the homology of
-the quotient ``C(K)/C(K - v)``, whose basis is the open star of ``v``:
-one chain complex holds the open stars of all the requested vertices,
-built and checked once, and one ``chain_reducer`` over it, which
-``open_stars`` returns for the probe's flags, runs on each vertex's
-open star in place.  It is the route the probe and the CLI use,
-and ``local_homology`` is its single-vertex case.  ``local_homology_via_link``
+routes.  The quotient route reads ``H_k(K, K - v)`` as the homology of
+``C(K)/C(K - v)``, whose basis is the open star of ``v``.
+``local_homology_multi`` reduces one such quotient, by the simplices
+missing a set of non-adjacent vertices, and ``local_homology`` is its
+one-vertex case.  For many vertices, ``open_stars`` builds and checks one
+chain complex of all their open stars and runs one ``chain_reducer``,
+which it returns for the probe's flags, on each star in place;
+``local_homologies`` and the probe read it.  ``local_homology_via_link``
 uses the excision identity ``H_k(K, K - v) = H~_{k-1}(lk v)`` on a link
 rebuilt as a new complex; it is kept as the cross-check the quotient
-route is tested against.  Local homology at a set of non-adjacent
-vertices (one quotient by the simplices missing all of them) and the
-apex formula for cones complete the module.
+route is tested against.  The apex formula for cones completes the module.
 """
 
 from __future__ import annotations
@@ -251,10 +250,10 @@ def local_homology(k: SimplicialComplex, v: str) -> HomologySummary:
 
     Detects the local structure at ``v``: an interior point of an
     n-manifold gives ``Z`` in degree n and nothing else.  This is the
-    definition, the quotient by the simplices missing ``v``, computed
-    without the link, so that ``local_homology_via_link`` can check it.
+    definition, ``local_homology_multi``'s quotient by the simplices missing
+    ``v``, read without the link, so that ``local_homology_via_link`` can check it.
     """
-    return local_homologies(k, [v])[v]
+    return local_homology_multi(k, [v])
 
 
 def local_homology_multi(k: SimplicialComplex, vs) -> HomologySummary:

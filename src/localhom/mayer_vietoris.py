@@ -26,11 +26,13 @@ result flows onto the target pair's Morse complex, where the transforms
 read its integer coordinates.  The rank of an arrow is the rank of its
 Smith normal form.
 
-Every piece is a set of ``k``'s simplices in ``k``'s own numbering, and a
-pair's chains are the quotient of two such sets, keyed by ``k``'s index
-tuples; an inclusion drops the target's subcomplex.  Every complex sorts
-its labels, so each pair's basis order and signs, and with them its
-cycles and maps, are those of the pair read on its own.
+Every piece is read once through ``k.cells_of``, as the set of ``k``'s
+simplices in ``k``'s own numbering, and a piece inside another is a set
+inclusion (``c <= a``).  A pair's chains are the quotient of two such
+sets, keyed by ``k``'s index tuples; an inclusion drops the target's
+subcomplex.  Every complex sorts its labels, so each pair's basis order
+and signs, and with them its cycles and maps, are those of the pair read
+on its own.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from dataclasses import dataclass, field
 
 from .chains import chain_boundary, quotient_chain_complex
 from .complexes import SimplicialComplex, SubcomplexPair
-from .errors import DecompositionError, InclusionError, UnknownVertexError
+from .errors import DecompositionError, InclusionError
 from .exact import (
     IntegerMatrix,
     chain_reducer,
@@ -50,17 +52,6 @@ from .exact import (
     unimodular_inverse,
 )
 from .morse import MorseMaps
-
-
-def _cells_in(part: SimplicialComplex, k: SimplicialComplex, inside, error) -> frozenset:
-    """``part``'s simplices in ``k``'s numbering; ``error`` unless each is ``inside``."""
-    try:
-        cells = frozenset(part.simplices_in(k))
-    except UnknownVertexError:
-        raise error from None
-    if not all(map(inside, cells)):
-        raise error
-    return cells
 
 
 def _smith(columns, rows: int):
@@ -187,16 +178,19 @@ def induced_map(source: SubcomplexPair, target: SubcomplexPair, degree: int) -> 
     """Matrix of the inclusion-induced map between the free parts of integral homology.
 
     Its columns are the target coordinates of the source's free
-    generators.  Both pairs are numbered in ``target.ambient``.
+    generators.  Both pairs are numbered in ``target.ambient``: the target
+    keeps its subcomplex as ``sub_cells``, and the source's complexes are
+    read through ``cells_of``.
     """
     k = target.ambient
-    error = InclusionError("source ambient is not contained in target ambient")
-    ambient = _cells_in(source.ambient, k, k.has_simplex, error)
-    target_sub = target.sub_simplices_in_ambient()
-    error = InclusionError("source subcomplex is not contained in target subcomplex")
-    sub = _cells_in(source.sub, k, target_sub.__contains__, error)
+    ambient = k.cells_of(source.ambient)
+    if ambient is None:
+        raise InclusionError("source ambient is not contained in target ambient")
+    sub = k.cells_of(source.sub)
+    if sub is None or not sub <= target.sub_cells:
+        raise InclusionError("source subcomplex is not contained in target subcomplex")
     sp = _PairHomology(k, ambient, sub)
-    tp = _PairHomology(k, None, target_sub)
+    tp = _PairHomology(k, None, target.sub_cells)
     return _matrix(sp.pushed(degree, tp), tp.rank(degree))
 
 
@@ -204,8 +198,9 @@ def induced_map(source: SubcomplexPair, target: SubcomplexPair, degree: int) -> 
 class MvDecomposition:
     """Covering data ``k = a | b`` with subcomplexes ``c <= a``, ``d <= b``.
 
-    Each piece is checked once and kept as the set of its simplices in
-    ``k``'s numbering; every pair of the sequence, ``(a & b, c & d)`` and
+    Each piece is read once by ``k.cells_of`` and kept as the set of its
+    simplices in ``k``'s numbering, and ``c <= a`` and ``d <= b`` are set
+    inclusions; every pair of the sequence, ``(a & b, c & d)`` and
     ``(k, c | d)`` among them, is a quotient of those sets.  An omitted
     ``c`` or ``d`` is the empty complex.
     """
@@ -222,14 +217,16 @@ class MvDecomposition:
         c = self.c if self.c is not None else SimplicialComplex.empty()
         d = self.d if self.d is not None else SimplicialComplex.empty()
 
-        def piece(name: str, part: SimplicialComplex, inside) -> frozenset:
-            error = DecompositionError(f"{name} is not a subcomplex of its ambient")
-            return _cells_in(part, k, inside, error)
+        def piece(name: str, part: SimplicialComplex, ambient=None) -> frozenset:
+            cells = k.cells_of(part)
+            if cells is None or ambient is not None and not cells <= ambient:
+                raise DecompositionError(f"{name} is not a subcomplex of its ambient")
+            return cells
 
-        a_cells = piece("a", self.a, k.has_simplex)
-        b_cells = piece("b", self.b, k.has_simplex)
-        c_cells = piece("c", c, a_cells.__contains__)
-        d_cells = piece("d", d, b_cells.__contains__)
+        a_cells = piece("a", self.a)
+        b_cells = piece("b", self.b)
+        c_cells = piece("c", c, a_cells)
+        d_cells = piece("d", d, b_cells)
         for s in k.all_simplices():
             if s not in a_cells and s not in b_cells:
                 raise DecompositionError(

@@ -11,7 +11,8 @@ The script exits 1 when a homology manifold reads as not a manifold, a
 consistent verdict names the wrong dimension or kind, or a group differs.
 It also prints how many complexes read as consistent without being
 homology manifolds: the verdict reads vertices only, so it misses a bad
-edge or triangle until it reads every face (ROADMAP item 1).
+edge or triangle until it reads every face (ROADMAP item 1).  It exits 1
+when that count exceeds ``MISSED_AT_MOST``, which item 1 lowers to 0.
 
 The file name does not match ``test_*.py``, so pytest does not collect
 it; CI runs it as its own step, from the repository root:
@@ -34,6 +35,7 @@ from localhom.probe import (
 
 KINDS = {"closed": CONSISTENT_CLOSED, "boundary": CONSISTENT_WITH_BOUNDARY}
 TETRAHEDRA = list(combinations("012345", 4))
+MISSED_AT_MOST = 9455
 
 
 def main() -> int:
@@ -63,7 +65,9 @@ def main() -> int:
         f"{total} complexes: {faults} wrong; "
         f"{missed} read as consistent but are not homology manifolds"
     )
-    return 1 if faults else 0
+    if missed > MISSED_AT_MOST:
+        print(f"more than {MISSED_AT_MOST} complexes read as consistent (ROADMAP item 1)")
+    return 1 if faults or missed > MISSED_AT_MOST else 0
 
 
 if __name__ == "__main__":

@@ -359,6 +359,21 @@ def test_simplices_in_renumbers_by_label():
     assert not parse_complex("a x").is_subcomplex_of(k)
 
 
+def test_cells_of_is_the_one_checked_translation():
+    k = parse_complex("a b c\nb c d")
+    piece = parse_complex("b d\nc")
+    assert k.cells_of(piece) == frozenset(piece.simplices_in(k))
+    assert k.cells_of(parse_complex("a x")) is None  # x is no label of k
+    assert k.cells_of(parse_complex("a d")) is None  # labels match, not an edge of k
+    sub = parse_complex("b c")
+    pair = SubcomplexPair(k, sub)
+    assert pair.sub_cells == k.cells_of(sub)
+    assert "sub_cells" not in repr(pair)
+    other = SubcomplexPair(k, parse_complex("b c"))
+    object.__setattr__(other, "sub_cells", frozenset())
+    assert pair == other and hash(pair) == hash(other)
+
+
 def test_subcomplex_pair_is_frozen_with_structural_equality():
     k = builtin("octahedron")
     pair = SubcomplexPair(k, full_subcomplex(k, ["2", "3", "4", "5"]))

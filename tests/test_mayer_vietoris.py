@@ -32,7 +32,7 @@ from test_reduction import _grid_torus
 
 def _pair_homology(pair: SubcomplexPair) -> _PairHomology:
     """The homology bases of a pair, numbered in its ambient complex."""
-    return _PairHomology(pair.ambient, None, pair.sub_simplices_in_ambient())
+    return _PairHomology(pair.ambient, None, pair.sub_cells)
 
 
 def test_degenerate_cover_is_exact():
