@@ -99,8 +99,8 @@ def _boundary_columns(rows: tuple[Simplex, ...], cols: tuple[Simplex, ...]) -> l
     n = len(rows[0]) + 1
     row_pos = dict(zip(rows, count()))
     found = list(map(row_pos.get, chain.from_iterable(map(combinations, cols, repeat(n - 1)))))
-    # combinations drops the last vertex first.  Read backwards, each column lists
-    # vertex 0's face first, rows descending: the reducer's queue follows that order.
+    # Reversed, a column lists the face without vertex 0 first (combinations drops it last).
+    # It is the largest face, removed last, so a coreduction's live-face scan mostly stops there.
     found.reverse()
     signs = [(-1) ** drop for drop in range(n)]
     columns = list(map(dict, map(zip, zip(*[iter(found)] * n), repeat(signs))))

@@ -2,14 +2,14 @@
 
 Covers the local pieces (link and star, closed from the facets at a
 vertex; vertex deletion and full subcomplexes, closed from the facets'
-cuts), the gluing constructions (cone, wedge, disjoint union), the prism
-over a complex (a triangulation of the product with an interval), and
-relabelling.
+cuts), the gluing constructions (cone, wedge, disjoint union), the
+staircase product and its case the prism, and relabelling.
 All functions are pure: inputs are never modified.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate, combinations
 from typing import Mapping
 
 from .complexes import SimplicialComplex, SubcomplexPair
@@ -117,30 +117,34 @@ def relabel(k: SimplicialComplex, mapping: Mapping[str, str]) -> SimplicialCompl
     return SimplicialComplex.from_label_facets(facets)
 
 
+def product(k: SimplicialComplex, l: SimplicialComplex) -> SimplicialComplex:
+    """Staircase (Eilenberg–Zilber) triangulation of ``|k| × |l|``; ``a.b`` is ``(a, b)``.
+
+    One simplex per pair of facets and monotone lattice path through their sorted vertices.
+    Every vertex pair lies on a path, so two pairs with one label raise LabelCollisionError.
+    """
+    facets = []
+    for s in k.facets():
+        for t in l.facets():
+            steps = range(len(s) + len(t) - 2)
+            for turns in combinations(steps, len(s) - 1):
+                path = enumerate(accumulate((m in turns for m in steps), initial=0))
+                facets.append([f"{k.labels[s[i]]}.{l.labels[t[m - i]]}" for m, i in path])
+    result = SimplicialComplex.from_label_facets(facets)
+    if result.n_vertices != k.n_vertices * l.n_vertices:
+        raise LabelCollisionError("two vertex pairs of the product share a label")
+    return result
+
+
 def bottom_label(lab: str) -> str:
     """Label of the copy of a vertex on the bottom face of a prism."""
     return lab + ".0"
 
 
-def top_label(lab: str) -> str:
-    return lab + ".1"
-
-
 def prism_product(k: SimplicialComplex) -> SubcomplexPair:
-    """Staircase triangulation of ``k x [0, 1]`` with its bottom copy.
-
-    Each p-simplex ``v0 < ... < vp`` contributes the p + 1 simplices
-    ``{v0.0, ..., vi.0, vi.1, ..., vp.1}``; the distinguished subcomplex is
-    the bottom copy of ``k`` (labels suffixed ``.0``, top copy ``.1``).
-    """
-    facets = k.label_facets()
-    ambient = SimplicialComplex.from_label_facets(
-        tuple(map(bottom_label, f[: i + 1])) + tuple(map(top_label, f[i:]))
-        for f in facets
-        for i in range(len(f))
-    )
-    bottom = SimplicialComplex.from_label_facets(tuple(map(bottom_label, f)) for f in facets)
-    return SubcomplexPair(ambient, bottom)
+    """``product(k, [0, 1])`` and its bottom copy ``k × 0``, whose labels end in ``.0``."""
+    bottom = SimplicialComplex.from_label_facets(map(bottom_label, f) for f in k.label_facets())
+    return SubcomplexPair(product(k, SimplicialComplex.from_label_facets([("0", "1")])), bottom)
 
 
 def punctured_pair(pair: SubcomplexPair, v: str) -> SubcomplexPair:

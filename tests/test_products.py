@@ -1,40 +1,35 @@
 """Torsion through the Morse complex, on staircase products with RP².
 
-``product(K, L)`` is the staircase triangulation of ``|K| × |L|``
-(Eilenberg–Zilber): for each pair of facets ``σ × τ`` and each monotone
-lattice path through their ordered vertices, the vertices ``(a_i, b_j)``
-on the path span one simplex.  The ``Z/2`` classes of these products are
-never paired away, so their groups come from the Smith normal form of the
-critical cells' Morse boundaries; the Künneth formula gives them.
+``constructions.product(K, L)`` is the staircase triangulation of
+``|K| × |L|`` (Eilenberg–Zilber): for each pair of facets ``σ × τ`` and
+each monotone lattice path through their ordered vertices, the vertices
+``(a_i, b_j)`` on the path span one simplex.  The ``Z/2`` classes of these
+products are never paired away, so their groups come from the Smith normal
+form of the critical cells' Morse boundaries; the Künneth formula gives
+them.  The prism is the product with ``[0, 1]``; its per-simplex formula
+is kept here as a reference.
 """
 
-from itertools import combinations
+import pytest
+from hypothesis import given, settings
 
 import oracle
-from localhom import SimplicialComplex, builtin, homology_of_complex, obstruction_report
+from localhom import (
+    SimplicialComplex,
+    builtin,
+    homology_of_complex,
+    obstruction_report,
+    parse_complex,
+    prism_product,
+    relabel,
+)
+from localhom.constructions import product
+from localhom.errors import LabelCollisionError
 from localhom.homology import HomologyGroup
 from localhom.probe import CONSISTENT_CLOSED
+from test_link_route import complexes, few
 
 Z = HomologyGroup(1)
-
-
-def product(k: SimplicialComplex, l: SimplicialComplex) -> SimplicialComplex:
-    """The staircase triangulation of ``|k| × |l|``; vertex ``a.b`` is ``(a, b)``."""
-    facets = []
-    for s in k.facets():
-        for t in l.facets():
-            p, q = len(s) - 1, len(t) - 1
-            for k_steps in combinations(range(p + q), p):
-                i = j = 0
-                path = [(s[0], t[0])]
-                for step in range(p + q):
-                    if step in k_steps:
-                        i += 1
-                    else:
-                        j += 1
-                    path.append((s[i], t[j]))
-                facets.append([f"{k.labels[a]}.{l.labels[b]}" for a, b in path])
-    return SimplicialComplex.from_label_facets(facets)
 
 
 def test_staircase_product_of_two_edges_is_a_square_of_two_triangles():
@@ -73,3 +68,42 @@ def test_torus_times_rp2_has_the_kunneth_groups():
         2: HomologyGroup(1, (2, 2)),
         3: HomologyGroup(0, (2,)),
     }
+
+
+def test_vertex_pairs_that_share_a_label_raise():
+    # (a, b.c) and (a.b, c) both read a.b.c.
+    with pytest.raises(LabelCollisionError):
+        product(parse_complex("a a.b"), parse_complex("b.c c"))
+
+
+def _assert_product_is_symmetric(k, l):
+    swap = {f"{b}.{a}": f"{a}.{b}" for a in k.labels for b in l.labels}
+    assert relabel(product(l, k), swap) == product(k, l)
+
+
+@pytest.mark.parametrize(
+    "pair", [("interval", "interval"), ("sphere(1)", "rp2_6"), ("sphere(2)", "interval")]
+)
+def test_the_product_of_builtins_is_symmetric(pair):
+    _assert_product_is_symmetric(*map(builtin, pair))
+
+
+@settings(few, max_examples=50)
+@given(complexes, complexes)
+def test_the_product_is_symmetric(k, l):
+    _assert_product_is_symmetric(k, l)
+
+
+@few
+@given(complexes)
+def test_the_prism_is_the_per_simplex_staircase(k):
+    # Each p-simplex v0 < ... < vp spans the p + 1 simplices {v0.0, ..., vi.0, vi.1, ..., vp.1}.
+    facets = k.label_facets()
+    staircase = SimplicialComplex.from_label_facets(
+        [a + ".0" for a in f[: i + 1]] + [a + ".1" for a in f[i:]]
+        for f in facets
+        for i in range(len(f))
+    )
+    pair = prism_product(k)
+    assert pair.ambient == staircase
+    assert pair.sub == SimplicialComplex.from_label_facets([a + ".0" for a in f] for f in facets)
