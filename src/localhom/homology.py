@@ -16,9 +16,10 @@ routes.  The quotient route reads ``H_k(K, K - v)`` as the homology of
 ``local_homology_multi`` reduces one such quotient, by the simplices
 missing a set of non-adjacent vertices, and ``local_homology`` is its
 one-vertex case.  For many vertices, ``open_stars`` builds and checks one
-chain complex of all their open stars and runs one ``chain_reducer``,
-which it returns for the probe's flags, on each star in place;
-``local_homologies`` and the probe read it.  ``local_homology_via_link``
+chain complex of all their open stars and returns its ``chain_reducer``,
+and ``star_homology`` reduces the open star of any one cell in place, a
+vertex's or a higher face's; ``local_homologies`` and the probe read
+them.  ``local_homology_via_link``
 uses the excision identity ``H_k(K, K - v) = H~_{k-1}(lk v)`` on a link
 rebuilt as a new complex; it is kept as the cross-check the quotient
 route is tested against.  The apex formula for cones completes the module.
@@ -26,9 +27,10 @@ route is tested against.  The apex formula for cones completes the module.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections.abc import Mapping
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import combinations
 from types import MappingProxyType
 
 from .chains import (
@@ -216,33 +218,43 @@ def relative_homology(pair: SubcomplexPair) -> HomologySummary:
 def open_stars(k: SimplicialComplex, labels) -> tuple:
     """The open stars of ``labels`` in one chain complex, built and checked once.
 
-    Returns its ``chain_reducer``, the local homology ``H_*(K, K - v)`` at
-    each vertex and each vertex's star dimension, the degree of the highest
-    cell in its open star.  That star is the basis of ``C(K)/C(K - v)``,
-    and the cells without ``v`` form a subcomplex, so ``∂∘∂ = 0`` holds on
-    every quotient and each star is reduced in place.
+    Returns its ``chain_reducer`` and each label's vertex as a cell number.
+    The cells without ``v`` form a subcomplex, so ``∂∘∂ = 0`` holds on each
+    quotient ``C(K)/C(K - v)``.  Over every vertex the complex is
+    ``chain_complex(k)``, whose cell index the probe's face walk reads: it
+    counts the cofaces of each face whose link has dimension at most 2 and
+    reduces the stars of the others with ``star_homology``.
     """
     labels = list(labels)
     indices = [k.index_of(lab) for lab in labels]
     c = open_star_chain_complex(k, indices)
-    cells = list(chain.from_iterable(c.bases))
-    stars: dict[int, list[int]] = {i: [] for i in indices}
-    for x, s in enumerate(cells):
-        for i in s:
-            if i in stars:
-                stars[i].append(x)
-    reduce = chain_reducer(c.boundaries)
-    span = (0, max(k.dim, 0))
-    local, dims = {}, {}
-    for lab, i in zip(labels, indices):
-        local[lab] = HomologySummary(_groups(reduce(stars[i]), 0), span)
-        dims[lab] = len(cells[stars[i][-1]]) - 1  # cells ascend by degree
-    return reduce, local, dims
+    cell = {s[0]: x for x, s in enumerate(c.basis(0))}
+    return chain_reducer(c.boundaries), {lab: cell[i] for lab, i in zip(labels, indices)}
+
+
+def star_homology(reduce, x: int, span: tuple[int, int]) -> tuple[HomologySummary, int]:
+    """``H_*(K, K - st σ)`` at the cell ``x`` of ``reduce``, and σ's star dimension.
+
+    The open star of σ, ``x`` and every cell above it, is reduced in place
+    as a quotient; by excision its groups are ``H~_{*-dim σ-1}(lk σ)``
+    (Munkres §63).  The star dimension is the degree of its highest cell.
+    """
+    cofaces = reduce.cofaces
+    star, todo = {x}, [x]
+    for y in todo:
+        for z in cofaces[y]:
+            if z not in star:
+                star.add(z)
+                todo.append(z)
+    top = bisect_right(reduce.starts, max(star)) - 1
+    return HomologySummary(_groups(reduce(star), 0), span), top
 
 
 def local_homologies(k: SimplicialComplex, labels) -> dict[str, HomologySummary]:
     """Local homology ``H_*(K, K - v)`` at each vertex, from ``open_stars``."""
-    return open_stars(k, labels)[1]
+    reduce, cells = open_stars(k, labels)
+    span = (0, max(k.dim, 0))
+    return {lab: star_homology(reduce, x, span)[0] for lab, x in cells.items()}
 
 
 def local_homology(k: SimplicialComplex, v: str) -> HomologySummary:

@@ -362,15 +362,11 @@ def test_check_an_empty_file(capsys, tmp_path):
     }
 
 
-# Three triangles on the edge a b: the vertex probe passes every vertex,
-# and the verdict ignores the failed ridge condition it prints.
+# Three triangles on the edge a b: every vertex passes, and the edge,
+# whose link is three points, fails.
 FIN = "a b c\na b d\na c d\nb c d\na b x\n"
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 1: the verdict reads vertices only and ignores the ridge condition",
-)
 def test_the_fin_and_its_cone_are_not_manifolds(capsys, tmp_path):
     fin = tmp_path / "fin.scx"
     fin.write_text(FIN)

@@ -9,7 +9,11 @@ as a changed byte.  Two more complexes, a 6x4 grid annulus (whose rim
 vertices are boundary-like) and the prism over the prism over ``rp2_6``
 (whose stars are 4-dimensional), pin ``check --json`` and ``local
 --vertex --json`` at every vertex; they were recorded before the
-reducer kept one state across its calls.
+reducer kept one state across its calls.  Four complexes whose vertices
+all pass but one face fails (the fin, its cone, three triangles on an
+edge, two tetrahedra on an edge) pin the same commands; they were
+recorded when the verdict began to read every face, and each witness
+group is checked against the link route below.
 ``tests/data/homology_cli_golden.json`` holds
 ``homology --json``, plain and ``--reduced``, on a small corpus whose
 groups carry torsion (plus the empty complex), and
@@ -43,6 +47,9 @@ from localhom import (
     cone,
     disjoint_union,
     full_subcomplex,
+    link,
+    local_homology_via_link,
+    obstruction_report,
     parse_complex,
     prism_product,
     wedge,
@@ -109,6 +116,17 @@ def star_corpus() -> dict:
     }
 
 
+def face_corpus() -> dict:
+    """Complexes whose vertices all pass and whose verdict fails at a face."""
+    fin = parse_complex("a b c\na b d\na c d\nb c d\na b x")
+    return {
+        "fin": fin,
+        "cone-fin": cone(fin, "p"),
+        "three-triangles-on-an-edge": parse_complex("a b c\na b d\na b e"),
+        "two-tetrahedra-on-an-edge": parse_complex("0 1 2 5\n0 1 3 4"),
+    }
+
+
 def star_commands(name, k) -> list[list[str]]:
     source = ["--in", f"{name}.scx"]
     out = [["check", *source, "--json"]]
@@ -145,7 +163,23 @@ def test_local_commands_are_byte_identical_to_the_recorded_output(
     monkeypatch.chdir(tmp_path)
     found = outputs(capsys)
     found.update(outputs(capsys, star_corpus, star_commands))
+    found.update(outputs(capsys, face_corpus, star_commands))
     assert_matches(found, GOLDEN)
+
+
+def test_each_witness_face_has_the_local_group_of_its_link():
+    # At σ = (v0, ..., vd), H_k(K, K - st σ) = H~_{k-d-1}(lk σ), and
+    # lk σ is the link of vd in the link of v0 ... v(d-1).
+    for name, k in face_corpus().items():
+        report = obstruction_report(k)
+        assert (report.witness_vertex, report.overall) == (None, "not_a_manifold"), name
+        *first, last = report.witness_face
+        lk = k
+        for v in first:
+            lk = link(lk, v)
+        degree, group = report.witness
+        via_link = local_homology_via_link(lk, last)
+        assert via_link.group(degree - len(first)) == group, name
 
 
 def test_homology_json_is_byte_identical_to_the_recorded_output(

@@ -166,15 +166,20 @@ def test_report_is_invariant_under_relabelling(k, image):
         original.flags,
     )
     assert _verdict_rows(moved) == _verdict_rows(original, shuffle)
-    # The witness vertex is the least offender by label, so only a
-    # renaming that keeps the label order must carry it over unchanged.
+    # The witness vertex and face are the least offenders by label, so only
+    # a renaming that keeps the label order must carry them over unchanged;
+    # a witness face's reason names it.
     prefixed = {lab: "v." + lab for lab in k.labels}
     kept = obstruction_report(relabel(k, prefixed))
     assert kept.witness_vertex == prefixed.get(original.witness_vertex)
+    reason = original.reason
+    if original.witness_face is not None:
+        assert kept.witness_face == tuple(prefixed[lab] for lab in original.witness_face)
+        reason = reason.replace(" ".join(original.witness_face), " ".join(kept.witness_face))
     assert (kept.overall, kept.witness, kept.reason, kept.inferred_dimension) == (
         original.overall,
         original.witness,
-        original.reason,
+        reason,
         original.inferred_dimension,
     )
     assert _verdict_rows(kept) == _verdict_rows(original, prefixed)

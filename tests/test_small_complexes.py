@@ -11,15 +11,18 @@ vertex, ``local_homology`` must also agree with ``local_homology_via_link``.
 
 The manifold verdict of each complex is computed once and compared with
 ``oracle.homology_manifold``, the definition applied to every simplex's
-link, and with the verdict of the mirrored labelling ``v ↦ 4 − v``.  The
-count of complexes misread as consistent may not grow (ROADMAP item 1).
+link, and with the verdict of the mirrored labelling ``v ↦ 4 − v``; no
+complex that is not a homology manifold may read as consistent.  At every
+face below the top degree, the probe's counting walk must agree with the
+reduction of the face's open star (``face_routes``), and that reduction
+with the oracle's Betti numbers of the face's link, shifted up by
+``dim σ + 1``.
 """
 
 from functools import cache
 
-import pytest
-
 import oracle
+from face_routes import cell_labels, reduction_route, route_differences
 from localhom import (
     SimplicialComplex,
     homology_of_complex,
@@ -65,10 +68,13 @@ def _free(betti) -> dict:
     return {d: HomologyGroup(b) for d, b in enumerate(betti) if b}
 
 
-def _local_from_link(link: list) -> dict:
-    """``H_k(K, K - v) = H~_{k-1}(lk v)``, from the link's reduced GF(2) Betti numbers."""
+def _local_from_link(link: list, shift: int = 1) -> dict:
+    """``H_k(K, K - st σ) = H~_{k-shift}(lk σ)``, from the link's reduced GF(2) Betti numbers.
+
+    The shift is ``dim σ + 1``, so 1 at a vertex.
+    """
     betti = oracle.reduced_betti_gf2(frozenset(link))
-    return {d + 1: HomologyGroup(b) for d, b in betti.items()}
+    return {d + shift: HomologyGroup(b) for d, b in betti.items()}
 
 
 def test_the_small_complexes_are_every_antichain():
@@ -127,18 +133,12 @@ def _misread() -> tuple:
     )
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 1: the verdict reads vertices only, so 220 small complexes "
-    "that are not homology manifolds read as consistent",
-)
 def test_every_small_complex_read_as_consistent_is_a_homology_manifold():
     assert _misread() == ()
 
 
 def test_no_more_small_complexes_read_as_consistent_than_before():
-    # ROADMAP item 1 lowers this bound to 0, with the xfail mark above.
-    assert len(_misread()) <= 220
+    assert len(_misread()) <= 0
 
 
 def test_small_verdicts_do_not_change_under_a_relabelling():
@@ -152,3 +152,18 @@ def test_small_verdicts_do_not_change_under_a_relabelling():
         assert other.inferred_dimension == report.inferred_dimension, facets
         for verdict in report.verdicts:
             assert other.verdict_for(mirror(verdict.vertex)).category == verdict.category, facets
+
+
+def test_at_every_small_face_the_count_the_reduction_and_the_link_agree():
+    for facets, report in zip(COMPLEXES, _reports()):
+        k = SimplicialComplex.from_label_facets(facets)
+        route = reduction_route(k)
+        assert route_differences(k, report, route) == [], facets
+        reduced = route[2]
+        names = cell_labels(k)
+        # The vertices' groups are the links' in the test above.
+        for x in range(k.n_vertices, len(reduced)):
+            face = set(names[x])
+            link = [tuple(u for u in f if u not in face) for f in facets if face < set(f)]
+            local = _local_from_link(link, len(face))
+            assert reduced[x][0].nonzero() == local, (facets, names[x])
