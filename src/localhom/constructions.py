@@ -71,17 +71,23 @@ def cone(k: SimplicialComplex, apex_label: str) -> SimplicialComplex:
 
 # Label prefixes of the left and right copies in a disjoint union or wedge.
 SIDE_PREFIXES = ("L.", "R.")
+WEDGE_POINT = "w"
+
+
+def _glued(k1: SimplicialComplex, k2: SimplicialComplex, bases=(None, None)) -> SimplicialComplex:
+    """Both sides' facets with ``L.``/``R.`` label prefixes; a side's base label becomes ``w``."""
+    facets = []
+    for k, prefix, base in zip((k1, k2), SIDE_PREFIXES, bases):
+        facets += [
+            tuple(WEDGE_POINT if lab == base else prefix + lab for lab in f)
+            for f in k.label_facets()
+        ]
+    return SimplicialComplex.from_label_facets(facets)
 
 
 def disjoint_union(k1: SimplicialComplex, k2: SimplicialComplex) -> SimplicialComplex:
     """Disjoint union; labels are kept apart by ``L.``/``R.`` prefixes."""
-    left, right = SIDE_PREFIXES
-    facets = [tuple(left + lab for lab in f) for f in k1.label_facets()]
-    facets += [tuple(right + lab for lab in f) for f in k2.label_facets()]
-    return SimplicialComplex.from_label_facets(facets)
-
-
-WEDGE_POINT = "w"
+    return _glued(k1, k2)
 
 
 def wedge(
@@ -94,15 +100,7 @@ def wedge(
     """
     k1.index_of(v1)  # raises UnknownVertexError for a missing base vertex
     k2.index_of(v2)
-
-    def rename(prefix, base):
-        return lambda lab: WEDGE_POINT if lab == base else prefix + lab
-
-    left = rename(SIDE_PREFIXES[0], v1)
-    right = rename(SIDE_PREFIXES[1], v2)
-    facets = [tuple(left(lab) for lab in f) for f in k1.label_facets()]
-    facets += [tuple(right(lab) for lab in f) for f in k2.label_facets()]
-    return SimplicialComplex.from_label_facets(facets)
+    return _glued(k1, k2, (v1, v2))
 
 
 def relabel(k: SimplicialComplex, mapping: Mapping[str, str]) -> SimplicialComplex:

@@ -18,8 +18,9 @@ missing a set of non-adjacent vertices, and ``local_homology`` is its
 one-vertex case.  For many vertices, ``open_stars`` builds and checks one
 chain complex of all their open stars and returns its ``chain_reducer``,
 and ``star_homology`` reduces the open star of any one cell in place, a
-vertex's or a higher face's; ``local_homologies`` and the probe read
-them.  ``local_homology_via_link``
+vertex's or a higher face's, spanning the degrees of the reducer it is
+given; ``local_homologies`` and the probe read them.
+``local_homology_via_link``
 uses the excision identity ``H_k(K, K - v) = H~_{k-1}(lk v)`` on a link
 rebuilt as a new complex; it is kept as the cross-check the quotient
 route is tested against.  The apex formula for cones completes the module.
@@ -232,12 +233,14 @@ def open_stars(k: SimplicialComplex, labels) -> tuple:
     return chain_reducer(c.boundaries), {lab: cell[i] for lab, i in zip(labels, indices)}
 
 
-def star_homology(reduce, x: int, span: tuple[int, int]) -> tuple[HomologySummary, int]:
+def star_homology(reduce, x: int) -> tuple[HomologySummary, int]:
     """``H_*(K, K - st σ)`` at the cell ``x`` of ``reduce``, and σ's star dimension.
 
     The open star of σ, ``x`` and every cell above it, is reduced in place
     as a quotient; by excision its groups are ``H~_{*-dim σ-1}(lk σ)``
     (Munkres §63).  The star dimension is the degree of its highest cell.
+    The summary spans degree 0 to the reducer's top degree, ``K``'s
+    dimension for a reducer from ``open_stars``.
     """
     cofaces = reduce.cofaces
     star, todo = {x}, [x]
@@ -247,14 +250,14 @@ def star_homology(reduce, x: int, span: tuple[int, int]) -> tuple[HomologySummar
                 star.add(z)
                 todo.append(z)
     top = bisect_right(reduce.starts, max(star)) - 1
+    span = (0, max(len(reduce.starts) - 2, 0))
     return HomologySummary(_groups(reduce(star), 0), span), top
 
 
 def local_homologies(k: SimplicialComplex, labels) -> dict[str, HomologySummary]:
     """Local homology ``H_*(K, K - v)`` at each vertex, from ``open_stars``."""
     reduce, cells = open_stars(k, labels)
-    span = (0, max(k.dim, 0))
-    return {lab: star_homology(reduce, x, span)[0] for lab, x in cells.items()}
+    return {lab: star_homology(reduce, x)[0] for lab, x in cells.items()}
 
 
 def local_homology(k: SimplicialComplex, v: str) -> HomologySummary:

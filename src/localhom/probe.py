@@ -23,7 +23,10 @@ Massey, *Algebraic Topology: An Introduction*, ch. 1).  Higher links are
 reduced.  A vertex that does not pass by counting is reduced for its
 verdict, and so is the one failing face that becomes the witness, so
 every witness group is the reduction's.  The pseudomanifold flags come
-from the reducer's coface lists.  The link route
+from the reducer's coface lists, and ``pseudomanifold_check`` reads the
+same ``open_stars`` reducer.  A failing report names one failure: an
+offending vertex, else a conflicting star dimension, else a witness
+face.  The link route
 ``local_homology_via_link`` stays in ``homology`` as the independent
 cross-check.
 """
@@ -33,9 +36,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import asdict, dataclass
 
-from .chains import chain_complex
 from .complexes import SimplicialComplex
-from .exact import chain_reducer
 from .homology import (
     HomologyGroup,
     HomologySummary,
@@ -86,7 +87,7 @@ def vertex_verdict(k: SimplicialComplex, v: str) -> VertexVerdict:
     boundary-like verdicts both record the star dimension.
     """
     reduce, cells = open_stars(k, [v])
-    return _verdict(v, *star_homology(reduce, cells[v], (0, max(k.dim, 0))))
+    return _verdict(v, *star_homology(reduce, cells[v]))
 
 
 def _verdict(v: str, summary: HomologySummary, expected: int) -> VertexVerdict:
@@ -154,7 +155,7 @@ def face_walk(reduce) -> tuple[bytearray, dict]:
             if m <= 2:
                 outcome[x] = _count(reduce, up, m == 2, low == INTERIOR)
             else:
-                summary, _ = reduced[x] = star_homology(reduce, x, (0, n))
+                summary, _ = reduced[x] = star_homology(reduce, x)
                 outcome[x] = _OUTCOME[_classify(summary.groups, n)[0]]
     return outcome, reduced
 
@@ -216,9 +217,10 @@ def pseudomanifold_check(k: SimplicialComplex, closed: bool = True) -> Pseudoman
     """Purity, the ridge condition, and strong connectedness of facets.
 
     In closed mode every (n-1)-simplex must lie in exactly two
-    n-simplices; in boundary mode at most two.
+    n-simplices; in boundary mode at most two.  The flags are read off
+    the reducer of ``open_stars`` over every vertex, as in ``check``.
     """
-    return _flags(chain_reducer(chain_complex(k).boundaries), closed)
+    return _flags(open_stars(k, k.labels)[0], closed)
 
 
 def _flags(reducer, closed: bool) -> PseudomanifoldFlags:
@@ -333,8 +335,7 @@ def obstruction_report(k: SimplicialComplex) -> ObstructionReport:
     report means every face passed, and the complex is a homology
     manifold.
     """
-    labels = sorted(k.labels)
-    reduce, cells = open_stars(k, labels)
+    reduce, cells = open_stars(k, k.labels)
     outcome, reduced = face_walk(reduce)
     span = (0, max(k.dim, 0))
     passed = {
@@ -342,46 +343,30 @@ def obstruction_report(k: SimplicialComplex) -> ObstructionReport:
         INTERIOR: (INTERIOR_LIKE, HomologySummary({k.dim: INTERIOR_GROUP}, span)),
     }
     verdicts = []
-    for lab in labels:
-        x = cells[lab]
+    for lab, x in cells.items():
         if outcome[x] in passed:
             category, local = passed[outcome[x]]
             verdicts.append(VertexVerdict(lab, category, dimension=k.dim, local=local))
         else:
-            verdicts.append(_verdict(lab, *(reduced.get(x) or star_homology(reduce, x, span))))
+            verdicts.append(_verdict(lab, *(reduced.get(x) or star_homology(reduce, x))))
     verdicts = tuple(verdicts)
     offenders = [v for v in verdicts if v.category == NOT_LOCALLY_EUCLIDEAN]
     dims = sorted({v.dimension for v in verdicts if v.category != NOT_LOCALLY_EUCLIDEAN})
     inferred = dims[0] if len(dims) == 1 else None
     has_boundary = any(v.category == BOUNDARY_LIKE for v in verdicts)
     flags = _flags(reduce, closed=not has_boundary)
-
-    if offenders:
-        first = offenders[0]
-        return ObstructionReport(
-            NOT_A_MANIFOLD,
-            verdicts,
-            inferred,
-            flags,
-            witness_vertex=first.vertex,
-            witness=first.witness,
-            reason="vertex is not locally euclidean",
-        )
-    if len(dims) > 1:
-        expected = dims[-1]
-        mismatch = next(v for v in verdicts if v.dimension != expected)
-        return ObstructionReport(
-            NOT_A_MANIFOLD,
-            verdicts,
-            None,
-            flags,
-            witness_vertex=mismatch.vertex,
-            witness=None,
-            reason=f"star dimension {mismatch.dimension} conflicts with {expected}",
-        )
-    starts = reduce.starts
     last = outcome.rfind(FAILED, k.n_vertices)  # the last failing cell above the vertices
-    if last >= 0:
+
+    vertex = witness = face = None
+    if offenders:
+        vertex, witness = offenders[0].vertex, offenders[0].witness
+        reason = "vertex is not locally euclidean"
+    elif len(dims) > 1:
+        mismatch = next(v for v in verdicts if v.dimension != dims[-1])
+        vertex = mismatch.vertex
+        reason = f"star dimension {mismatch.dimension} conflicts with {dims[-1]}"
+    elif last >= 0:
+        starts = reduce.starts
         d = bisect_right(starts, last) - 1
         simplices = k.simplices(d)
         face, x = min(
@@ -389,15 +374,12 @@ def obstruction_report(k: SimplicialComplex) -> ObstructionReport:
             for x in range(starts[d], last + 1)
             if outcome[x] == FAILED
         )
-        summary, _ = reduced.get(x) or star_homology(reduce, x, span)
-        return ObstructionReport(
-            NOT_A_MANIFOLD,
-            verdicts,
-            inferred,
-            flags,
-            witness=_classify(summary.groups, k.dim)[1],
-            reason=f"face {' '.join(face)!r} is not locally euclidean",
-            witness_face=face,
-        )
-    overall = CONSISTENT_WITH_BOUNDARY if has_boundary else CONSISTENT_CLOSED
-    return ObstructionReport(overall, verdicts, inferred, flags)
+        summary, _ = reduced.get(x) or star_homology(reduce, x)
+        witness = _classify(summary.groups, k.dim)[1]
+        reason = f"face {' '.join(face)!r} is not locally euclidean"
+    else:
+        overall = CONSISTENT_WITH_BOUNDARY if has_boundary else CONSISTENT_CLOSED
+        return ObstructionReport(overall, verdicts, inferred, flags)
+    return ObstructionReport(
+        NOT_A_MANIFOLD, verdicts, inferred, flags, vertex, witness, reason, face
+    )

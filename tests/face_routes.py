@@ -47,9 +47,8 @@ def reduction_route(k) -> tuple:
     """``open_stars`` over every vertex, and the ``star_homology`` of every
     vertex and every face below the top degree, by cell."""
     reduce, cells = open_stars(k, k.labels)
-    span = (0, max(k.dim, 0))
     below_top = reduce.starts[-2] if k.dim >= 0 else 0
-    reduced = {x: star_homology(reduce, x, span) for x in range(max(below_top, k.n_vertices))}
+    reduced = {x: star_homology(reduce, x) for x in range(max(below_top, k.n_vertices))}
     return reduce, cells, reduced
 
 

@@ -10,6 +10,7 @@ import oracle
 from localhom import (
     SimplicialComplex,
     SubcomplexPair,
+    apex_local_homology_formula,
     builtin,
     cone,
     deleted,
@@ -748,3 +749,31 @@ def test_vertex_split_covers_match_the_oracle_ranks(m):
     for name in ("phi", "psi", "delta"):
         ranks = {n: f.rank() for n, f in getattr(report, name).items()}
         assert ranks == expected[name], name
+
+
+@pytest.mark.parametrize(
+    "name", ["sphere(1)", "sphere(2)", "sphere(3)", "octahedron", "torus7", "klein8", "rp2_6"]
+)
+def test_the_long_exact_sequence_of_a_cone_pair_is_a_mayer_vietoris_sequence(name):
+    """``A = CM``, ``B = M``, ``C = ∅``, ``D = M``: the sequence reads
+    ``H(M) → H(CM) + H(M, M) → H(CM, M) → H(M)``, and ``H(M, M) = 0``.
+
+    So it is the long exact sequence of the pair (Hatcher §2.2).  CM is
+    contractible, so every δ_n with n ≥ 2 is an isomorphism over Z, and
+    ``H(CM, M)`` is the apex's local group.
+    """
+    m = builtin(name)
+    cm = cone(m, "apex")
+    report = mv_exactness_check(MvDecomposition(cm, cm, m, None, m), m.dim + 1)
+    assert report.exact
+    for n, delta in report.delta.items():
+        if n >= 2:
+            assert delta.rows == delta.cols
+            assert smith_normal_form(delta).diagonal == (1,) * delta.rows, n
+    apex = apex_local_homology_formula(m)
+    for node in report.nodes:
+        if node.node == "H(K, Y)":
+            assert node.dim == apex.group(node.degree).free_rank, node
+    if name == "torus7":
+        assert report.delta[2] == IntegerMatrix(2, 2, ((1, 0), (0, 1)))
+        assert report.delta[3].rows == 1 and abs(report.delta[3].entries[0][0]) == 1

@@ -18,15 +18,17 @@ from hypothesis import given
 
 from localhom import (
     SimplicialComplex,
+    builtin,
     obstruction_report,
     parse_complex,
     pseudomanifold_check,
     vertex_verdict,
+    wedge,
 )
 from localhom.chains import ChainComplex
 from localhom.cli import main
 from localhom.homology import open_stars, star_homology
-from localhom.probe import NOT_LOCALLY_EUCLIDEAN
+from localhom.probe import NOT_A_MANIFOLD, NOT_LOCALLY_EUCLIDEAN
 from oracle import naive_facets
 from test_link_route import complexes, facet_lists, few
 
@@ -81,7 +83,7 @@ def reference_flags(k, closed) -> tuple:
 def star_dimensions(k, labels) -> dict:
     """Each vertex's star dimension, read off the reduction of its open star."""
     reduce, cells = open_stars(k, labels)
-    return {v: star_homology(reduce, x, (0, 0))[1] for v, x in cells.items()}
+    return {v: star_homology(reduce, x)[1] for v, x in cells.items()}
 
 
 def assert_closure(facets):
@@ -202,6 +204,50 @@ def test_each_command_checks_each_chain_complex_it_builds_once(counts, tmp_path,
         assert main([*argv, "--json"]) == 0, argv
         assert counts == {"build": builds, "check": builds}, argv
     capsys.readouterr()
+
+
+FAILURES = {
+    "wedge": wedge(builtin("octahedron"), "1", builtin("octahedron"), "1"),
+    "star-dimensions": parse_complex("a b c\nd"),
+    "fin": parse_complex("a b c\na b d\na c d\nb c d\na b x"),
+}
+FAILURE_FIELDS = ("witness_vertex", "witness", "witness_face", "inferred_dimension")
+
+
+@pytest.mark.parametrize(
+    "name, fields",
+    [
+        ("wedge", {"witness_vertex", "witness", "inferred_dimension"}),
+        ("star-dimensions", {"witness_vertex"}),
+        ("fin", {"witness", "witness_face", "inferred_dimension"}),
+    ],
+)
+def test_each_kind_of_failure_sets_exactly_its_own_fields(name, fields):
+    report = obstruction_report(FAILURES[name])
+    assert report.overall == NOT_A_MANIFOLD and report.reason
+    assert {f for f in FAILURE_FIELDS if getattr(report, f) is not None} == fields
+    if name == "fin":
+        assert report.witness_face == ("a", "b")
+    if name == "wedge":
+        assert report.witness_vertex == "w"
+
+
+@pytest.mark.parametrize("k", [*FIXED, *FAILURES.values()])
+def test_the_flags_check_reads_the_reports_reducer(k, counts):
+    flags = obstruction_report(k).flags
+    counts.update(build=0, check=0)
+    assert pseudomanifold_check(k, flags.closed_mode) == flags
+    assert counts == {"build": 1, "check": 1}
+
+
+@pytest.mark.parametrize("k", [*FIXED, FAILURES["star-dimensions"], builtin("octahedron")])
+def test_a_stars_groups_span_the_complexs_dimension(k):
+    span = (0, max(k.dim, 0))
+    for labels in ([], k.labels[-1:], k.labels):
+        reduce, cells = open_stars(k, labels)
+        assert (0, max(len(reduce.starts) - 2, 0)) == span
+        for x in range(reduce.starts[-1]) if labels == k.labels else cells.values():
+            assert star_homology(reduce, x)[0].span == span
 
 
 def test_the_homology_name_is_the_function_and_the_module_is_imported():
