@@ -13,8 +13,9 @@ built by one constructor from its bases; ``homology`` adjoins the
 augmentation cell itself, as reducer input, for reduced homology.  A
 quotient complex takes its basis from sets of a complex's simplices, so
 the pieces of a cover share one numbering.  The open-star complex is the
-quotient by the simplices that miss a vertex set, the one complex local
-homology is read from (over every vertex, the whole chain complex).
+quotient by the simplices that miss a vertex set (over every vertex, the
+whole chain complex); ``homology.open_stars`` alone builds it, and every
+local group is read from its reducer.
 Building a chain complex runs the range check once per degree, over all
 its rows, and then ∂∘∂ = 0.
 """

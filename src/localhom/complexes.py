@@ -34,7 +34,9 @@ class SimplicialComplex:
 
     ``_levels[d]`` holds the d-simplices in lexicographic order, no level
     is empty, and ``_facets`` is ``facets()``; equality and hashing compare
-    labels and levels.  Build instances with the factories.
+    labels and levels.  Build instances with the factories: they sort the
+    labels and each index simplex, so a simplex's labels come out sorted
+    and cell order is label order, and nothing needs sorting again.
     """
 
     labels: tuple[str, ...]
@@ -49,8 +51,8 @@ class SimplicialComplex:
 
     @classmethod
     def _closure(cls, labels, simplices: Iterable[Simplex]) -> "SimplicialComplex":
-        """Faces of sorted index simplices over the final label list, top level first."""
-        by_size = {r: list(g) for r, g in groupby(sorted(simplices, key=len), len)}
+        """Faces of nonempty sorted index simplices over the final label list, top level first."""
+        by_size = {r: list(g) for r, g in groupby(sorted(simplices, key=len), len) if r}
         top = max(by_size, default=0)
         facets = cells = tuple(sorted(set(by_size.get(top, ()))))
         levels = [cells] if cells else []
@@ -184,10 +186,11 @@ class SimplicialComplex:
         """The simplices of self in ``other``'s vertex numbering, matched by label.
 
         Raises ``UnknownVertexError`` at once for a vertex ``other`` lacks;
-        a translated simplex need not be a simplex of ``other``.
+        a translated simplex need not be one of ``other`` and, as both label
+        lists are sorted, needs no sorting.
         """
         translate = [other.index_of(lab) for lab in self.labels]
-        return (tuple(sorted(map(translate.__getitem__, s))) for s in self.all_simplices())
+        return (tuple(map(translate.__getitem__, s)) for s in self.all_simplices())
 
     def cells_of(self, part: "SimplicialComplex") -> frozenset[Simplex] | None:
         """``part``'s simplices in this numbering, by label; None unless each is one here."""

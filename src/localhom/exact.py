@@ -31,8 +31,8 @@ the pivot on every round (ties broken by row-major position), which keeps
 entry growth modest and makes the reduction fully deterministic.
 ``matrix_of_columns`` writes sparse columns out as its input, and gives
 none for a zero matrix, whose transforms are identities;
-``unimodular_inverse`` inverts a transform with it.  ``determinant`` is
-the only other dense routine.
+``unimodular_inverse`` inverts a transform with it.  ``multiply``,
+``transpose`` and ``determinant`` are the other dense routines.
 """
 
 from __future__ import annotations
@@ -40,13 +40,14 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
+from operator import index
 
 from .errors import DimensionMismatchError
 
 
 @dataclass(frozen=True, slots=True)
 class IntegerMatrix:
-    """Immutable dense matrix over the integers."""
+    """Immutable dense matrix over the integers; a float or string entry raises ``TypeError``."""
 
     rows: int
     cols: int
@@ -55,7 +56,7 @@ class IntegerMatrix:
     def __post_init__(self) -> None:
         if self.rows < 0 or self.cols < 0:
             raise ValueError("matrix dimensions must be non-negative")
-        data = tuple(tuple(map(int, row)) for row in self.entries)
+        data = tuple(tuple(map(index, row)) for row in self.entries)
         if len(data) != self.rows or any(len(row) != self.cols for row in data):
             raise ValueError(f"entries do not form a {self.rows}x{self.cols} grid")
         object.__setattr__(self, "entries", data)

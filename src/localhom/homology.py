@@ -10,20 +10,20 @@ numbers come from the Smith normal form of the critical cells' boundaries
 alone.
 
 Alongside absolute and reduced homology this module computes relative
-homology of pairs and local homology at a vertex by two independent
+homology of pairs and local homology at vertices by two independent
 routes.  The quotient route reads ``H_k(K, K - v)`` as the homology of
-``C(K)/C(K - v)``, whose basis is the open star of ``v``.
-``local_homology_multi`` reduces one such quotient, by the simplices
-missing a set of non-adjacent vertices, and ``local_homology`` is its
-one-vertex case.  For many vertices, ``open_stars`` builds and checks one
-chain complex of all their open stars and returns its ``chain_reducer``,
-and ``star_homology`` reduces the open star of any one cell in place, a
-vertex's or a higher face's, spanning the degrees of the reducer it is
-given; ``local_homologies`` and the probe read them.
-``local_homology_via_link``
-uses the excision identity ``H_k(K, K - v) = H~_{k-1}(lk v)`` on a link
-rebuilt as a new complex; it is kept as the cross-check the quotient
-route is tested against.  The apex formula for cones completes the module.
+``C(K)/C(K - v)``, whose basis is the open star of ``v``, and has one
+entry: ``open_stars`` builds and checks one chain complex of the open
+stars of the given vertices (over every vertex, the whole chain complex)
+and returns its ``chain_reducer``, and ``star_homology`` reduces, in
+place, the union of the open stars of any cells of it, vertices or
+higher faces.  ``local_homology_multi``, ``local_homology``,
+``local_homologies`` and the probe all read their groups that way, so
+``homology`` serves whole complexes and pairs only.
+``local_homology_via_link`` uses the excision identity
+``H_k(K, K - v) = H~_{k-1}(lk v)`` on a link rebuilt as a new complex; it
+is kept as the cross-check the quotient route is tested against.  The
+apex formula for cones completes the module.
 """
 
 from __future__ import annotations
@@ -34,12 +34,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from types import MappingProxyType
 
-from .chains import (
-    ChainComplex,
-    chain_complex,
-    open_star_chain_complex,
-    relative_chain_complex,
-)
+from .chains import ChainComplex, chain_complex, open_star_chain_complex, relative_chain_complex
 from .complexes import SimplicialComplex, SubcomplexPair
 from .constructions import link
 from .errors import AdjacentVerticesError, ChainComplexError, LocalhomError
@@ -233,17 +228,19 @@ def open_stars(k: SimplicialComplex, labels) -> tuple:
     return chain_reducer(c.boundaries), {lab: cell[i] for lab, i in zip(labels, indices)}
 
 
-def star_homology(reduce, x: int) -> tuple[HomologySummary, int]:
-    """``H_*(K, K - st σ)`` at the cell ``x`` of ``reduce``, and σ's star dimension.
+def star_homology(reduce, *cells: int) -> tuple[HomologySummary, int]:
+    """``H_*(K, K - st σ)`` over the cells of ``reduce``, and their star dimension.
 
-    The open star of σ, ``x`` and every cell above it, is reduced in place
-    as a quotient; by excision its groups are ``H~_{*-dim σ-1}(lk σ)``
-    (Munkres §63).  The star dimension is the degree of its highest cell.
-    The summary spans degree 0 to the reducer's top degree, ``K``'s
-    dimension for a reducer from ``open_stars``.
+    The union of the open stars of ``cells``, each cell and every cell
+    above it, is reduced in place as a quotient.  For one cell σ, by
+    excision, its groups are ``H~_{*-dim σ-1}(lk σ)`` (Munkres §63); for
+    pairwise non-adjacent vertices they are the sum of their local groups.
+    The star dimension is the degree of the highest cell reduced.  The
+    summary spans degree 0 to the reducer's top degree, ``K``'s dimension
+    for a reducer from ``open_stars``.
     """
     cofaces = reduce.cofaces
-    star, todo = {x}, [x]
+    star, todo = set(cells), list(cells)
     for y in todo:
         for z in cofaces[y]:
             if z not in star:
@@ -284,11 +281,12 @@ def local_homology_multi(k: SimplicialComplex, vs) -> HomologySummary:
         raise LocalhomError("vertex set must be nonempty")
     if len(set(labels)) != len(labels):
         raise LocalhomError("vertex set has repeats")
-    indices = [k.index_of(lab) for lab in labels]
-    for a, b in combinations(sorted(labels), 2):
+    # Keyed by index (label order), so an unknown label is reported before any pair.
+    for a, b in combinations(sorted(labels, key=k.index_of), 2):
         if k.contains_labelled((a, b)):
             raise AdjacentVerticesError(a, b)
-    return homology(open_star_chain_complex(k, indices))
+    reduce, cells = open_stars(k, labels)
+    return star_homology(reduce, *cells.values())[0]
 
 
 def shifted_up(summary: HomologySummary, span: tuple[int, int]) -> HomologySummary:

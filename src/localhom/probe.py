@@ -26,7 +26,8 @@ every witness group is the reduction's.  The pseudomanifold flags come
 from the reducer's coface lists, and ``pseudomanifold_check`` reads the
 same ``open_stars`` reducer.  A failing report names one failure: an
 offending vertex, else a conflicting star dimension, else a witness
-face.  The link route
+face, the first failing cell of the highest failing degree, which is
+the least by labels as cell order is label order.  The link route
 ``local_homology_via_link`` stays in ``homology`` as the independent
 cross-check.
 """
@@ -330,8 +331,8 @@ def obstruction_report(k: SimplicialComplex) -> ObstructionReport:
     among the other vertices, interior-like or boundary-like, also
     disqualify the complex even though each single vertex looks Euclidean.
     Failing that, a failing face of positive dimension disqualifies it:
-    the witness face is the least by labels among the failing faces of
-    highest dimension, with the reduction's witness group.  So a clean
+    the witness face is the first failing cell of highest dimension, so
+    the least by labels, with the reduction's witness group.  So a clean
     report means every face passed, and the complex is a homology
     manifold.
     """
@@ -366,14 +367,9 @@ def obstruction_report(k: SimplicialComplex) -> ObstructionReport:
         vertex = mismatch.vertex
         reason = f"star dimension {mismatch.dimension} conflicts with {dims[-1]}"
     elif last >= 0:
-        starts = reduce.starts
-        d = bisect_right(starts, last) - 1
-        simplices = k.simplices(d)
-        face, x = min(
-            (tuple(sorted(k.simplex_labels(simplices[x - starts[d]]))), x)
-            for x in range(starts[d], last + 1)
-            if outcome[x] == FAILED
-        )
+        d = bisect_right(reduce.starts, last) - 1
+        x = outcome.find(FAILED, reduce.starts[d])
+        face = k.simplex_labels(k.simplices(d)[x - reduce.starts[d]])
         summary, _ = reduced.get(x) or star_homology(reduce, x)
         witness = _classify(summary.groups, k.dim)[1]
         reason = f"face {' '.join(face)!r} is not locally euclidean"

@@ -33,7 +33,7 @@ def parse_complex(text: str) -> SimplicialComplex:
 
 
 def to_scx(k: SimplicialComplex) -> str:
-    """Canonical serialization: facets sorted by their sorted label lists.
+    """Canonical serialization: facets sorted by their label lists, each sorted already.
 
     The output is byte-stable for a given complex, so golden tests and
     file-based construction pipelines can compare results exactly.  A label
@@ -45,7 +45,7 @@ def to_scx(k: SimplicialComplex) -> str:
         # a label opening a file would lose a leading U+FEFF as its BOM.
         if "#" in label or label.split() != [label] or label[0] == "\ufeff":
             raise UnwritableLabelError(label)
-    lines = sorted(tuple(sorted(f)) for f in k.label_facets())
+    lines = sorted(k.label_facets())
     return "".join(" ".join(f) + "\n" for f in lines)
 
 

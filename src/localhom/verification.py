@@ -87,7 +87,7 @@ def check_wedge_point() -> tuple[list[str], str]:
     failures = []
     for name in WEDGE_SURFACES:
         m = builtin(name)
-        base = sorted(m.labels)[0]
+        base = m.labels[0]
         w = wedge(m, base, m, base)
         local = local_homology(w, WEDGE_POINT)
         if local.group(1) != HomologyGroup(1):
@@ -101,9 +101,8 @@ def check_wedge_point() -> tuple[list[str], str]:
 
 
 def _independent_sets(k: SimplicialComplex, size: int) -> list:
-    labels = sorted(k.labels)
     out = []
-    for combo in combinations(labels, size):
+    for combo in combinations(k.labels, size):
         if all(not k.contains_labelled(pair) for pair in combinations(combo, 2)):
             out.append(combo)
     return out

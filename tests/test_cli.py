@@ -93,6 +93,11 @@ def test_local_adjacent_vertices_exit_code(capsys):
     assert "share an edge" in err
 
 
+def test_local_reports_an_unknown_vertex_before_an_adjacent_pair(capsys):
+    code, out, err = run(capsys, "local", "--builtin", "torus7", "--vertices", "1,2,99")
+    assert (code, out, err) == (1, "", "error: unknown vertex '99'\n")
+
+
 def test_unknown_vertex_and_builtin(capsys):
     code, _, err = run(capsys, "local", "--builtin", "torus7", "--vertex", "99")
     assert code == 1 and "'99'" in err

@@ -53,6 +53,17 @@ OCTAHEDRON_TEXT = """\
 """
 
 
+def test_facets_that_are_all_empty_give_the_empty_complex():
+    for k in (
+        SimplicialComplex.from_label_facets([()]),
+        SimplicialComplex.from_index_simplices(["a"], [()]),
+        SimplicialComplex.from_label_facets(line.split() for line in "\n".splitlines()),
+    ):
+        assert k == SimplicialComplex.empty()
+        assert homology_of_complex(k).nonzero() == {}
+        assert parse_complex(to_scx(k)) == k
+
+
 def test_parse_single_triangle():
     k = parse_complex("1 2 3")
     assert k.f_vector() == (3, 3, 1)

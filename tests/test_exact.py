@@ -57,6 +57,17 @@ def _kernel(rows: int, columns) -> list[tuple[int, ...]]:
     return [tuple(row[j] for row in v.entries) for j in range(snf.rank if snf else 0, v.cols)]
 
 
+@pytest.mark.parametrize("entry", [2.7, "3"])
+def test_a_matrix_entry_must_be_an_integer(entry):
+    with pytest.raises(TypeError):
+        IntegerMatrix(1, 2, [[entry, 1]])
+
+
+def test_a_bool_entry_is_an_int():
+    m = IntegerMatrix(1, 2, [[True, False]])
+    assert m.entries == ((1, 0),) and type(m.entries[0][0]) is int
+
+
 def test_zero_matrix_is_already_normal():
     a = IntegerMatrix.zeros(2, 3)
     res = smith_normal_form(a)

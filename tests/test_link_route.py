@@ -15,8 +15,11 @@ from localhom import (
     builtin,
     cone,
     deleted,
+    disjoint_union,
+    full_subcomplex,
     link,
     local_homology,
+    local_homology_multi,
     local_homology_via_link,
     obstruction_report,
     prism_product,
@@ -28,6 +31,7 @@ from localhom import (
 )
 from localhom.chains import ChainComplex, open_star_chain_complex
 from localhom.homology import HomologyGroup
+from localhom.verification import _independent_sets
 
 LABELS = "abcdefgh"
 
@@ -89,6 +93,29 @@ def test_open_star_quotient_is_the_deleted_vertex_pair(k):
         for c in (open_star_chain_complex(k, [vi]), open_star_of(whole, vi)):
             assert (c.bases, c.boundaries) == (expected.bases, expected.boundaries)
         assert local_homology(k, lab).records() == relative_homology(pair).records()
+
+
+def assert_multi_is_the_relative_pair(k, vertices):
+    rest = [lab for lab in k.labels if lab not in vertices]
+    pair = relative_homology(SubcomplexPair(k, full_subcomplex(k, rest)))
+    assert local_homology_multi(k, vertices).records() == pair.records()
+
+
+@few
+@given(complexes)
+def test_several_vertices_read_the_relative_pair_off_their_full_subcomplex(k):
+    for size in (1, 2, 3):
+        for vertices in _independent_sets(k, size)[:3]:
+            assert_multi_is_the_relative_pair(k, vertices)
+
+
+def test_two_cone_apexes_sum_their_torsion():
+    left = cone(builtin("rp2_6"), "apex")
+    k = disjoint_union(left, left)
+    apexes = [lab for lab in k.labels if lab.endswith("apex")]
+    assert len(apexes) == 2
+    assert local_homology_multi(k, apexes).nonzero() == {2: HomologyGroup(0, (2, 2))}
+    assert_multi_is_the_relative_pair(k, apexes)
 
 
 @few

@@ -11,6 +11,7 @@ ridge-tuple walk for the flags.
 """
 
 import importlib
+import random
 from itertools import combinations
 
 import pytest
@@ -19,15 +20,17 @@ from hypothesis import given
 from localhom import (
     SimplicialComplex,
     builtin,
+    disjoint_union,
     obstruction_report,
     parse_complex,
     pseudomanifold_check,
+    relabel,
     vertex_verdict,
     wedge,
 )
 from localhom.chains import ChainComplex
 from localhom.cli import main
-from localhom.homology import open_stars, star_homology
+from localhom.homology import HomologyGroup, open_stars, star_homology
 from localhom.probe import NOT_A_MANIFOLD, NOT_LOCALLY_EUCLIDEAN
 from oracle import naive_facets
 from test_link_route import complexes, facet_lists, few
@@ -230,6 +233,24 @@ def test_each_kind_of_failure_sets_exactly_its_own_fields(name, fields):
         assert report.witness_face == ("a", "b")
     if name == "wedge":
         assert report.witness_vertex == "w"
+
+
+def test_the_witness_face_is_the_failing_edge_first_by_labels():
+    # Two disjoint fins: a pure 2-complex whose only failing faces are the
+    # two edges in three triangles, L.a L.b and R.a R.b.
+    fins = disjoint_union(FAILURES["fin"], FAILURES["fin"])
+    failing = [("L.a", "L.b"), ("R.a", "R.b")]
+    rng = random.Random(7)
+    witnesses = set()
+    for _ in range(12):
+        images = rng.sample([f"v{i:02d}" for i in range(fins.n_vertices)], fins.n_vertices)
+        rename = dict(zip(fins.labels, images))
+        report = obstruction_report(relabel(fins, rename))
+        expected = min(tuple(sorted(rename[lab] for lab in edge)) for edge in failing)
+        assert (report.witness_vertex, report.witness_face) == (None, expected)
+        assert report.witness == (2, HomologyGroup(2))
+        witnesses.add(report.witness_face)
+    assert len(witnesses) > 1
 
 
 @pytest.mark.parametrize("k", [*FIXED, *FAILURES.values()])
