@@ -3,9 +3,9 @@
 The curved surfaces ship as facet-list data files and are never trusted:
 every load re-verifies the f-vector (which fixes the Euler
 characteristic, and torus7's 21 edges), and (for closed surfaces) that
-each edge lies in exactly two triangles and each vertex link is
-connected, so a corrupted file fails loudly.  Spheres are
-generated as simplex boundaries.
+each edge lies in exactly two triangles and each vertex link, read off
+the vertex's triangles, is connected, so a corrupted file fails loudly.
+Spheres are generated as simplex boundaries.
 
 Available names: ``sphere(0)`` .. ``sphere(4)`` (also spelled
 ``sphere0`` .. ``sphere4``), ``octahedron``, ``torus7`` (the 7-vertex
@@ -16,10 +16,10 @@ plane), ``klein8`` (an 8-vertex Klein bottle), and ``interval``.
 from __future__ import annotations
 
 import os
+from collections import defaultdict
 from itertools import combinations
 
 from .complexes import SimplicialComplex
-from .constructions import link
 from .errors import BuiltinIntegrityError, UnknownBuiltinError
 from .scx import read_complex
 
@@ -38,38 +38,36 @@ def _data_complex(filename: str) -> SimplicialComplex:
     return read_complex(os.path.join(os.path.dirname(__file__), "data", filename))
 
 
-def _is_connected(k: SimplicialComplex) -> bool:
-    if k.n_vertices == 0:
-        return True
-    adjacency = {i: set() for i in range(k.n_vertices)}
-    for a, b in k.simplices(1):
-        adjacency[a].add(b)
-        adjacency[b].add(a)
-    seen = {0}
-    queue = [0]
-    while queue:
-        for nxt in adjacency[queue.pop()]:
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return len(seen) == k.n_vertices
-
-
 def _check_closed_surface(name: str, k: SimplicialComplex) -> None:
+    """Purity, each edge in two triangles, then each vertex link connected.
+
+    A vertex's link is the edges opposite it in its triangles.  Once every
+    edge lies in two triangles the link is a union of cycles, connected when
+    the cycle from one of its vertices passes them all.
+    """
     if k.dim != 2 or any(len(f) != 3 for f in k.facets()):
         raise BuiltinIntegrityError(name, "not a pure 2-dimensional complex")
     edge_count = {e: 0 for e in k.simplices(1)}
+    links = [defaultdict(list) for _ in k.labels]
     for tri in k.simplices(2):
-        for e in combinations(tri, 2):
-            edge_count[e] += 1
+        for v, (a, b) in zip(reversed(tri), combinations(tri, 2)):
+            edge_count[a, b] += 1
+            links[v][a].append(b)
+            links[v][b].append(a)
     bad = [e for e, c in edge_count.items() if c != 2]
     if bad:
         raise BuiltinIntegrityError(
             name, f"edge {k.simplex_labels(bad[0])} lies in "
             f"{edge_count[bad[0]]} triangles, expected 2"
         )
-    for lab in k.labels:
-        if not _is_connected(link(k, lab)):
+    for lab, around in zip(k.labels, links):
+        start = last = next(iter(around))
+        here, steps = around[start][0], 1
+        while here != start:
+            a, b = around[here]
+            last, here = here, b if a == last else a
+            steps += 1
+        if steps != len(around):
             raise BuiltinIntegrityError(name, f"link of vertex {lab!r} is disconnected")
 
 

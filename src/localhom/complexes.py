@@ -200,10 +200,6 @@ class SimplicialComplex:
             return None
         return cells if cells <= self._simplex_set else None
 
-    def is_subcomplex_of(self, other: "SimplicialComplex") -> bool:
-        """True when every simplex of self is a simplex of other (by labels)."""
-        return other.cells_of(self) is not None
-
     def __repr__(self) -> str:
         return (
             f"SimplicialComplex(vertices={self.n_vertices}, "

@@ -326,11 +326,9 @@ def _connecting_chain(
         if coeff:
             out[simplex] = coeff
 
-    # Internal guards: out == bound_a modulo chains in c, and
-    # out == -bound_b modulo chains in d.
-    for s in set(out) | set(bound_a):
-        if out.get(s, 0) != bound_a.get(s, 0) and s not in c:
-            raise RuntimeError("connecting chain violates the first congruence")
+    # out == bound_a outside c by construction.  Internal guard: out ==
+    # -bound_b outside d, which fails only when ``chain`` is not a
+    # relative cycle outside c | d.
     for s in set(out) | set(bound_b):
         if out.get(s, 0) != -bound_b.get(s, 0) and s not in d:
             raise RuntimeError("connecting chain violates the second congruence")

@@ -22,14 +22,15 @@ and 1 when it has boundary, by the classification of compact surfaces,
 Massey, *Algebraic Topology: An Introduction*, ch. 1).  Higher links are
 reduced.  A vertex that does not pass by counting is reduced for its
 verdict, and so is the one failing face that becomes the witness, so
-every witness group is the reduction's.  The pseudomanifold flags come
-from the reducer's coface lists, and ``pseudomanifold_check`` reads the
-same ``open_stars`` reducer.  A failing report names one failure: an
-offending vertex, else a conflicting star dimension, else a witness
-face, the first failing cell of the highest failing degree, which is
-the least by labels as cell order is label order.  The link route
-``local_homology_via_link`` stays in ``homology`` as the independent
-cross-check.
+every witness group is the reduction's.  ``_classify`` reads every
+reduced star as an outcome, which a verdict names by ``CATEGORY``.  The
+pseudomanifold flags come from the reducer's coface lists, and
+``pseudomanifold_check`` reads the same ``open_stars`` reducer.  A
+failing report names one failure: an offending vertex, else a
+conflicting star dimension, else a witness face, the first failing cell
+of the highest failing degree, which is the least by labels as cell
+order is label order.  The link route ``local_homology_via_link`` stays
+in ``homology`` as the independent cross-check.
 """
 
 from __future__ import annotations
@@ -91,34 +92,35 @@ def vertex_verdict(k: SimplicialComplex, v: str) -> VertexVerdict:
     return _verdict(v, *star_homology(reduce, cells[v]))
 
 
-def _verdict(v: str, summary: HomologySummary, expected: int) -> VertexVerdict:
-    """The verdict on ``v`` from its local homology and star dimension."""
-    category, witness = _classify(summary.groups, expected)
-    if witness is None:
-        return VertexVerdict(v, category, dimension=expected, local=summary)
-    return VertexVerdict(v, category, witness=witness, local=summary)
-
-
-def _classify(groups, expected: int) -> tuple[str, tuple[int, HomologyGroup] | None]:
-    """The category of local groups against ``Z`` in degree ``expected``, and its witness.
-
-    Nothing at all is boundary-like and ``Z`` in degree ``expected`` alone
-    is interior-like; otherwise the witness is the nonzero group of
-    highest degree that breaks the pattern.
-    """
-    if not groups:
-        return BOUNDARY_LIKE, None
-    if len(groups) == 1 and groups.get(expected) == INTERIOR_GROUP:
-        return INTERIOR_LIKE, None
-    degree = max(d for d, g in groups.items() if d != expected or g != INTERIOR_GROUP)
-    return NOT_LOCALLY_EUCLIDEAN, (degree, groups[degree])
-
-
 # A cell's outcome in the face walk: left open (some coface did not
 # pass), failed, or passed with local homology 0 (a boundary point) or
-# ``Z`` in the top degree (an interior point).
+# ``Z`` in the top degree (an interior point); ``CATEGORY`` names them.
 OPEN, FAILED, BOUNDARY, INTERIOR = range(4)
-_OUTCOME = {NOT_LOCALLY_EUCLIDEAN: FAILED, BOUNDARY_LIKE: BOUNDARY, INTERIOR_LIKE: INTERIOR}
+CATEGORY = {FAILED: NOT_LOCALLY_EUCLIDEAN, BOUNDARY: BOUNDARY_LIKE, INTERIOR: INTERIOR_LIKE}
+
+
+def _verdict(v: str, summary: HomologySummary, expected: int) -> VertexVerdict:
+    """The verdict on ``v`` from its local homology and star dimension."""
+    outcome, witness = _classify(summary.groups, expected)
+    dimension = expected if witness is None else None
+    return VertexVerdict(v, CATEGORY[outcome], dimension, witness, summary)
+
+
+def _classify(groups, expected: int) -> tuple[int, tuple[int, HomologyGroup] | None]:
+    """The outcome of local groups against ``Z`` in degree ``expected``, and its witness.
+
+    Nothing at all is ``BOUNDARY`` and ``Z`` in degree ``expected`` alone
+    is ``INTERIOR``; otherwise the outcome is ``FAILED`` and the witness
+    is the nonzero group of highest degree that breaks the pattern.
+    """
+    if not groups:
+        return BOUNDARY, None
+    if len(groups) == 1 and groups.get(expected) == INTERIOR_GROUP:
+        return INTERIOR, None
+    degree = max(d for d, g in groups.items() if d != expected or g != INTERIOR_GROUP)
+    return FAILED, (degree, groups[degree])
+
+
 # A ridge in one top cell has a point for its link, in two a 0-sphere.
 _BY_COFACES = {1: BOUNDARY, 2: INTERIOR}
 
@@ -132,9 +134,9 @@ def face_walk(reduce) -> tuple[bytearray, dict]:
     cell (its link is a point) or two (a sphere).  A cell with a coface
     that did not pass stays open.  Otherwise its link, of dimension
     ``m = n - d - 1`` for a cell of degree d, is counted when ``m <= 2``
-    (``_count``) and its open star is reduced when ``m >= 3``.  Returns
-    the outcomes by cell number and the ``star_homology`` of each cell
-    reduced on the way.
+    (``_count``) and its open star reduced and classified when ``m >= 3``.
+    Returns the outcomes by cell number and the ``star_homology`` of each
+    cell reduced on the way.
     """
     starts, cofaces = reduce.starts, reduce.cofaces
     n = len(starts) - 2
@@ -157,7 +159,7 @@ def face_walk(reduce) -> tuple[bytearray, dict]:
                 outcome[x] = _count(reduce, up, m == 2, low == INTERIOR)
             else:
                 summary, _ = reduced[x] = star_homology(reduce, x)
-                outcome[x] = _OUTCOME[_classify(summary.groups, n)[0]]
+                outcome[x] = _classify(summary.groups, n)[0]
     return outcome, reduced
 
 
@@ -326,7 +328,7 @@ def obstruction_report(k: SimplicialComplex) -> ObstructionReport:
     """Classify every vertex and every face, and aggregate a manifold verdict.
 
     The vertices come first.  A vertex that passes in ``face_walk`` shares
-    one local summary per category; any other is reduced.  The witness
+    one local summary per outcome; any other is reduced.  The witness
     vertex is the lexicographically least offender.  Mixed star dimensions
     among the other vertices, interior-like or boundary-like, also
     disqualify the complex even though each single vertex looks Euclidean.
@@ -340,17 +342,15 @@ def obstruction_report(k: SimplicialComplex) -> ObstructionReport:
     outcome, reduced = face_walk(reduce)
     span = (0, max(k.dim, 0))
     passed = {
-        BOUNDARY: (BOUNDARY_LIKE, HomologySummary({}, span)),
-        INTERIOR: (INTERIOR_LIKE, HomologySummary({k.dim: INTERIOR_GROUP}, span)),
+        BOUNDARY: HomologySummary({}, span),
+        INTERIOR: HomologySummary({k.dim: INTERIOR_GROUP}, span),
     }
-    verdicts = []
-    for lab, x in cells.items():
-        if outcome[x] in passed:
-            category, local = passed[outcome[x]]
-            verdicts.append(VertexVerdict(lab, category, dimension=k.dim, local=local))
-        else:
-            verdicts.append(_verdict(lab, *(reduced.get(x) or star_homology(reduce, x))))
-    verdicts = tuple(verdicts)
+    verdicts = tuple(
+        _verdict(lab, passed[outcome[x]], k.dim)
+        if outcome[x] in passed
+        else _verdict(lab, *(reduced.get(x) or star_homology(reduce, x)))
+        for lab, x in cells.items()
+    )
     offenders = [v for v in verdicts if v.category == NOT_LOCALLY_EUCLIDEAN]
     dims = sorted({v.dimension for v in verdicts if v.category != NOT_LOCALLY_EUCLIDEAN})
     inferred = dims[0] if len(dims) == 1 else None

@@ -11,7 +11,10 @@ README, "Local homology at wedge points").
 """
 
 import random
+from dataclasses import replace
 from itertools import combinations
+
+import pytest
 
 import oracle
 from localhom import (
@@ -28,10 +31,11 @@ from localhom import (
     relative_homology,
     wedge,
 )
+from localhom import verification
 from localhom.catalog import CLOSED_SURFACES
 from localhom.exact import IntegerMatrix, determinant, smith_normal_form
-from localhom.homology import HomologyGroup, apex_local_homology_formula
-from localhom.mayer_vietoris import MvDecomposition, mv_exactness_check
+from localhom.homology import HomologyGroup, HomologySummary, apex_local_homology_formula
+from localhom.mayer_vietoris import MvDecomposition, MvNode, mv_exactness_check
 from localhom.probe import (
     BOUNDARY_LIKE,
     CONSISTENT_WITH_BOUNDARY,
@@ -39,7 +43,7 @@ from localhom.probe import (
     obstruction_report,
     vertex_verdict,
 )
-from localhom.verification import excision_corpus, wedge_decomposition
+from localhom.verification import check_ids, excision_corpus, run_checks, wedge_decomposition
 
 Z = HomologyGroup(1)
 
@@ -243,3 +247,32 @@ def test_10_boundary_negative_controls():
         assert vertex_verdict(edge, lab).category == BOUNDARY_LIKE
     ok(10, "the solid cone over a sphere probes as a manifold with boundary; "
            "edge endpoints probe boundary-like")
+
+
+NOTHING = HomologySummary({}, (0, 0))
+# For each verify-paper check, one engine name it reads and a stub that
+# answers wrongly in its place.
+WRONG_ENGINES = {
+    "builtin-homology": ("homology_of_complex", lambda k: NOTHING),
+    "wedge-point": ("local_homology", lambda k, v: NOTHING),
+    "multi-point": ("local_homology_multi", lambda k, vs: NOTHING),
+    "cone-torsion": ("obstruction_report", lambda k: obstruction_report(builtin("octahedron"))),
+    "prism-pairs": ("relative_homology", lambda pair: NOTHING),
+    "apex-formula": ("apex_local_homology_formula", lambda m: NOTHING),
+    "excision-links": ("local_homology_via_link", lambda k, v: NOTHING),
+    "mayer-vietoris": (
+        "mv_exactness_check",
+        # One node of dimension 1 with nothing in or out is not exact.
+        lambda m, top: replace(mv_exactness_check(m, top), nodes=(MvNode(0, "x", 1, 0, 0),)),
+    ),
+    "snf-properties": ("smith_normal_form", lambda a: replace(smith_normal_form(a), d=a)),
+    "boundary-controls": ("vertex_verdict", lambda k, v: vertex_verdict(builtin("octahedron"), "1")),
+}
+
+
+@pytest.mark.parametrize("check_id", check_ids())
+def test_every_verify_paper_check_can_fail(monkeypatch, check_id):
+    name, stub = WRONG_ENGINES[check_id]
+    monkeypatch.setattr(verification, name, stub)
+    [result] = run_checks(check_id)
+    assert not result.passed and result.details, result

@@ -15,8 +15,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from localhom.cli import SUBCOMMANDS, build_parser, main, parse_command
 from localhom.errors import UnwritableLabelError
-from localhom.scx import read_complex, write_complex
+from localhom.scx import parse_complex, read_complex, write_complex
 from localhom import builtin, cone, disjoint_union, wedge
+from test_complexes import PINCHED_KLEIN8_TEXT
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = str(ROOT / "src")
@@ -103,6 +104,17 @@ def test_unknown_vertex_and_builtin(capsys):
     assert code == 1 and "'99'" in err
     code, _, err = run(capsys, "homology", "--builtin", "moebius")
     assert code == 1 and "moebius" in err
+
+
+def test_a_builtin_that_fails_its_self_check_is_a_domain_error(monkeypatch, capsys):
+    from localhom import catalog
+
+    _, f_vector, closed = catalog._CATALOG["klein8"]
+    pinched = parse_complex(PINCHED_KLEIN8_TEXT)
+    monkeypatch.setitem(catalog._CATALOG, "klein8", (lambda: pinched, f_vector, closed))
+    code, out, err = run(capsys, "homology", "--builtin", "klein8")
+    assert (code, out) == (1, "")
+    assert err == "error: builtin 'klein8' failed self-check: link of vertex '4' is disconnected\n"
 
 
 def test_missing_file_is_a_domain_error(capsys, tmp_path):

@@ -25,7 +25,12 @@ from localhom import (
 )
 from localhom.errors import DecompositionError, InclusionError, UnknownVertexError
 from localhom.exact import IntegerMatrix, smith_normal_form
-from localhom.mayer_vietoris import MvDecomposition, _PairHomology, mv_exactness_check
+from localhom.mayer_vietoris import (
+    MvDecomposition,
+    _connecting_chain,
+    _PairHomology,
+    mv_exactness_check,
+)
 from localhom.verification import wedge_decomposition
 from test_link_route import complexes, few
 from test_reduction import _grid_torus
@@ -345,6 +350,13 @@ def test_express_rejects_a_simplex_outside_the_relative_basis():
     pair = _pair_homology(SubcomplexPair(s2, full_subcomplex(s2, ["0", "1"])))
     with pytest.raises(InclusionError, match="outside the relative basis"):
         pair.express(1, {(0, 1): 1, (0, 2): 1})
+
+
+def test_connecting_chain_rejects_a_chain_that_is_not_a_relative_cycle():
+    k = parse_complex("a b c\nb c d")
+    m = MvDecomposition(k, parse_complex("a b c"), parse_complex("b c d"))
+    with pytest.raises(RuntimeError, match="connecting chain violates the second congruence"):
+        _connecting_chain(m, {(0, 1): 1})  # the edge a b is not a cycle
 
 
 def test_negative_max_degree_is_refused():

@@ -20,16 +20,22 @@ with the oracle's Betti numbers of the face's link, shifted up by
 """
 
 from functools import cache
+from itertools import product
 
 import oracle
 from face_routes import cell_labels, reduction_route, route_differences
 from localhom import (
     SimplicialComplex,
+    builtin,
+    disjoint_union,
     homology_of_complex,
     local_homologies,
     local_homology,
     local_homology_via_link,
+    wedge,
 )
+from localhom.catalog import CLOSED_SURFACES, _check_closed_surface
+from localhom.errors import BuiltinIntegrityError
 from localhom.homology import HomologyGroup
 from localhom.probe import (
     CONSISTENT_CLOSED,
@@ -167,3 +173,31 @@ def test_at_every_small_face_the_count_the_reduction_and_the_link_agree():
             link = [tuple(u for u in f if u not in face) for f in facets if face < set(f)]
             local = _local_from_link(link, len(face))
             assert reduced[x][0].nonzero() == local, (facets, names[x])
+
+
+def _self_check_failure(k) -> str | None:
+    """What the builtins' closed-surface self-check says against ``k``, or None."""
+    try:
+        _check_closed_surface("k", k)
+    except BuiltinIntegrityError as error:
+        return str(error)
+    return None
+
+
+def _is_closed_surface(report) -> bool:
+    return (report.overall, report.inferred_dimension) == (CONSISTENT_CLOSED, 2)
+
+
+def test_the_builtin_self_check_passes_exactly_the_closed_surfaces():
+    for facets, report in zip(COMPLEXES, _reports()):
+        k = SimplicialComplex.from_label_facets(facets)
+        assert (_self_check_failure(k) is None) == _is_closed_surface(report), facets
+    # Five vertices are too few for a pinched link; a wedge pinches at w.
+    surfaces = [builtin(name) for name in CLOSED_SURFACES]
+    for a, b in product(surfaces, repeat=2):
+        pinched = wedge(a, a.labels[0], b, b.labels[-1])
+        assert not _is_closed_surface(obstruction_report(pinched))
+        assert _self_check_failure(pinched).endswith("link of vertex 'w' is disconnected")
+        union = disjoint_union(a, b)
+        assert _is_closed_surface(obstruction_report(union))
+        assert _self_check_failure(union) is None
